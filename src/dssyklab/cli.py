@@ -69,6 +69,14 @@ def _csv(metadata: list[str], header: str, rows: list[str]) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _fraction(text: str) -> Fraction:
+    """A rational flag value; malformed or zero-denominator input is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _derive_q_qt(args) -> tuple[Fraction | None, Fraction | None, dict]:
     """Resolve the (q, qtilde) pair from direct flags or from (N, p, k)."""
     direct = args.q is not None or args.qtilde is not None
@@ -81,8 +89,8 @@ def _derive_q_qt(args) -> tuple[Fraction | None, Fraction | None, dict]:
         q = edlab.qn_finite(args.p, args.N)
         qt = edlab.qtilde_weight(args.p, args.N, args.k) if args.k >= 1 else Fraction(1)
         return q, qt, {"derived_q": str(q), "derived_qtilde": str(qt)}
-    q = Fraction(args.q) if args.q is not None else None
-    qt = Fraction(args.qtilde) if args.qtilde is not None else None
+    q = _fraction(args.q) if args.q is not None else None
+    qt = _fraction(args.qtilde) if args.qtilde is not None else None
     return q, qt, {}
 
 
@@ -92,7 +100,7 @@ def run_moments(args) -> int:
     q, qt, note = _derive_q_qt(args)
     if args.symbolic and (q is not None or qt is not None or args.theta is not None):
         raise ValueError("--symbolic cannot be combined with numeric parameters")
-    theta = Fraction(args.theta) if args.theta is not None else None
+    theta = _fraction(args.theta) if args.theta is not None else None
     table = moments.MomentTable.specialized(args.n, q=q, qt=qt, theta=theta)
     meta = _metadata_lines(args, note)
     fully_numeric = all(v.is_constant() for v in table.values)
@@ -171,6 +179,8 @@ def run_compare(args) -> int:
 
 
 def run_density(args) -> int:
+    if not 0.0 <= args.q <= qhermite.Q_NUMERIC_MAX:
+        raise ValueError(f"--q must lie in [0, {qhermite.Q_NUMERIC_MAX}]")
     if args.kernel_r is not None:
         r = args.kernel_r
         x0 = args.kernel_x

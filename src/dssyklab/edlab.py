@@ -1,10 +1,12 @@
 """Finite-N laboratory: Majorana operators, random-coupling Hamiltonians,
 the constant diagonal defect, spectra and empirical moments.
 
-Majorana operators are tensor products of Pauli matrices, kept as signed
-permutations (flip mask plus per-state phase vector) so a Hamiltonian with
-thousands of interaction terms assembles in milliseconds.  The layout pairs
-sigma_y/sigma_z factors behind a sigma_x string:
+Majorana operators are tensor products of Pauli matrices, kept in
+symplectic form as an (x-mask, z-mask, phase) triple for phase * X^x Z^z,
+which maps |b> to phase * (-1)^popcount(z & b) |b XOR x>.  Products are bit
+operations, and a Hamiltonian with thousands of interaction terms assembles
+one x-mask group at a time.  The layout pairs sigma_y/sigma_z factors
+behind a sigma_x string:
 
     psi_1    = X X ... X
     psi_2j   = X^(n-j) Y I^(j-1)      (n = N/2 qubits)
@@ -26,36 +28,61 @@ from itertools import combinations
 import numpy as np
 
 MAX_QUBITS = 12  # dimension cap 2^12
-_STRUCTURE_BUDGET = 8_000_000  # cached term-structure entries (complex)
 
 
 # ---------------------------------------------------------------------------
 # Pauli-string machinery
 # ---------------------------------------------------------------------------
 
-def _string_action(labels: list[str]) -> tuple[int, np.ndarray]:
-    """(flip mask, phase vector) of a Pauli tensor product.
+def _pauli_string(labels: list[str]) -> tuple[int, int, complex]:
+    """(x-mask, z-mask, phase) of a Pauli tensor product, read as
+    phase * X^x Z^z with Y = i X Z.
 
-    Qubit 1 is the leftmost factor / most significant bit.  The operator
-    maps |b> to phase[b] |b XOR mask>.
+    Qubit 1 is the leftmost factor / most significant bit.
     """
     n = len(labels)
-    dim = 1 << n
-    idx = np.arange(dim)
-    mask = 0
-    phase = np.ones(dim, dtype=complex)
+    x = z = 0
+    phase = 1 + 0j
     for m, label in enumerate(labels, start=1):
-        bit = (idx >> (n - m)) & 1
-        if label == "x":
-            mask |= 1 << (n - m)
-        elif label == "y":
-            mask |= 1 << (n - m)
-            phase = phase * np.where(bit == 0, 1j, -1j)
-        elif label == "z":
-            phase = phase * np.where(bit == 0, 1.0, -1.0)
-        elif label != "i":
+        if label not in ("i", "x", "y", "z"):
             raise ValueError(f"unknown Pauli label {label!r}")
-    return mask, phase
+        bit = 1 << (n - m)
+        if label in ("x", "y"):
+            x |= bit
+        if label in ("y", "z"):
+            z |= bit
+        if label == "y":
+            phase *= 1j
+    return x, z, phase
+
+
+def _pauli_product(strings) -> tuple[int, int, complex]:
+    """Product of Pauli strings, left to right, by the symplectic rule
+    (x1, z1, s1)(x2, z2, s2) = (x1^x2, z1^z2, s1 s2 (-1)^|z1 & x2|)."""
+    x, z, phase = 0, 0, 1 + 0j
+    for x2, z2, s2 in strings:
+        phase *= s2 * (-1) ** (z & x2).bit_count()
+        x ^= x2
+        z ^= z2
+    return x, z, phase
+
+
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(b) for every basis state b of n qubits."""
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])
+    return signs
+
+
+def _pauli_matrix(string: tuple[int, int, complex], n: int) -> np.ndarray:
+    """Dense matrix of a Pauli string on n qubits:
+    |b> maps to phase * (-1)^|z & b| |b ^ x>."""
+    x, z, phase = string
+    idx = np.arange(1 << n)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[idx ^ x, idx] = phase * _parity_signs(n)[z & idx]
+    return out
 
 
 def _majorana_labels(l: int, N: int) -> list[str]:
@@ -70,9 +97,9 @@ def _majorana_labels(l: int, N: int) -> list[str]:
 
 
 @lru_cache(maxsize=8)
-def _majorana_actions(N: int) -> list[tuple[int, np.ndarray]]:
+def _majorana_strings(N: int) -> list[tuple[int, int, complex]]:
     _check_even_dim(N)
-    return [_string_action(_majorana_labels(l, N)) for l in range(1, N + 1)]
+    return [_pauli_string(_majorana_labels(l, N)) for l in range(1, N + 1)]
 
 
 def _check_even_dim(N: int):
@@ -82,38 +109,12 @@ def _check_even_dim(N: int):
         raise ValueError(f"dimension cap exceeded: N/2 must stay at or below {MAX_QUBITS} qubits")
 
 
-def _action_matrix(mask: int, phase: np.ndarray) -> np.ndarray:
-    dim = len(phase)
-    out = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    out[idx ^ mask, idx] = phase
-    return out
-
-
-def _compose(actions) -> tuple[int, np.ndarray]:
-    """Product of signed permutations, applied right to left."""
-    mask = 0
-    phase = None
-    idx = None
-    for a_mask, a_phase in reversed(list(actions)):
-        if phase is None:
-            idx = np.arange(len(a_phase))
-            mask, phase = a_mask, a_phase.copy()
-        else:
-            phase = phase * a_phase[idx ^ mask]
-            mask ^= a_mask
-    if phase is None:
-        raise ValueError("empty composition")
-    return mask, phase
-
-
 def majorana(l: int, N: int) -> np.ndarray:
     """Dense matrix of the l-th Majorana operator on 2^(N/2) states."""
     if not 1 <= l <= N:
         raise ValueError(f"Majorana index must satisfy 1 <= l <= N, got {l}")
     _check_even_dim(N)
-    mask, phase = _majorana_actions(N)[l - 1]
-    return _action_matrix(mask, phase)
+    return _pauli_matrix(_majorana_strings(N)[l - 1], N // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,8 @@ class ModelParams:
             raise ValueError("k must satisfy 0 <= k <= N/2")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
     @property
     def dim(self) -> int:
@@ -179,28 +182,29 @@ def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
 
 @lru_cache(maxsize=2)
 def _term_structure(N: int, p: int):
-    """Masks and phases of all C(N,p) interaction terms (with the Hermiticity
-    prefactor folded in), or None when too large to cache."""
-    dim = 1 << (N // 2)
-    n_terms = math.comb(N, p)
-    if n_terms * dim > _STRUCTURE_BUDGET:
-        return None
-    singles = _majorana_actions(N)
+    """The C(N,p) interaction terms i^(p(p-1)/2) psi_i1 ... psi_ip grouped
+    by x-mask: (x, term indices in combinations order, z-masks, phases)."""
+    singles = _majorana_strings(N)
     prefactor = 1j ** (p * (p - 1) // 2)
-    masks = np.empty(n_terms, dtype=np.int64)
-    phases = np.empty((n_terms, dim), dtype=complex)
+    groups: dict[int, list] = {}
     for t, idx_set in enumerate(combinations(range(N), p)):
-        mask, phase = _compose(singles[i] for i in idx_set)
-        masks[t] = mask
-        phases[t] = prefactor * phase
-    return masks, phases
+        x, z, phase = _pauli_product(singles[i] for i in idx_set)
+        groups.setdefault(x, []).append((t, z, prefactor * phase))
+    structure = []
+    for x, members in groups.items():
+        terms, zs, phases = zip(*members)
+        structure.append((x, np.array(terms), np.array(zs), np.array(phases)))
+    return structure
 
 
 def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """One realization of the random p-body Hamiltonian.
 
     Couplings are i.i.d. normal with variance 1/C(N,p), which normalizes
-    the trace of H^2 to one.  Hermitian by construction.
+    the trace of H^2 to one.  Hermitian by construction.  Each x-mask
+    group fills one column-to-row permutation of H.  Its terms are summed
+    one by one in combinations order, which keeps H bit-identical to a
+    term-by-term sum; a BLAS product would round differently.
     """
     N, p = params.N, params.p
     dim = params.dim
@@ -208,17 +212,13 @@ def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     couplings = rng.standard_normal(n_terms) / math.sqrt(n_terms)
     H = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    structure = _term_structure(N, p)
-    if structure is not None:
-        masks, phases = structure
-        for t in range(n_terms):
-            H[idx ^ masks[t], idx] += couplings[t] * phases[t]
-        return H
-    singles = _majorana_actions(N)
-    prefactor = 1j ** (p * (p - 1) // 2)
-    for t, idx_set in enumerate(combinations(range(N), p)):
-        mask, phase = _compose(singles[i] for i in idx_set)
-        H[idx ^ mask, idx] += (couplings[t] * prefactor) * phase
+    parity = _parity_signs(N // 2)
+    for x, terms, zs, phases in _term_structure(N, p):
+        signs = parity[zs[:, None] & idx]
+        entries = np.zeros(dim, dtype=complex)
+        for coef, row in zip(couplings[terms] * phases, signs):
+            entries += coef * row
+        H[idx ^ x, idx] = entries
     return H
 
 
@@ -235,16 +235,14 @@ def build_dc(N: int, k: int) -> np.ndarray:
 
 def _chirality(N: int) -> np.ndarray:
     """(-i)^(N/2) psi_1 ... psi_N as a matrix."""
-    singles = _majorana_actions(N)
-    mask, phase = _compose(singles)
-    return (-1j) ** (N // 2) * _action_matrix(mask, phase)
+    return (-1j) ** (N // 2) * _pauli_matrix(_pauli_product(_majorana_strings(N)), N // 2)
 
 
 def _pert_sum(N: int, k: int) -> np.ndarray:
     """The defect rebuilt from its Majorana expansion: sum over domino
     subsets of {0..k-2} of (-i)^m (prod psi_{N-2l-1} psi_{N-2l}) (1 + chirality),
     divided by 2^k."""
-    singles = _majorana_actions(N)
+    singles = _majorana_strings(N)
     dim = 1 << (N // 2)
     eye = np.eye(dim, dtype=complex)
     core = eye + _chirality(N)
@@ -253,7 +251,7 @@ def _pert_sum(N: int, k: int) -> np.ndarray:
         for subset in combinations(range(k - 1), m):
             term = core
             for l in subset:
-                domino = _action_matrix(*_compose([singles[N - 2 * l - 2], singles[N - 2 * l - 1]]))
+                domino = _pauli_matrix(_pauli_product(singles[N - 2 * l - 2: N - 2 * l]), N // 2)
                 term = domino @ term
             total += (-1j) ** m * term
     return total / 2 ** k
@@ -265,9 +263,7 @@ def _pert_display(N: int, k: int) -> np.ndarray:
     eye = np.eye(dim, dtype=complex)
 
     def prod_psi(upto: int) -> np.ndarray:
-        singles = _majorana_actions(N)
-        mask, phase = _compose(singles[:upto])
-        return _action_matrix(mask, phase)
+        return _pauli_matrix(_pauli_product(_majorana_strings(N)[:upto]), N // 2)
 
     psi = lambda l: majorana(l, N)
     if k == 1:
@@ -459,14 +455,13 @@ def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = No
                trim: float = 0.005, span_fraction: float = 0.05) -> list[dict]:
     """Gap statistics over a (theta, k) grid of pooled sampled spectra."""
     ks = ks if ks is not None else [base.k]
+    grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=k, seed=base.seed,
+                        samples=base.samples) for k in ks for theta in thetas]
     rows = []
-    for k in ks:
-        for theta in thetas:
-            params = ModelParams(N=base.N, p=base.p, theta=theta, k=k,
-                                 seed=base.seed, samples=base.samples)
-            pooled = np.concatenate([s.eigenvalues for s in sample_spectra(params)])
-            report = spectral_gap_report(pooled, trim, span_fraction)
-            rows.append({"theta": theta, "k": k, "samples": base.samples, **report})
+    for params in grid:
+        pooled = np.concatenate([s.eigenvalues for s in sample_spectra(params)])
+        report = spectral_gap_report(pooled, trim, span_fraction)
+        rows.append({"theta": params.theta, "k": params.k, "samples": base.samples, **report})
     return rows
 
 

@@ -181,6 +181,8 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
     """
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     if grid_n < 100:
         raise ValueError("grid_n too small")
     atoms = _atom_list(r, theta)

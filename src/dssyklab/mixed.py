@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .qcore import MultiPoly
-from .chordcombi import crossing_number
+from .chordcombi import ORACLE_POINT_CAP, crossing_number
 
 WORD_SUM_CAP = 10
 FREE_MOMENT_CAP = 12
@@ -81,10 +81,14 @@ def mixed_moment(w: Word) -> MixedMomentResult:
 
     Sum over perfect matchings of the x positions of
     q^(chord crossings) * qt^(chords joining different arcs) * theta^(#d).
-    Zero (as a polynomial) when the number of x letters is odd.
+    Zero (as a polynomial) when the number of x letters is odd.  Words with
+    more than ORACLE_POINT_CAP x letters are rejected: the walk visits all
+    (n_x - 1)!! matchings.
     """
     letters = w.letters
     xpos = [i for i, c in enumerate(letters, start=1) if c == "x"]
+    if len(xpos) > ORACLE_POINT_CAP:
+        raise ValueError(f"mixed moment capped at {ORACLE_POINT_CAP} x letters")
     d_count = len(letters) - len(xpos)
     if len(xpos) % 2 == 1:
         return MixedMomentResult(MultiPoly.zero(), 0)

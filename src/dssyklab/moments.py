@@ -368,6 +368,8 @@ def z_n(n: int, beta: float, q: float, qt: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     if not 0.0 <= q <= qhermite.Q_NUMERIC_MAX:
         raise ValueError(f"numeric q must lie in [0, {qhermite.Q_NUMERIC_MAX}]")
     if not 0.0 <= qt < 1.0:
@@ -379,6 +381,8 @@ def z_n(n: int, beta: float, q: float, qt: float) -> float:
         return float(np.sum(quad.weights * y ** n))
 
     coarse, fine = value(64), value(128)
+    if not math.isfinite(fine):
+        raise ConvergenceError(f"partition function overflows the float range at beta={beta}")
     if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
         raise ConvergenceError(f"partition-function quadrature not converged: {coarse} vs {fine}")
     return fine

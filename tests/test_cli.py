@@ -214,6 +214,36 @@ class TestZnCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("args,reason", [
+    pytest.param(["density", "--q", "1"], "--q must lie", id="density-q-1"),
+    pytest.param(["density", "--q", "1.5"], "--q must lie", id="density-q-1.5"),
+    pytest.param(["moments", "--n", "3", "--q", "1/0"], "zero denominator",
+                 id="moments-zero-denominator"),
+    pytest.param(["zn", "--n", "1", "--beta", "nan", "--q", "0.5", "--qtilde", "0.25"],
+                 "beta must be finite", id="zn-beta-nan"),
+    pytest.param(["freeconv", "--r", "0.25", "--theta", "nan"], "theta must be finite",
+                 id="freeconv-theta-nan"),
+    pytest.param(["mixed", "--word", "x" * 30], "capped", id="mixed-30-x"),
+    pytest.param(["ed", "--N", "8", "--theta", "nan"], "theta must be finite", id="ed-theta-nan"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "inf"], "theta must be finite",
+                 id="compare-theta-inf"),
+    pytest.param(["ed", "--N", "8", "--phase-thetas", "1,nan"], "theta must be finite",
+                 id="ed-phase-thetas-nan"),
+])
+def test_boundary_rejects_before_output(args, reason, capsys):
+    code, out, err = run_cli(args + ["--deterministic"], capsys)
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error:") and reason in err
+    assert out == ""
+
+
+def test_zn_overflow_is_nonconvergence(capsys):
+    code, out, err = run_cli(["zn", "--n", "1", "--beta", "1000", "--q", "0.5",
+                              "--qtilde", "0.25", "--deterministic"], capsys)
+    assert code == 3
+    assert "inf" not in out and "nan" not in out
+
+
 def test_timestamp_suppression(capsys):
     _, with_ts, _ = run_cli(["density", "--q", "0", "--grid", "3"], capsys)
     assert "# timestamp=" in with_ts

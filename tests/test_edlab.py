@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -102,18 +103,23 @@ class TestHamiltonian:
         assert eigs[0] == pytest.approx(-abs(eigs[-1]), abs=1e-12)
         assert np.allclose(np.abs(eigs), abs(eigs[0]), atol=1e-12)
 
-    def test_streaming_matches_cached(self):
-        params = ed.ModelParams(N=10, p=4, seed=9)
-        cached = ed.build_h_syk(params, ed.sample_rng(9, 0))
-        ed._term_structure.cache_clear()
-        old = ed._STRUCTURE_BUDGET
-        try:
-            ed._STRUCTURE_BUDGET = 0
-            streamed = ed.build_h_syk(params, ed.sample_rng(9, 0))
-        finally:
-            ed._STRUCTURE_BUDGET = old
-            ed._term_structure.cache_clear()
-        assert np.abs(cached - streamed).max() == 0.0
+    @pytest.mark.parametrize("N", [8, 10, 12])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_matches_dense_majorana_oracle(self, N, p):
+        # H = sum_t c_t i^(p(p-1)/2) psi_i1 ... psi_ip from dense Majorana products,
+        # couplings drawn from the same stream in combinations order
+        params = ed.ModelParams(N=N, p=p, seed=9)
+        H = ed.build_h_syk(params, ed.sample_rng(9, 0))
+        n_terms = math.comb(N, p)
+        couplings = ed.sample_rng(9, 0).standard_normal(n_terms) / math.sqrt(n_terms)
+        psi = [ed.majorana(l, N) for l in range(1, N + 1)]
+        oracle = np.zeros_like(H)
+        for c, idx_set in zip(couplings, combinations(range(N), p)):
+            term = np.eye(params.dim, dtype=complex)
+            for i in idx_set:
+                term = term @ psi[i]
+            oracle += c * 1j ** (p * (p - 1) // 2) * term
+        assert np.abs(H - oracle).max() < 1e-13
 
 
 class TestSampling:
@@ -243,6 +249,8 @@ class TestModelParams:
             ed.ModelParams(N=8, p=4, k=5)
         with pytest.raises(ValueError):
             ed.ModelParams(N=26, p=4)
+        with pytest.raises(ValueError):
+            ed.ModelParams(N=8, p=4, theta=math.nan)
 
     def test_derived_quantities(self):
         params = ed.ModelParams(N=16, p=4, k=2)
