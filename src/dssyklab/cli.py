@@ -128,6 +128,8 @@ def run_mixed(args) -> int:
 
 
 def run_ed(args) -> int:
+    if args.bins < 1:
+        raise ValueError("--bins must be positive")
     params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
                                seed=args.seed, samples=args.samples)
     if args.phase_thetas:

@@ -348,8 +348,11 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
     Each sample diagonalizes the same coupling realization with and without
     the defect; the pure-random trace moment is subtracted per sample (even
     orders only) before dividing by r, which cancels most of the sampling
-    noise.  Returns (means, standard errors), both length max_n.
+    noise.  Returns (means, standard errors), both length max_n; a standard
+    error needs at least two samples.
     """
+    if params.samples < 2:
+        raise ValueError("paired moments need samples >= 2 for a standard error")
     r = params.r
     defect = params.theta * np.diag(build_dc(params.N, params.k))
     per_sample = np.zeros((params.samples, max_n))
@@ -363,10 +366,7 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
             syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
             per_sample[s, n - 1] = (full - syk) / r
     means = per_sample.mean(axis=0)
-    if params.samples > 1:
-        stderr = per_sample.std(axis=0, ddof=1) / math.sqrt(params.samples)
-    else:
-        stderr = np.full(max_n, np.inf)
+    stderr = per_sample.std(axis=0, ddof=1) / math.sqrt(params.samples)
     return list(means), list(stderr)
 
 

@@ -1,14 +1,17 @@
 """Free additive convolution of a two-atom measure with the semicircle.
 
 The support and density of mu_a (+) semicircle are reconstructed through
-the subordination picture: for each u on a real grid, solve
+the subordination picture (Biane 1997): for each real u, v(u) >= 0 solves
 
-    integral d mu_a(x) / ((u-x)^2 + v(u)^2) = 1
+    F(u, v) = integral d mu_a(x) / ((u-x)^2 + v^2) = 1
 
-for v(u) >= 0 (v = 0 where no root exists), map the support through
-psi(u) = u + integral (u-x) d mu_a / ((u-x)^2 + v^2), and read the density
-as v(u)/pi at psi(u).  Spectral-outlier prediction for a vanishing atom
-fraction is handled separately through the resolvent inversion.
+(v = 0 where F(u, 0) <= 1), the support is mapped through
+psi(u) = u + integral (u-x) d mu_a / ((u-x)^2 + v^2), and the density is
+v(u)/pi at psi(u).  For two atoms F = 1 is a quadratic in s = v^2, so v(u)
+is a closed form, and the support edges in u are the real roots of the
+quartic F(u, 0) = 1 cleared of denominators.  Spectral-outlier prediction
+for a vanishing atom fraction is handled separately through the resolvent
+inversion.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-BISECTION_TOL = 1e-12
 
 
 @dataclass
@@ -126,49 +127,46 @@ def semicircle_resolvent(z: complex) -> complex:
 # two-atom measure (+) semicircle
 # ---------------------------------------------------------------------------
 
-def _atom_list(r: float, theta: float) -> list[tuple[float, float]]:
-    if theta == 0.0:
-        return [(0.0, 1.0)]
-    return [(0.0, 1.0 - r), (theta, r)]
+def _solve_v(u, atoms):
+    """v(u) >= 0 with F(u, v) = 1 for the two atoms (x0, m0), (x1, m1); 0 where
+    F(u, 0) <= 1 (outside the support).  Accepts a scalar or an array u.
 
-
-def _subordination_F(u: float, v: float, atoms) -> float:
-    return sum(m / ((u - x) ** 2 + v * v) for x, m in atoms)
-
-
-def _solve_v(u: float, atoms) -> float:
-    """Root of F(v) = 1 on v > 0, or 0 when F(0) <= 1 (outside the support).
-
-    F is strictly decreasing in v and F(1) <= total mass = 1, so v = 1
-    always brackets the root from above; monotone bisection to 1e-12.
+    With s = v^2, A = (u-x0)^2 and B = (u-x1)^2, clearing the denominators of
+    F = m0/(A+s) + m1/(B+s) = 1 gives s^2 + (A+B-1)s + AB - m0 B - m1 A = 0.
+    F decreases in s on s > -min(A, B), so the wanted root is the larger one;
+    with m0 + m1 = 1 its discriminant is (A-B-m0+m1)^2 + 4 m0 m1 >= 0.
     """
-    f0 = _subordination_F(u, 1e-150, atoms)
-    if f0 <= 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _subordination_F(u, mid, atoms) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    (x0, m0), (x1, m1) = atoms
+    a, b = (u - x0) ** 2, (u - x1) ** 2
+    s = (1.0 - a - b + np.sqrt((a - b - m0 + m1) ** 2 + 4.0 * m0 * m1)) / 2.0
+    return np.sqrt(np.maximum(s, 0.0))
 
 
-def _psi(u: float, v: float, atoms) -> float:
+def _psi(u, v, atoms):
     return u + sum(m * (u - x) / ((u - x) ** 2 + v * v) for x, m in atoms)
 
 
-def _refine_edge(u_out: float, u_in: float, atoms) -> float:
-    """Bisect for the support edge between a v = 0 point and a v > 0 point."""
-    lo, hi = u_out, u_in
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _subordination_F(mid, 1e-150, atoms) > 1.0:
-            hi = mid
+def _edges(atoms) -> list[tuple[float, float]]:
+    """Support intervals in u, where F(u, 0) > 1: consecutive pairs of the
+    real roots of (u-x0)^2 (u-x1)^2 - m0 (u-x1)^2 - m1 (u-x0)^2.
+
+    Roots at an atom (coincident atoms) are spurious.  A double root, split
+    by rounding into a close pair, is a point where two intervals touch, so
+    both copies are dropped and the intervals are reported as one.
+    """
+    (x0, m0), (x1, m1) = atoms
+    a, b = np.poly([x0, x0]), np.poly([x1, x1])
+    roots = np.roots(np.polysub(np.polymul(a, b), m0 * b + m1 * a))
+    # rounding splits a double root by about sqrt(machine epsilon)
+    tol = 1e-6
+    real = np.sort(roots.real[abs(roots.imag) < tol])
+    edges = []
+    for e in real[(abs(real - x0) > tol) & (abs(real - x1) > tol)]:
+        if edges and e - edges[-1] < tol:
+            edges.pop()
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            edges.append(float(e))
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> ConvolutionResult:
@@ -185,56 +183,23 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
         raise ValueError("theta must be finite")
     if grid_n < 100:
         raise ValueError("grid_n too small")
-    atoms = _atom_list(r, theta)
-    lo = min(x for x, _ in atoms) - 3.0
-    hi = max(x for x, _ in atoms) + 3.0
-    base = np.linspace(lo, hi, grid_n)
-    v_vals = np.array([_solve_v(u, atoms) for u in base])
-
-    # locate support edges and refine the grid near them (sqrt behavior)
-    u_points = list(base)
-    for i in range(len(base) - 1):
-        inside_l, inside_r = v_vals[i] > 0, v_vals[i + 1] > 0
-        if inside_l == inside_r:
-            continue
-        if inside_r:
-            edge = _refine_edge(base[i], base[i + 1], atoms)
-            extra = edge + (base[i + 1] - edge) * np.geomspace(1e-6, 1.0, 24)[:-1]
-        else:
-            edge = _refine_edge(base[i + 1], base[i], atoms)
-            extra = edge - (edge - base[i]) * np.geomspace(1e-6, 1.0, 24)[:-1]
-        u_points.append(edge)
-        u_points.extend(extra.tolist())
-    u_points = np.array(sorted(u_points))
-    v_points = np.array([_solve_v(u, atoms) for u in u_points])
-
-    # split into contiguous positive-v runs; map parametrically through psi
-    intervals = []
-    runs = []
-    i = 0
-    while i < len(u_points):
-        if v_points[i] > 0:
-            j = i
-            while j < len(u_points) and v_points[j] > 0:
-                j += 1
-            runs.append((max(i - 1, 0), min(j, len(u_points) - 1)))
-            i = j
-        else:
-            i += 1
-
-    grids, densities = [], []
-    for a, b in runs:
-        us = u_points[a:b + 1]
-        vs = v_points[a:b + 1]
-        xs = np.array([_psi(u, v, atoms) for u, v in zip(us, vs)])
-        order = np.argsort(xs)
-        xs, vs = xs[order], vs[order]
+    atoms = [(0.0, 1.0 - r), (theta, r)]
+    span = abs(theta) + 6.0
+    intervals, grids, densities = [], [], []
+    for lo, hi in _edges(atoms):
+        # cosine spacing clusters u at both edges, where v ~ sqrt(distance),
+        # and makes v smooth in the grid parameter
+        m = max(int(grid_n * (hi - lo) / span), 200)
+        us = lo + (hi - lo) * (1.0 - np.cos(np.linspace(0.0, math.pi, m))) / 2.0
+        vs = _solve_v(us, atoms)
+        vs[[0, -1]] = 0.0
+        xs = _psi(us, vs, atoms)
         intervals.append((float(xs[0]), float(xs[-1])))
-        m = max(len(us), int(grid_n * (xs[-1] - xs[0]) / (hi - lo)), 200)
-        uniform = np.linspace(xs[0], xs[-1], m)
+        n = max(m, int(grid_n * (xs[-1] - xs[0]) / span), 200)
+        uniform = np.linspace(xs[0], xs[-1], n)
         resampled = np.interp(uniform, xs, vs / math.pi)
-        # the parametric integral sees the refined edge points; rescale the
-        # uniform resample to it so no mass is lost to interpolation
+        # rescale the uniform resample to the parametric integral, which
+        # resolves the square-root edges, so no mass is lost to interpolation
         parametric_mass = float(np.trapezoid(vs / math.pi, xs))
         resampled_mass = float(np.trapezoid(resampled, uniform))
         if resampled_mass > 0:
@@ -242,10 +207,7 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
         grids.append(uniform)
         densities.append(resampled)
 
-    grid = np.concatenate(grids)
-    density = np.concatenate(densities)
-    order = np.argsort(grid)
-    measure = GridMeasure(atoms=[], grid=grid[order], density=density[order])
+    measure = GridMeasure(grid=np.concatenate(grids), density=np.concatenate(densities))
     return ConvolutionResult(measure=measure, support_intervals=intervals, outliers=[])
 
 

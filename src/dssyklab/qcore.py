@@ -178,6 +178,9 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its Fraction (and int), so it must hash like one
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
 
     # -- specialization and evaluation ----------------------------------
@@ -208,8 +211,17 @@ class MultiPoly:
         result._terms = out
         return result
 
-    def evaluate(self, q=0.0, qt=0.0, theta=0.0) -> float:
-        """Numeric evaluation (floats); use substitute() for the exact path."""
+    def evaluate(self, q=None, qt=None, theta=None) -> float:
+        """Numeric evaluation (floats); use substitute() for the exact path.
+
+        Every variable the polynomial contains must be given a value.
+        """
+        values = {"q": q, "qt": qt, "theta": theta}
+        missing = [name for name, value in values.items()
+                   if value is None and self.degree(name) > 0]
+        if missing:
+            raise ValueError(f"evaluate needs a value for {', '.join(missing)}")
+        q, qt, theta = (0.0 if value is None else value for value in values.values())
         return float(sum(float(c) * q**a * qt**b * theta**c2
                          for (a, b, c2), c in self._terms.items()))
 

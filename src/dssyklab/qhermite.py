@@ -307,7 +307,7 @@ def conditional_kernel(x: float, y: float, r: float, q: float, truncation: int =
     if not 0.0 <= r < 1.0:
         raise ValueError("need 0 <= r < 1")
     R = support_radius(q)
-    if abs(x) > R * (1 + 1e-12) or abs(y) > R * (1 + 1e-12):
+    if not (abs(x) <= R * (1 + 1e-12) and abs(y) <= R * (1 + 1e-12)):  # NaN fails too
         raise ValueError("kernel arguments must lie inside the support")
     if r == 0.0:
         return 1.0

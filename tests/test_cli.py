@@ -229,6 +229,11 @@ class TestZnCommand:
                  id="compare-theta-inf"),
     pytest.param(["ed", "--N", "8", "--phase-thetas", "1,nan"], "theta must be finite",
                  id="ed-phase-thetas-nan"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--samples", "1",
+                  "--n-max", "2"], "samples >= 2", id="compare-samples-1"),
+    pytest.param(["ed", "--N", "8", "--bins", "0"], "--bins must be positive", id="ed-bins-0"),
+    pytest.param(["density", "--q", "0.5", "--kernel-r", "0.5", "--kernel-x", "nan"],
+                 "inside the support", id="density-kernel-x-nan"),
 ])
 def test_boundary_rejects_before_output(args, reason, capsys):
     code, out, err = run_cli(args + ["--deterministic"], capsys)

@@ -47,9 +47,77 @@ class TestResolvent:
             fc.resolvent(fc.GridMeasure.point_masses([(1.0, 1.0)]), 1.0)
 
 
+def _F(u, v, atoms):
+    with np.errstate(divide="ignore"):
+        return sum(m / ((u - x) ** 2 + v * v) for x, m in atoms)
+
+
+def _bisect_v(u, atoms):
+    """Oracle for v(u): F(u, v) decreases in v and F(u, 1) <= 1."""
+    if _F(u, 0.0, atoms) <= 1.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _F(u, mid, atoms) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisect_edges(atoms):
+    """Oracle for the support edges in u: sign changes of F(u, 0) - 1 on a
+    fine scan, each bisected to machine precision."""
+    xs = [x for x, _ in atoms]
+    # an even point count keeps the scan off the tangent point u = 1 of (1/2, 2)
+    us = np.linspace(min(xs) - 3.0, max(xs) + 3.0, 4000)
+    inside = _F(us, 0.0, atoms) > 1.0
+    edges = []
+    for i in np.flatnonzero(inside[1:] != inside[:-1]):
+        lo, hi = us[i], us[i + 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (_F(mid, 0.0, atoms) > 1.0) == inside[i]:
+                lo = mid
+            else:
+                hi = mid
+        edges.append(0.5 * (lo + hi))
+    return edges
+
+
+CASES = ((0.25, 3.0), (0.25, 1.0), (0.5, 0.0), (0.1, 2.0), (0.75, 4.0), (0.1, -2.0),
+         (0.5, 2.0), (1e-3, 8.0))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("r,theta", CASES)
+    def test_solve_v_matches_bisection(self, r, theta):
+        atoms = [(0.0, 1.0 - r), (theta, r)]
+        us = np.linspace(min(0.0, theta) - 3.0, max(0.0, theta) + 3.0, 601)
+        want = np.array([_bisect_v(u, atoms) for u in us])
+        assert np.abs(fc._solve_v(us, atoms) - want).max() < 1e-10
+        assert fc._solve_v(float(us[250]), atoms) == pytest.approx(want[250], abs=1e-10)
+
+    @pytest.mark.parametrize("r,theta", CASES)
+    def test_edges_match_bisection(self, r, theta):
+        atoms = [(0.0, 1.0 - r), (theta, r)]
+        res = fc.semicircle_plus_atomic(r, theta)
+        want = [fc._psi(u, 0.0, atoms) for u in _bisect_edges(atoms)]
+        got = [x for interval in res.support_intervals for x in interval]
+        assert len(got) == len(want)
+        assert np.abs(np.array(got) - np.array(want)).max() < 1e-9
+
+    def test_tangent_bands_are_one_interval(self):
+        # at r = 1/2, theta = 2 the two bands touch at u = 1 (a double root)
+        assert len(fc.semicircle_plus_atomic(0.5, 2.0).support_intervals) == 1
+        assert len(fc.semicircle_plus_atomic(0.5, 2.1).support_intervals) == 2
+
+
 class TestConvolution:
     def test_mass_within_tolerance(self):
-        for r, theta in ((0.25, 3.0), (0.25, 1.0), (0.5, 0.0), (0.1, 2.0), (0.75, 4.0)):
+        sweep = [(r, 2.0 + 0.02 * i) for r in (0.125, 0.25, 0.5) for i in range(151)]
+        for r, theta in [(0.25, 3.0), (0.25, 1.0), (0.5, 0.0), (0.1, 2.0), (0.75, 4.0)] + sweep:
             res = fc.semicircle_plus_atomic(r, theta)
             assert abs(res.measure.total_mass() - 1.0) < 1e-4, (r, theta)
 

@@ -152,6 +152,25 @@ def test_substitute_partial():
     assert p.substitute(q=Fraction(1, 2), qt=0, theta=2) == MultiPoly.constant(2)
 
 
+def test_evaluate_requires_every_variable_present():
+    p = MultiPoly.monomial(q_pow=1, theta_pow=1)
+    with pytest.raises(ValueError, match="theta"):
+        p.evaluate(q=0.5)
+    with pytest.raises(ValueError, match="q, theta"):
+        p.evaluate(qt=0.5)
+    assert p.evaluate(q=0.5, theta=3.0) == 1.5
+    assert (MultiPoly.q() + 2).evaluate(q=0.5) == 2.5
+    assert MultiPoly.constant(Fraction(3, 4)).evaluate() == 0.75
+
+
+def test_constants_hash_like_their_value():
+    assert hash(MultiPoly.constant(1)) == hash(1)
+    assert hash(MultiPoly.constant(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(MultiPoly.zero()) == hash(0)
+    assert len({MultiPoly.constant(1), 1, Fraction(1)}) == 1
+    assert len({MultiPoly.q(), MultiPoly.q() * 1}) == 1
+
+
 def test_power_rejects_negative():
     with pytest.raises(ValueError):
         MultiPoly.q() ** -1
