@@ -142,11 +142,11 @@ def run_ed(args) -> int:
                           "theta,k,samples,max_gap,median_gap,gap_ratio,bimodal,gap", body))
         return EXIT_OK
     spectra = edlab.sample_spectra(params)
+    if args.histogram:
+        hist = edlab.histogram(np.concatenate([s.eigenvalues for s in spectra]), bins=args.bins)
     rows = [f"{s.sample_index},{_fmt(e)}" for s in spectra for e in s.eigenvalues]
     _write(args, _csv(_metadata_lines(args), "sample_index,eigenvalue", rows))
     if args.histogram:
-        pooled = np.concatenate([s.eigenvalues for s in spectra])
-        hist = edlab.histogram(pooled, bins=args.bins)
         hrows = [f"{_fmt(a)},{c},{_fmt(d)}" for a, c, d in hist]
         _write(args, _csv(_metadata_lines(args), "left_edge,count,density", hrows),
                path=args.histogram)
@@ -165,11 +165,16 @@ def run_compare(args) -> int:
     rows = []
     guard_trip = False
     for n in range(1, args.n_max + 1):
-        analytic = float(moments.reduced_moment(n).substitute(q=q, qt=qt)
-                         .evaluate(theta=args.theta))
+        try:
+            analytic = float(moments.reduced_moment(n).substitute(q=q, qt=qt)
+                             .evaluate(theta=args.theta))
+        except OverflowError:
+            analytic = math.inf
         dev = means[n - 1] - analytic
         scale = max(errs[n - 1], 1e-12 * max(1.0, abs(analytic)))
         z = dev / scale
+        if not all(map(math.isfinite, (analytic, means[n - 1], errs[n - 1], z))):
+            raise ConvergenceError(f"order {n} overflows a float at theta={args.theta}")
         if n <= 6 and abs(z) > ZSCORE_GUARD:
             guard_trip = True
         rows.append(f"{n},{_fmt(analytic)},{_fmt(means[n - 1])},{_fmt(errs[n - 1])},{_fmt(z)}")

@@ -15,6 +15,13 @@ behind a sigma_x string:
 With this layout the products (-i) psi_{N-2l-1} psi_{N-2l} are adjacent
 Z Z dominoes and (-i)^(N/2) psi_1 ... psi_N is Z on the first qubit, which
 is exactly what makes the diagonal defect expressible as a Majorana sum.
+
+Every single Majorana carries X or Y on qubit 1, so an even-p term flips
+no top bit and commutes with the chirality.  H_random is therefore block
+diagonal in the top qubit: two chirality blocks of size 2^(N/2-1), which
+are assembled and diagonalized separately.  For k >= 1 the defect lies
+inside the top-bit-0 block, so the top-bit-1 block is the same with and
+without it and is diagonalized once per sample.
 """
 
 from __future__ import annotations
@@ -143,6 +150,8 @@ class ModelParams:
             raise ValueError("samples must be positive")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must satisfy 0 <= seed < 2^64")
 
     @property
     def dim(self) -> int:
@@ -197,40 +206,57 @@ def _term_structure(N: int, p: int):
     return structure
 
 
-def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """One realization of the random p-body Hamiltonian.
+def _h_blocks(params: ModelParams, rng: np.random.Generator) -> list[np.ndarray]:
+    """One realization of the random p-body Hamiltonian as its two
+    chirality blocks: the top-qubit-0 block, then the top-qubit-1 block.
 
     Couplings are i.i.d. normal with variance 1/C(N,p), which normalizes
-    the trace of H^2 to one.  Hermitian by construction.  Each x-mask
-    group fills one column-to-row permutation of H.  Its terms are summed
-    one by one in combinations order, which keeps H bit-identical to a
-    term-by-term sum; a BLAS product would round differently.
+    the trace of H^2 to one.  Each x-mask group fills one column-to-row
+    permutation inside both blocks.  Its rows are summed along axis 0,
+    a sequential reduction in combinations order, which keeps every entry
+    bit-identical to a term-by-term sum; a BLAS product would round
+    differently.
     """
     N, p = params.N, params.p
-    dim = params.dim
+    half = params.dim // 2
     n_terms = math.comb(N, p)
     couplings = rng.standard_normal(n_terms) / math.sqrt(n_terms)
-    H = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
+    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2)]
+    idx = np.arange(half)
+    states = np.arange(params.dim)
     parity = _parity_signs(N // 2)
     for x, terms, zs, phases in _term_structure(N, p):
-        signs = parity[zs[:, None] & idx]
-        entries = np.zeros(dim, dtype=complex)
-        for coef, row in zip(couplings[terms] * phases, signs):
-            entries += coef * row
-        H[idx ^ x, idx] = entries
+        signs = parity[zs[:, None] & states]
+        entries = ((couplings[terms] * phases)[:, None] * signs).sum(axis=0)
+        for block, part in zip(blocks, np.split(entries, 2)):
+            block[idx ^ x, idx] = part
+    return blocks
+
+
+def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """One realization of the random p-body Hamiltonian as a dense matrix:
+    the block-diagonal embedding of its two chirality blocks.  Hermitian
+    by construction."""
+    half = params.dim // 2
+    H = np.zeros((params.dim, params.dim), dtype=complex)
+    H[:half, :half], H[half:, half:] = _h_blocks(params, rng)
     return H
 
 
-def build_dc(N: int, k: int) -> np.ndarray:
-    """Diagonal defect: first 2^(N/2-k) entries one, the rest zero."""
+def _defect_diagonal(N: int, k: int) -> np.ndarray:
+    """Diagonal of the defect: first 2^(N/2-k) entries one, the rest zero."""
     _check_even_dim(N)
     if not 0 <= k <= N // 2:
         raise ValueError("k must satisfy 0 <= k <= N/2")
     dim = 1 << (N // 2)
     diag = np.zeros(dim)
     diag[: dim >> k] = 1.0
-    return np.diag(diag)
+    return diag
+
+
+def build_dc(N: int, k: int) -> np.ndarray:
+    """Diagonal defect: first 2^(N/2-k) entries one, the rest zero."""
+    return np.diag(_defect_diagonal(N, k))
 
 
 def _chirality(N: int) -> np.ndarray:
@@ -315,20 +341,35 @@ def verify_dc_majorana_expansion(N: int, k: int) -> bool:
 # sampling and empirical moments
 # ---------------------------------------------------------------------------
 
+def _spectrum(blocks: list[np.ndarray], shift: np.ndarray, memo: dict) -> np.ndarray:
+    """Sorted eigenvalues of blockdiag(blocks) + diag(shift).
+
+    `memo` maps (block, shift slice) to that block's eigenvalues, so a block
+    whose slice repeats within one sample, such as a defect-free block, is
+    diagonalized once.
+    """
+    parts = []
+    for i, (block, part) in enumerate(zip(blocks, np.split(shift, 2))):
+        key = (i, part.tobytes())
+        if key not in memo:
+            if part.any():
+                block = block.copy()
+                block[np.diag_indices_from(block)] += part
+            memo[key] = np.linalg.eigvalsh(block)
+        parts.append(memo[key])
+    return np.sort(np.concatenate(parts))
+
+
 def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
     """Eigenvalue spectra of H = H_random + theta * D for each sample.
 
     Deterministic given the seed: sample s always uses the same coupling
     stream regardless of how many samples are requested.
     """
-    defect = params.theta * np.diag(build_dc(params.N, params.k))
-    out = []
-    for s in range(params.samples):
-        H = build_h_syk(params, sample_rng(params.seed, s))
-        H[np.diag_indices_from(H)] += defect
-        eigs = np.linalg.eigvalsh(H)
-        out.append(SpectrumSample(np.sort(eigs), params, s))
-    return out
+    defect = params.theta * _defect_diagonal(params.N, params.k)
+    return [SpectrumSample(_spectrum(_h_blocks(params, sample_rng(params.seed, s)), defect, {}),
+                           params, s)
+            for s in range(params.samples)]
 
 
 def empirical_moments(spectra: list[SpectrumSample], max_n: int) -> list[float]:
@@ -346,21 +387,22 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
     """Matched-seed estimates of the reduced moments m_1..max_n.
 
     Each sample diagonalizes the same coupling realization with and without
-    the defect; the pure-random trace moment is subtracted per sample (even
-    orders only) before dividing by r, which cancels most of the sampling
-    noise.  Returns (means, standard errors), both length max_n; a standard
+    the defect (a chirality block the defect misses is diagonalized once
+    and used on both sides); the pure-random trace moment is subtracted per
+    sample (even orders only) before dividing by r, which cancels most of
+    the sampling noise.  Returns (means, standard errors), both length max_n; a standard
     error needs at least two samples.
     """
     if params.samples < 2:
         raise ValueError("paired moments need samples >= 2 for a standard error")
     r = params.r
-    defect = params.theta * np.diag(build_dc(params.N, params.k))
+    defect = params.theta * _defect_diagonal(params.N, params.k)
     per_sample = np.zeros((params.samples, max_n))
     for s in range(params.samples):
-        H = build_h_syk(params, sample_rng(params.seed, s))
-        eig_syk = np.linalg.eigvalsh(H)
-        H[np.diag_indices_from(H)] += defect
-        eig_full = np.linalg.eigvalsh(H)
+        blocks = _h_blocks(params, sample_rng(params.seed, s))
+        memo: dict = {}
+        eig_syk = _spectrum(blocks, np.zeros_like(defect), memo)
+        eig_full = _spectrum(blocks, defect, memo)
         for n in range(1, max_n + 1):
             full = np.mean(eig_full ** n)
             syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
@@ -444,8 +486,11 @@ def spectral_gap_report(pooled: np.ndarray, trim: float = 0.005,
     gaps = np.diff(interior)
     max_gap = float(gaps.max())
     median_gap = float(np.median(np.diff(pooled)))
+    if median_gap == 0:
+        raise ValueError("pooled spectrum too degenerate for gap statistics: "
+                         "median spacing is zero")
     span = float(interior[-1] - interior[0])
-    ratio = max_gap / median_gap if median_gap > 0 else math.inf
+    ratio = max_gap / median_gap
     bimodal = max_gap > span_fraction * span
     return {"max_gap": max_gap, "median_gap": median_gap, "gap_ratio": ratio,
             "bimodal": bimodal, "gap": max_gap if bimodal else 0.0}
@@ -453,14 +498,24 @@ def spectral_gap_report(pooled: np.ndarray, trim: float = 0.005,
 
 def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = None,
                trim: float = 0.005, span_fraction: float = 0.05) -> list[dict]:
-    """Gap statistics over a (theta, k) grid of pooled sampled spectra."""
+    """Gap statistics over a (theta, k) grid of pooled sampled spectra.
+
+    Each sample's chirality blocks are built once and shared by every grid
+    point; a block the defect misses is diagonalized once per sample.
+    """
     ks = ks if ks is not None else [base.k]
     grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=k, seed=base.seed,
                         samples=base.samples) for k in ks for theta in thetas]
+    defects = [params.theta * _defect_diagonal(params.N, params.k) for params in grid]
+    pooled: list[list[np.ndarray]] = [[] for _ in grid]
+    for s in range(base.samples):
+        blocks = _h_blocks(base, sample_rng(base.seed, s))
+        memo: dict = {}
+        for defect, spectra in zip(defects, pooled):
+            spectra.append(_spectrum(blocks, defect, memo))
     rows = []
-    for params in grid:
-        pooled = np.concatenate([s.eigenvalues for s in sample_spectra(params)])
-        report = spectral_gap_report(pooled, trim, span_fraction)
+    for params, spectra in zip(grid, pooled):
+        report = spectral_gap_report(np.concatenate(spectra), trim, span_fraction)
         rows.append({"theta": params.theta, "k": params.k, "samples": base.samples, **report})
     return rows
 

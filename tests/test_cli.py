@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dssyklab import cli, edlab
 from dssyklab.moments import MomentTable, reduced_moment
@@ -234,6 +236,13 @@ class TestZnCommand:
     pytest.param(["ed", "--N", "8", "--bins", "0"], "--bins must be positive", id="ed-bins-0"),
     pytest.param(["density", "--q", "0.5", "--kernel-r", "0.5", "--kernel-x", "nan"],
                  "inside the support", id="density-kernel-x-nan"),
+    pytest.param(["ed", "--N", "8", "--seed", "-1"], "seed must satisfy", id="ed-seed-negative"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--seed", str(2 ** 64)],
+                 "seed must satisfy", id="compare-seed-2^64"),
+    pytest.param(["ed", "--N", "4", "--samples", "5", "--phase-thetas", "1"], "too degenerate",
+                 id="ed-phase-scan-degenerate"),
+    pytest.param(["ed", "--N", "4", "--theta", "1e17", "--bins", "2", "--histogram", "h.csv"],
+                 "bins", id="ed-histogram-fails-before-spectra"),
 ])
 def test_boundary_rejects_before_output(args, reason, capsys):
     code, out, err = run_cli(args + ["--deterministic"], capsys)
@@ -242,11 +251,72 @@ def test_boundary_rejects_before_output(args, reason, capsys):
     assert out == ""
 
 
+THETAS = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, 1e17, 1e60, -1e300]))
+VALID = {"--N": st.sampled_from([8, 10, 6, 4, 2]), "--p": st.sampled_from([4, 2, 6]),
+         "--k": st.sampled_from([2, 1, 3, 0]), "--theta": THETAS,
+         "--samples": st.sampled_from([3, 2, 4]), "--seed": st.sampled_from([3, 0, 2 ** 64 - 1])}
+INVALID = {"--N": st.sampled_from([0, 7, 26]), "--p": st.sampled_from([0, 3, 12]),
+           "--k": st.sampled_from([-1, 6]), "--theta": st.sampled_from([math.nan, math.inf]),
+           "--samples": st.sampled_from([0, 1]), "--seed": st.sampled_from([-1, 2 ** 64])}
+
+
+@st.composite
+def ed_or_compare_argv(draw):
+    """Valid flags with at most one replaced by an invalid value."""
+    sub = draw(st.sampled_from(["ed", "compare"]))
+    flags = {flag: draw(strategy) for flag, strategy in VALID.items()}
+    broken = draw(st.sampled_from([None, None, None, *INVALID]))
+    if broken:
+        flags[broken] = draw(INVALID[broken])
+    argv = [sub] + [f"{flag}={value!r}" for flag, value in flags.items()]
+    if sub == "compare":
+        return argv + ["--n-max", str(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        thetas = draw(st.lists(THETAS, min_size=1, max_size=3))
+        argv += ["--phase-thetas=" + ",".join(map(repr, thetas))]
+    elif draw(st.booleans()):
+        argv += ["--bins", str(draw(st.integers(0, 5))), "--histogram", "HIST"]
+    return argv
+
+
+def _numbers(text):
+    """Every comma-separated field that parses as a float, metadata values included."""
+    for line in text.splitlines():
+        for field in line.split("=", 1)[-1].split(","):
+            try:
+                yield float(field)
+            except ValueError:
+                pass
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ed_or_compare_argv())
+def test_ed_and_compare_keep_the_exit_code_contract(tmp_path, capsys, argv):
+    hist = tmp_path / "hist.csv"
+    hist.unlink(missing_ok=True)
+    argv = [str(hist) if a == "HIST" else a for a in argv] + ["--deterministic"]
+    code, out, err = run_cli(argv, capsys)
+    written = out + (hist.read_text() if hist.exists() else "")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert all(math.isfinite(x) for x in _numbers(written))
+
+
 def test_zn_overflow_is_nonconvergence(capsys):
     code, out, err = run_cli(["zn", "--n", "1", "--beta", "1000", "--q", "0.5",
                               "--qtilde", "0.25", "--deterministic"], capsys)
     assert code == 3
     assert "inf" not in out and "nan" not in out
+
+
+@pytest.mark.parametrize("theta", ["1e30", "1e60"])
+def test_compare_overflow_is_nonconvergence(theta, capsys):
+    # 1e30 overflowed the stderr column to inf; 1e60 overflowed the analytic moment
+    code, out, err = run_cli(["compare", "--N", "8", "--k", "1", "--theta", theta,
+                              "--samples", "2", "--n-max", "6", "--deterministic"], capsys)
+    assert code == 3
+    assert out == "" and "overflows a float" in err
 
 
 def test_timestamp_suppression(capsys):

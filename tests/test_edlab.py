@@ -122,6 +122,75 @@ class TestHamiltonian:
         assert np.abs(H - oracle).max() < 1e-13
 
 
+class TestChiralityBlocks:
+    @pytest.mark.parametrize("N", [8, 12, 16])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_h_is_block_diagonal_in_top_qubit(self, N, p):
+        params = ed.ModelParams(N=N, p=p, seed=13)
+        H = ed.build_h_syk(params, ed.sample_rng(13, 0))
+        half = params.dim // 2
+        assert not H[:half, half:].any() and not H[half:, :half].any()
+        assert H[:half, :half].any() and H[half:, half:].any()
+
+    @pytest.mark.parametrize("N", [8, 12, 16])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_x_masks_leave_top_qubit_alone(self, N, p):
+        top = 1 << (N // 2 - 1)
+        assert all(x & top == 0 for x, *_ in ed._term_structure(N, p))
+
+
+def _paired_full_matrix_oracle(params, max_n):
+    """The estimator on full dim x dim matrices, two eigvalsh calls per sample."""
+    defect = params.theta * np.diag(ed.build_dc(params.N, params.k))
+    per_sample = np.zeros((params.samples, max_n))
+    for s in range(params.samples):
+        H = ed.build_h_syk(params, ed.sample_rng(params.seed, s))
+        eig_syk = np.linalg.eigvalsh(H)
+        H[np.diag_indices_from(H)] += defect
+        eig_full = np.linalg.eigvalsh(H)
+        for n in range(1, max_n + 1):
+            full = np.mean(eig_full ** n)
+            syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
+            per_sample[s, n - 1] = (full - syk) / params.r
+    means = per_sample.mean(axis=0)
+    stderr = per_sample.std(axis=0, ddof=1) / math.sqrt(params.samples)
+    return list(means), list(stderr)
+
+
+class TestBlockSpectraOracle:
+    @pytest.mark.parametrize("N", [8, 12, 16])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("theta", [0.0, 3.0])
+    def test_sample_spectra_match_full_matrix(self, N, k, theta):
+        params = ed.ModelParams(N=N, p=4, theta=theta, k=k, seed=21, samples=2)
+        for sample in ed.sample_spectra(params):
+            H = ed.build_h_syk(params, ed.sample_rng(21, sample.sample_index))
+            oracle = np.linalg.eigvalsh(H + theta * ed.build_dc(N, k))
+            assert np.abs(sample.eigenvalues - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("N", [10, 12])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_paired_moments_match_full_matrix(self, N, k):
+        params = ed.ModelParams(N=N, p=4, theta=2.5, k=k, seed=17, samples=4)
+        means, errs = ed.paired_reduced_moments(params, 6)
+        o_means, o_errs = _paired_full_matrix_oracle(params, 6)
+        for got, want in zip(means + errs, o_means + o_errs):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_phase_scan_matches_per_point_spectra(self):
+        base = ed.ModelParams(N=12, p=4, seed=5, samples=4)
+        thetas = [0.0, 1.0, 5.0]
+        rows = ed.phase_scan(base, thetas, ks=[0, 2])
+        reference = []
+        for k in (0, 2):
+            for theta in thetas:
+                params = ed.ModelParams(N=12, p=4, theta=theta, k=k, seed=5, samples=4)
+                pooled = np.concatenate([s.eigenvalues for s in ed.sample_spectra(params)])
+                reference.append({"theta": theta, "k": k, "samples": 4,
+                                  **ed.spectral_gap_report(pooled)})
+        assert rows == reference
+
+
 class TestSampling:
     def test_eigenvalue_counts_and_sorting(self):
         params = ed.ModelParams(N=8, p=4, theta=1.5, k=1, seed=2, samples=3)
