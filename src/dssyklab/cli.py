@@ -154,6 +154,8 @@ def run_ed(args) -> int:
 
 
 def run_compare(args) -> int:
+    if not 1 <= args.n_max <= moments.MAX_MOMENT_ORDER:
+        raise ValueError(f"--n-max must lie in 1..{moments.MAX_MOMENT_ORDER}")
     params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
                                seed=args.seed, samples=args.samples)
     q = edlab.qn_finite(args.p, args.N)

@@ -1,50 +1,63 @@
 """Exact arithmetic foundation: sparse polynomials in (q, qt, theta) over the
 rationals, and the q-deformed integers / factorials / binomials built on them.
 
-All coefficients are ``fractions.Fraction``; nothing in this module ever
-touches floating point except the explicit ``evaluate`` helpers.
+Coefficients are exact: integral coefficients are stored as ``int``, others
+as ``fractions.Fraction``, so the integer arithmetic that carries almost all
+of the work never builds a Fraction.  Nothing in this module ever touches
+floating point except the explicit ``evaluate`` helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 # exponent triple: (power of q, power of qt, power of theta)
 Exponent = tuple[int, int, int]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Coefficient = int | Fraction
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _canonical(value) -> Coefficient:
+    """An exact coefficient as an int when integral, else as a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(value).__name__}")
+
+
+def _wrap(sums: dict[Exponent, Coefficient]) -> "MultiPoly":
+    """A MultiPoly from accumulated sums: zeros dropped, coefficients canonical."""
+    result = MultiPoly.__new__(MultiPoly)
+    result._terms = {exp: c if type(c) is int else _canonical(c)
+                     for exp, c in sums.items() if c}
+    return result
 
 
 class MultiPoly:
     """Multivariate polynomial in the formal variables q, qt and theta.
 
     Terms are stored sparsely as a map from exponent triples to nonzero
-    Fraction coefficients.  Instances are immutable after construction:
-    every operation returns a new polynomial, so values can be shared
-    freely (including across threads).
+    coefficients; integral coefficients are stored as int, others as
+    Fraction, so equal polynomials have identical term maps.  Instances are
+    immutable after construction: every operation returns a new polynomial,
+    so values can be shared freely (including across threads and caches).
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponent, Coefficient] | None = None):
+        clean: dict[Exponent, Coefficient] = {}
         if terms:
             for exp, coeff in terms.items():
                 qp, qtp, tp = exp
                 if qp < 0 or qtp < 0 or tp < 0:
                     raise ValueError(f"negative exponent in term {exp}")
-                c = _as_fraction(coeff)
-                if c != 0:
+                c = _canonical(coeff)
+                if c:
                     clean[(int(qp), int(qtp), int(tp))] = c
         self._terms = clean
 
@@ -56,15 +69,15 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({(0, 0, 0): _ONE})
+        return cls({(0, 0, 0): 1})
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        return cls({(0, 0, 0): _as_fraction(value)})
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def monomial(cls, q_pow=0, qt_pow=0, theta_pow=0, coeff=1) -> "MultiPoly":
-        return cls({(q_pow, qt_pow, theta_pow): _as_fraction(coeff)})
+        return cls({(q_pow, qt_pow, theta_pow): coeff})
 
     @classmethod
     def q(cls) -> "MultiPoly":
@@ -81,11 +94,11 @@ class MultiPoly:
     # -- inspection ---------------------------------------------------
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, Coefficient]:
         """Copy of the term map (canonical content, not canonical order)."""
         return dict(self._terms)
 
-    def items(self) -> Iterable[tuple[Exponent, Fraction]]:
+    def items(self) -> Iterable[tuple[Exponent, Coefficient]]:
         return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
@@ -94,12 +107,12 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(exp == (0, 0, 0) for exp in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         """The coefficient of the constant term (polynomial need not be constant)."""
-        return self._terms.get((0, 0, 0), _ZERO)
+        return self._terms.get((0, 0, 0), 0)
 
-    def coefficient(self, q_pow=0, qt_pow=0, theta_pow=0) -> Fraction:
-        return self._terms.get((q_pow, qt_pow, theta_pow), _ZERO)
+    def coefficient(self, q_pow=0, qt_pow=0, theta_pow=0) -> Coefficient:
+        return self._terms.get((q_pow, qt_pow, theta_pow), 0)
 
     def degree(self, variable: str) -> int:
         """Largest exponent of ``variable`` ('q', 'qt' or 'theta'); -1 if zero poly."""
@@ -118,12 +131,15 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         out = dict(self._terms)
+        get = out.get
         for exp, coeff in other._terms.items():
-            new = out.get(exp, _ZERO) + coeff
-            if new == 0:
-                out.pop(exp, None)
-            else:
+            new = get(exp, 0) + coeff
+            if type(new) is not int:
+                new = _canonical(new)
+            if new:
                 out[exp] = new
+            else:  # coefficients are nonzero, so a zero sum had a left term
+                del out[exp]
         result = MultiPoly.__new__(MultiPoly)
         result._terms = out
         return result
@@ -142,19 +158,21 @@ class MultiPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for (a1, b1, c1), x in self._terms.items():
-            for (a2, b2, c2), y in other._terms.items():
+        left, right = self._terms, self._coerce(other)._terms
+        if len(left) < len(right):
+            left, right = right, left
+        if len(right) == 1:  # a scalar or a monomial: shift and scale, nothing collides
+            ((a2, b2, c2), y), = right.items()
+            return _wrap({(a1 + a2, b1 + b2, c1 + c2): x * y
+                          for (a1, b1, c1), x in left.items()})
+        out: dict[Exponent, Coefficient] = {}
+        get = out.get
+        right = list(right.items())
+        for (a1, b1, c1), x in left.items():
+            for (a2, b2, c2), y in right:
                 exp = (a1 + a2, b1 + b2, c1 + c2)
-                new = out.get(exp, _ZERO) + x * y
-                if new == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = new
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = out
-        return result
+                out[exp] = get(exp, 0) + x * y
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -187,29 +205,22 @@ class MultiPoly:
 
     def substitute(self, q=None, qt=None, theta=None) -> "MultiPoly":
         """Exactly substitute rational values for any subset of the variables."""
-        out: dict[Exponent, Fraction] = {}
-        for (a, b, c), coeff in self._terms.items():
-            factor = coeff
+        q, qt, theta = (None if v is None else _canonical(v) for v in (q, qt, theta))
+        out: dict[Exponent, Coefficient] = {}
+        get = out.get
+        for (a, b, c), factor in self._terms.items():
             if q is not None:
-                factor *= _as_fraction(q) ** a
+                factor *= q ** a
                 a = 0
             if qt is not None:
-                factor *= _as_fraction(qt) ** b
+                factor *= qt ** b
                 b = 0
             if theta is not None:
-                factor *= _as_fraction(theta) ** c
+                factor *= theta ** c
                 c = 0
-            if factor == 0:
-                continue
             exp = (a, b, c)
-            new = out.get(exp, _ZERO) + factor
-            if new == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = new
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = out
-        return result
+            out[exp] = get(exp, 0) + factor
+        return _wrap(out)
 
     def evaluate(self, q=None, qt=None, theta=None) -> float:
         """Numeric evaluation (floats); use substitute() for the exact path.
@@ -226,9 +237,9 @@ class MultiPoly:
                          for (a, b, c2), c in self._terms.items()))
 
     def evaluate_exact(self, q, qt, theta) -> Fraction:
-        q, qt, theta = _as_fraction(q), _as_fraction(qt), _as_fraction(theta)
+        q, qt, theta = _canonical(q), _canonical(qt), _canonical(theta)
         return sum((c * q**a * qt**b * theta**c2
-                    for (a, b, c2), c in self._terms.items()), _ZERO)
+                    for (a, b, c2), c in self._terms.items()), Fraction(0))
 
     # -- serialization --------------------------------------------------
 
@@ -321,9 +332,10 @@ def q_integer(n: int) -> MultiPoly:
     """[n]_q = 1 + q + ... + q^(n-1); the empty sum for n = 0."""
     if n < 0:
         raise ValueError("q_integer requires n >= 0")
-    return MultiPoly({(k, 0, 0): _ONE for k in range(n)})
+    return MultiPoly({(k, 0, 0): 1 for k in range(n)})
 
 
+@lru_cache(maxsize=None)
 def q_factorial(n: int) -> MultiPoly:
     """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     if n < 0:
@@ -334,10 +346,12 @@ def q_factorial(n: int) -> MultiPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> MultiPoly:
     """Gaussian binomial [n choose k]_q via the q-Pascal recurrence.
 
-    Addition-only: C(n,k) = C(n-1,k-1) + q^k * C(n-1,k).
+    Addition-only: C(n,k) = C(n-1,k-1) + q^k * C(n-1,k).  Memoized: the
+    values are immutable, so every caller shares them.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n} k={k}")
@@ -355,8 +369,9 @@ def q_binomial(n: int, k: int) -> MultiPoly:
 def q_binomial_by_division(n: int, k: int) -> MultiPoly:
     """[n choose k]_q = [n]_q! / ([k]_q! [n-k]_q!), via exact expansion.
 
-    Cross-check route for q_binomial; computes the product
-    prod_{j=1..k} [n-k+j]_q / [j]_q by exact univariate division.
+    Test-only oracle for q_binomial: it divides q-factorials by exact
+    univariate long division and never calls q_binomial, so the two routes
+    stay independent.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n} k={k}")
@@ -371,10 +386,10 @@ def _exact_divide_q(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     den_c = _q_coeff_list(den)
     if not den_c:
         raise ZeroDivisionError("division by zero polynomial")
-    quot = [_ZERO] * (len(num_c) - len(den_c) + 1) if len(num_c) >= len(den_c) else []
+    quot = [0] * (len(num_c) - len(den_c) + 1) if len(num_c) >= len(den_c) else []
     rem = list(num_c)
     for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + len(den_c) - 1] / den_c[-1]
+        c = _canonical(Fraction(rem[i + len(den_c) - 1], den_c[-1]))
         quot[i] = c
         if c != 0:
             for j, d in enumerate(den_c):
@@ -384,11 +399,11 @@ def _exact_divide_q(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     return MultiPoly({(i, 0, 0): c for i, c in enumerate(quot) if c != 0})
 
 
-def _q_coeff_list(poly: MultiPoly) -> list[Fraction]:
+def _q_coeff_list(poly: MultiPoly) -> list[Coefficient]:
     deg = poly.degree("q")
     if poly.degree("qt") > 0 or poly.degree("theta") > 0:
         raise ValueError("expected a polynomial in q only")
-    out = [_ZERO] * (deg + 1)
+    out = [0] * (deg + 1)
     for (a, _, _), c in poly.terms.items():
         out[a] = c
     return out
@@ -403,6 +418,7 @@ def q_multinomial(n: int, parts: list[int]) -> MultiPoly:
     out = MultiPoly.one()
     remaining = n
     for p in parts:
-        out = out * q_binomial(remaining, p)
+        if 0 < p < remaining:  # the end binomials are 1
+            out = out * q_binomial(remaining, p)
         remaining -= p
     return out

@@ -28,15 +28,15 @@ def _report(num, text):
 
 
 def test_criterion_1_exact_identity_suite():
-    """reduced_moment == reduced_moment_gf == word-sum oracle, n <= 8, exact."""
-    for n in range(1, 9):
+    """reduced_moment == reduced_moment_gf == word-sum oracle, n <= 10, exact."""
+    for n in range(1, mx.WORD_SUM_CAP + 1):
         direct = mo.reduced_moment(n)
         assert mo.reduced_moment_gf(n) == direct, f"gf route differs at n={n}"
         syk = qh.rt_moment(n // 2) if n % 2 == 0 else MultiPoly.zero()
         assert mx.word_sum_moment(n) - syk == direct, f"word-sum oracle differs at n={n}"
     assert mo.reduced_moment(3) == THETA ** 3 + 3 * THETA
     assert mo.reduced_moment(4) == THETA ** 4 + (4 + 2 * QT) * THETA ** 2
-    _report(1, "three exact routes to m_n identical for n <= 8, anchors m_3, m_4 verified")
+    _report(1, "three exact routes to m_n identical for n <= 10, anchors m_3, m_4 verified")
 
 
 def test_criterion_2_worked_examples():

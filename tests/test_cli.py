@@ -239,6 +239,12 @@ class TestZnCommand:
     pytest.param(["ed", "--N", "8", "--seed", "-1"], "seed must satisfy", id="ed-seed-negative"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--seed", str(2 ** 64)],
                  "seed must satisfy", id="compare-seed-2^64"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--n-max", "-1"],
+                 "--n-max must lie", id="compare-n-max-negative"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--n-max", "0"],
+                 "--n-max must lie", id="compare-n-max-0"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--n-max", "15"],
+                 "--n-max must lie", id="compare-n-max-above-order-cap"),
     pytest.param(["ed", "--N", "4", "--samples", "5", "--phase-thetas", "1"], "too degenerate",
                  id="ed-phase-scan-degenerate"),
     pytest.param(["ed", "--N", "4", "--theta", "1e17", "--bins", "2", "--histogram", "h.csv"],

@@ -139,6 +139,97 @@ def test_json_round_trip(a):
     assert keys == sorted(keys)
 
 
+# property tests: the int/Fraction coefficient kernel against an all-Fraction reference
+mixed_coeff = st.one_of(st.integers(-6, 6), small_fraction)
+mixed_terms = st.dictionaries(exponent, mixed_coeff, max_size=5)
+rational = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                      max_denominator=5))
+
+
+def _reference(terms):
+    """All-Fraction term map without zeros, for the reference ring."""
+    return {exp: Fraction(c) for exp, c in terms.items() if c != 0}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for exp, c in y.items():
+        out[exp] = out.get(exp, Fraction(0)) + c
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for (a1, b1, c1), u in x.items():
+        for (a2, b2, c2), v in y.items():
+            exp = (a1 + a2, b1 + b2, c1 + c2)
+            out[exp] = out.get(exp, Fraction(0)) + u * v
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
+def _ref_substitute(x, values):
+    out = {}
+    for exp, c in x.items():
+        key = list(exp)
+        for i, value in enumerate(values):
+            if value is not None:
+                c *= Fraction(value) ** key[i]
+                key[i] = 0
+        out[tuple(key)] = out.get(tuple(key), Fraction(0)) + c
+    return {exp: c for exp, c in out.items() if c != 0}
+
+
+def _ref_evaluate(x, point):
+    q, qt, theta = map(Fraction, point)
+    return sum((c * q ** a * qt ** b * theta ** d for (a, b, d), c in x.items()), Fraction(0))
+
+
+def _assert_canonical(poly):
+    for c in poly.terms.values():
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_terms, mixed_terms, st.integers(0, 3), st.tuples(rational, rational, rational),
+       st.tuples(*[st.one_of(st.none(), rational)] * 3), mixed_coeff)
+def test_int_coefficient_kernel_matches_fraction_reference(ta, tb, power, point, values, scalar):
+    a, b = MultiPoly(ta), MultiPoly(tb)
+    ra, rb = _reference(ta), _reference(tb)
+    ref_pow = {(0, 0, 0): Fraction(1)}
+    for _ in range(power):
+        ref_pow = _ref_mul(ref_pow, ra)
+    cases = [
+        (a, ra), (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, {exp: -c for exp, c in rb.items()})),
+        (a * b, _ref_mul(ra, rb)), (a ** power, ref_pow),
+        (a * scalar, _ref_mul(ra, _reference({(0, 0, 0): scalar}))),
+        (a.substitute(*values), _ref_substitute(ra, values)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
+        assert got.evaluate_exact(*point) == _ref_evaluate(want, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_terms, mixed_terms)
+def test_equality_hash_and_json_ignore_how_a_polynomial_was_built(ta, tb):
+    a, b = MultiPoly(ta), MultiPoly(tb)
+    as_fractions = MultiPoly({exp: Fraction(c) for exp, c in ta.items()})
+    builds = [a, as_fractions, (a + b) - b, b + a - b, a * MultiPoly.one(), a * Fraction(1),
+              MultiPoly.from_json_obj(a.to_json_obj()),
+              (a * Fraction(2, 3)) * Fraction(3, 2), a.substitute()]
+    for other in builds:
+        _assert_canonical(other)
+        assert other == a
+        assert hash(other) == hash(a)
+        assert other.to_json_obj() == a.to_json_obj()
+        assert str(other) == str(a)
+    if a.is_constant():
+        assert hash(a) == hash(a.constant_value()) == hash(Fraction(a.constant_value()))
+
+
 def test_no_stored_zero_coefficients():
     a = MultiPoly({(1, 0, 0): Fraction(2)}) + MultiPoly({(1, 0, 0): Fraction(-2)})
     assert a.terms == {}
