@@ -2,12 +2,14 @@
 
 Everything here exists for correctness, not speed: partitions and matchings
 are enumerated explicitly (with deliberate scale caps) so the closed-form
-machinery elsewhere can be checked against direct counting.  The transfer
-matrix realization of the chord-number evolution lives here too.
+machinery elsewhere can be checked against direct counting.  The chord
+transfer matrix lives here too, as the oracle for `qhermite.rt_moment`,
+which reads the same moments off the Hermite walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,7 +100,10 @@ def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
 
     Odd n yields the empty list (no perfect matchings exist).  Enumeration
     is lexicographic by smallest unmatched element, so the output order is
-    deterministic.
+    deterministic.  The crossing count is carried through the recursion: a
+    new chord (f, p), with f the smallest open point, crosses each earlier
+    chord whose right end lies strictly inside it, and those right ends are
+    the p - f - 1 points of (f, p) that are no longer open.
     """
     if n < 0 or n > PAIR_PARTITION_CAP:
         raise ValueError(f"enumerate_pair_partitions supports 0 <= n <= {PAIR_PARTITION_CAP}")
@@ -106,17 +111,17 @@ def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
         return []
     out: list[MatchingStats] = []
 
-    def recurse(remaining: tuple[int, ...], acc: list[tuple[int, int]]):
+    def recurse(remaining: tuple[int, ...], acc: list[tuple[int, int]], cr: int):
         if not remaining:
-            out.append(_stats(list(acc)))
+            out.append(MatchingStats(SetPartition(tuple(acc)), cr, 0, 0))
             return
         first, rest = remaining[0], remaining[1:]
         for i, partner in enumerate(rest):
             acc.append((first, partner))
-            recurse(rest[:i] + rest[i + 1:], acc)
+            recurse(rest[:i] + rest[i + 1:], acc, cr + partner - first - 1 - i)
             acc.pop()
 
-    recurse(tuple(range(1, n + 1)), [])
+    recurse(tuple(range(1, n + 1)), [], 0)
     return out
 
 
@@ -145,6 +150,8 @@ def enumerate_p12(k: int) -> list[MatchingStats]:
 
 def normal_order_power(k: int) -> HermiteExpansion:
     """Hermite expansion of T^k obtained by normal-ordering (x + D_q)^k.
+
+    Oracle for `qhermite.monomial_to_hermite`.
 
     Words in {x, D_q} are kept as normal forms x^a D_q^b; right-multiplying
     by x uses D_q^b x = [b]_q D_q^(b-1) + q^b x D_q^b, which is the
@@ -177,6 +184,8 @@ def normal_order_power(k: int) -> HermiteExpansion:
 
 def inhomogeneous_matching_oracle(class_sizes: list[int]) -> MultiPoly:
     """Sum of q^crossings over perfect matchings with no within-class chord.
+
+    Oracle for `qhermite.linearization`.
 
     Points are laid out on a line grouped by class in the given order; a
     chord may only join points of different classes.  Zero when no such
@@ -227,13 +236,6 @@ class TransferMatrix:
             raise ValueError("truncation must be nonnegative")
         self.truncation = truncation
 
-    def entry(self, row: int, col: int) -> MultiPoly:
-        if row == col + 1:
-            return MultiPoly.one()
-        if row == col - 1:
-            return q_integer(col)
-        return MultiPoly.zero()
-
     def apply(self, vec: list[MultiPoly]) -> list[MultiPoly]:
         L = self.truncation
         out = [MultiPoly.zero() for _ in range(L + 1)]
@@ -248,7 +250,10 @@ class TransferMatrix:
 
 
 def transfer_vacuum_moment(k: int, L: int | None = None) -> MultiPoly:
-    """<0| T^k |0> over the polynomial ring, via the truncated transfer matrix."""
+    """<0| T^k |0> over the polynomial ring, via the truncated transfer matrix.
+
+    Oracle for `qhermite.rt_moment`.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     need = (k + 1) // 2
@@ -265,10 +270,8 @@ def transfer_vacuum_moment(k: int, L: int | None = None) -> MultiPoly:
 
 def pair_partition_polynomial(n: int) -> MultiPoly:
     """Sum of q^cr over all perfect matchings of {1..n}; zero for odd n."""
-    result = MultiPoly.zero()
-    for stats in enumerate_pair_partitions(n):
-        result = result + MultiPoly.monomial(q_pow=stats.cr)
-    return result
+    counts = Counter(stats.cr for stats in enumerate_pair_partitions(n))
+    return MultiPoly({(cr, 0, 0): count for cr, count in counts.items()})
 
 
 def p12_hermite_polynomial(k: int) -> HermiteExpansion:

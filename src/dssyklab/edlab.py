@@ -431,6 +431,8 @@ def qn_finite(p: int, N: int) -> Fraction:
 
 def qj_weight(p: int, N: int, j: int) -> Fraction:
     """Average exchange factor q_j between a p-body term and a 2j-Majorana block."""
+    if not 0 < p <= N:
+        raise ValueError("need 0 < p <= N")
     if j < 0 or 2 * j > N:
         raise ValueError("need 0 <= 2j <= N")
     total = sum((-1) ** l * math.comb(2 * j, l) * math.comb(N - 2 * j, p - l)

@@ -11,12 +11,13 @@ oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .qcore import MultiPoly
-from .chordcombi import ORACLE_POINT_CAP, crossing_number
+from .chordcombi import ORACLE_POINT_CAP
 
 WORD_SUM_CAP = 10
 FREE_MOMENT_CAP = 12
@@ -93,26 +94,23 @@ def mixed_moment(w: Word) -> MixedMomentResult:
     if len(xpos) % 2 == 1:
         return MixedMomentResult(MultiPoly.zero(), 0)
     arc_of = _cyclic_arc_ids(letters)
-    theta_term = MultiPoly.monomial(theta_pow=d_count)
-    total = MultiPoly.zero()
-    count = 0
+    arcs = tuple(arc_of[pos] for pos in xpos)
+    counts = Counter()
 
-    def recurse(remaining: tuple[int, ...], acc: list[tuple[int, int]]):
-        nonlocal total, count
+    def recurse(remaining: tuple[int, ...], cr: int, bc: int):
+        # indices into xpos; a new chord crosses every earlier chord whose
+        # right end lies strictly inside it (see enumerate_pair_partitions)
         if not remaining:
-            cr = crossing_number(acc)
-            bc = sum(1 for a, b in acc if arc_of[a] != arc_of[b])
-            total = total + MultiPoly.monomial(q_pow=cr, qt_pow=bc)
-            count += 1
+            counts[cr, bc] += 1
             return
         first, rest = remaining[0], remaining[1:]
         for i, partner in enumerate(rest):
-            acc.append((first, partner))
-            recurse(rest[:i] + rest[i + 1:], acc)
-            acc.pop()
+            recurse(rest[:i] + rest[i + 1:], cr + partner - first - 1 - i,
+                    bc + (arcs[first] != arcs[partner]))
 
-    recurse(tuple(xpos), [])
-    return MixedMomentResult(total * theta_term, count)
+    recurse(tuple(range(len(xpos))), 0, 0)
+    value = MultiPoly({(cr, bc, d_count): c for (cr, bc), c in counts.items()})
+    return MixedMomentResult(value, sum(counts.values()))
 
 
 @lru_cache(maxsize=None)

@@ -437,5 +437,8 @@ class MomentTable:
             poly = self.values[n - 1]
             if not poly.is_constant():
                 raise ValueError("moment table still contains symbolic entries")
-            rows.append((n, float(poly.constant_value())))
+            try:
+                rows.append((n, float(poly.constant_value())))
+            except OverflowError:
+                raise ConvergenceError(f"m_{n} overflows a float") from None
         return rows

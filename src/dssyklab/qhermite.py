@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import chordcombi
-from .qcore import HermiteExpansion, MultiPoly, q_binomial, q_factorial, q_integer, q_multinomial
+from .qcore import HermiteExpansion, MultiPoly, q_binomial, q_factorial, q_integer
 
 Q_NUMERIC_MAX = 0.99
 PRODUCT_EPS = 1e-16
@@ -33,7 +32,10 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def hermite_in_x(n: int) -> list[MultiPoly]:
-    """Coefficients of H_n^(q) in the monomial basis x^0 .. x^n."""
+    """Coefficients of H_n^(q) in the monomial basis x^0 .. x^n.
+
+    Oracle for `monomial_to_hermite`, whose basis change it inverts.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     prev = [MultiPoly.one()]          # H_0
@@ -50,26 +52,15 @@ def hermite_in_x(n: int) -> list[MultiPoly]:
     return cur
 
 
-@lru_cache(maxsize=None)
 def monomial_to_hermite(k: int) -> HermiteExpansion:
-    """Expansion x^k = sum_m c_{m,k} H_{k-2m}, built by the inverse recurrence.
+    """Expansion x^k = sum_m c_{m,k} H_{k-2m}: the walk over k factors H_1 = x.
 
-    Iterates x * H_j = H_{j+1} + [j]_q H_{j-1} starting from x^0 = H_0, so
-    all coefficients come out as exact polynomials in q with no division.
+    Each step is x H_j = H_{j+1} + [j]_q H_{j-1}, so all coefficients come
+    out as exact polynomials in q with no division.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    coeffs = [MultiPoly.one()]
-    for _ in range(k):
-        nxt = [MultiPoly.zero() for _ in range(len(coeffs) + 1)]
-        for j, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            nxt[j + 1] = nxt[j + 1] + c
-            if j >= 1:
-                nxt[j - 1] = nxt[j - 1] + c * q_integer(j)
-        coeffs = nxt
-    return HermiteExpansion(coeffs)
+    return _hermite_walk((1,) * k)
 
 
 def contraction_coefficient(m: int, k: int) -> MultiPoly:
@@ -100,89 +91,56 @@ def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
     return total / (1 - q_value) ** m
 
 
-def _symmetric_matrices(row_sums: tuple[int, ...]):
-    """Yield upper triangles of symmetric nonnegative integer matrices with
-    zero diagonal and the given row sums.  The yielded list is reused
-    between iterations; consume it before advancing."""
-    l = len(row_sums)
-    upper = [[0] * l for _ in range(l)]
-    residual = list(row_sums)
-
-    def fill_row(i: int):
-        if i == l:
-            yield upper
-            return
-        cols = range(i + 1, l)
-
-        def fill_entry(ci: int):
-            if ci == len(cols):
-                if residual[i] == 0:
-                    yield from fill_row(i + 1)
-                return
-            j = cols[ci]
-            for v in range(min(residual[i], residual[j]) + 1):
-                upper[i][j] = v
-                residual[i] -= v
-                residual[j] -= v
-                yield from fill_entry(ci + 1)
-                residual[i] += v
-                residual[j] += v
-            upper[i][j] = 0
-
-        yield from fill_entry(0)
-
-    yield from fill_row(0)
+@lru_cache(maxsize=None)
+def _rogers_weight(m: int, n: int, k: int) -> MultiPoly:
+    """[m k]_q [n k]_q [k]_q!: the H_{m+n-2k} coefficient of H_m H_n."""
+    return q_binomial(m, k) * q_binomial(n, k) * q_factorial(k)
 
 
 @lru_cache(maxsize=None)
-def _linearization_ordered(degrees: tuple[int, ...]) -> MultiPoly:
-    l = len(degrees)
-    total = MultiPoly.zero()
-    for upper in _symmetric_matrices(degrees):
-        value = MultiPoly.one()
-        for i in range(l):
-            row = [upper[min(i, j)][max(i, j)] if i != j else 0 for j in range(l)]
-            value = value * q_multinomial(degrees[i], row)
-        for i in range(l):
-            for j in range(i + 1, l):
-                if upper[i][j] > 1:
-                    value = value * q_factorial(upper[i][j])
-        b = 0
-        edges = [(i, j, upper[i][j]) for i in range(l) for j in range(i + 1, l) if upper[i][j]]
-        for ei in range(len(edges)):
-            i, mm, w1 = edges[ei]
-            for ej in range(len(edges)):
-                j, p, w2 = edges[ej]
-                if i < j < mm < p:
-                    b += w1 * w2
-        total = total + value * MultiPoly.monomial(q_pow=b)
-    return total
+def _hermite_walk(degrees: tuple[int, ...]) -> HermiteExpansion:
+    """Expansion of H_{n_1} ... H_{n_l} in the Hermite basis.
+
+    A walk on the chord-number basis: step i multiplies the running
+    expansion by H_{n_i} through Rogers' formula
+    H_m H_n = sum_k [m k]_q [n k]_q [k]_q! H_{m+n-2k}, where k counts the
+    chords closed between the prefix and the new factor (the chord-number
+    picture of Berkooz et al., arXiv:1811.02584).  Memoized on prefixes, so
+    callers that share prefixes share the work.
+    """
+    if not degrees:
+        return HermiteExpansion([MultiPoly.one()])
+    prefix, n = _hermite_walk(degrees[:-1]), degrees[-1]
+    coeffs = [MultiPoly.zero()] * (prefix.degree + n + 1)
+    for m, c in enumerate(prefix.coeffs):
+        if c.is_zero():
+            continue
+        for k in range(min(m, n) + 1):
+            coeffs[m + n - 2 * k] = coeffs[m + n - 2 * k] + c * _rogers_weight(m, n, k)
+    return HermiteExpansion(coeffs)
 
 
 def linearization(degrees: list[int]) -> MultiPoly:
     """Vacuum expectation of prod_j H_{n_j}, as an exact polynomial in q.
 
-    Implemented as the sum over symmetric nonnegative integer matrices with
-    zero diagonal and row sums n_j, each weighted by q-multinomials, the
-    q-factorials of the off-diagonal entries, and q^B for the inter-group
-    interleavings B = sum_{i<j<m<p} n_im n_jp.  Zero whenever sum(n_j) is
-    odd.  The value is symmetric in the degrees, so lookups are canonicalized
-    to sorted order.
+    The H_0 coefficient of the Hermite walk over the degrees.  Zero whenever
+    sum(n_j) is odd.  The value is symmetric in the degrees, so the walk
+    runs over them in sorted order.
     """
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be nonnegative")
-    return _linearization_ordered(tuple(sorted(degrees)))
+    return _hermite_walk(tuple(sorted(degrees))).coefficient(0)
 
 
 def rt_moment(k: int) -> MultiPoly:
     """2k-th q-Gaussian moment: sum over perfect matchings of q^crossings.
 
-    Computed exactly through the truncated transfer matrix; truncation at k
-    open chords is lossless.
+    The H_0 coefficient of x^{2k}, read off the Hermite walk.  The chord
+    transfer matrix in `chordcombi` is its independent oracle.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return chordcombi.transfer_vacuum_moment(2 * k, k)
+    return monomial_to_hermite(2 * k).coefficient(0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dssyklab import cli, edlab
 from dssyklab.moments import MomentTable, reduced_moment
@@ -249,6 +249,8 @@ class TestZnCommand:
                  id="ed-phase-scan-degenerate"),
     pytest.param(["ed", "--N", "4", "--theta", "1e17", "--bins", "2", "--histogram", "h.csv"],
                  "bins", id="ed-histogram-fails-before-spectra"),
+    pytest.param(["qtilde", "--N", "3", "--p", "4", "--k", "1"], "need 0 < p <= N",
+                 id="qtilde-p-above-N"),
 ])
 def test_boundary_rejects_before_output(args, reason, capsys):
     code, out, err = run_cli(args + ["--deterministic"], capsys)
@@ -285,10 +287,16 @@ def ed_or_compare_argv(draw):
     return argv
 
 
-def _numbers(text):
-    """Every comma-separated field that parses as a float, metadata values included."""
+def _numbers(text, echoed=()):
+    """Every comma-separated field that parses as a float, metadata values included.
+
+    A field equal to one of the `echoed` flag values is the user's own text
+    copied into the metadata, not a computed number, and is skipped.
+    """
     for line in text.splitlines():
         for field in line.split("=", 1)[-1].split(","):
+            if field in echoed:
+                continue
             try:
                 yield float(field)
             except ValueError:
@@ -309,6 +317,61 @@ def test_ed_and_compare_keep_the_exit_code_contract(tmp_path, capsys, argv):
     assert all(math.isfinite(x) for x in _numbers(written))
 
 
+HUGE = ["1e400", "-1e400", "1" + "0" * 400 + "/3", "1/" + "1" + "0" * 400]
+RATIONALS = st.one_of(st.fractions(-4, 4, max_denominator=60).map(str), st.sampled_from(HUGE))
+BAD_RATIONALS = st.sampled_from(["1/0", "abc", "nan", "inf", "1/1e3"])
+# p > N is in the valid space (N = 4, p = 6)
+FINITE_SIZE = {"--N": st.sampled_from([26, 8, 12, 4, 10 ** 6]), "--p": st.sampled_from([4, 2, 6]),
+               "--k": st.sampled_from([1, 2, 3, 0])}
+FINITE_SIZE_INVALID = {"--N": st.sampled_from([0, 3, -4]), "--p": st.sampled_from([0, 3, -2, 40]),
+                       "--k": st.sampled_from([-1, 30])}
+MOMENTS_INVALID = {**FINITE_SIZE_INVALID, "--n": st.sampled_from([0, 15, -3]),
+                   "--q": BAD_RATIONALS, "--qtilde": BAD_RATIONALS, "--theta": BAD_RATIONALS}
+
+
+@st.composite
+def moments_mixed_or_qtilde_argv(draw):
+    """Valid flags with at most one replaced by an invalid value."""
+    sub = draw(st.sampled_from(["moments", "mixed", "qtilde"]))
+    if sub == "mixed":
+        word = draw(st.one_of(st.text("xd", min_size=1, max_size=12),
+                              st.sampled_from(["", "xdy", "x" * 16, "XXdD"])))
+        return ["mixed", f"--word={word}"]
+    valid, invalid, extra = dict(FINITE_SIZE), FINITE_SIZE_INVALID, []
+    if sub == "moments":
+        invalid = MOMENTS_INVALID
+        mode = draw(st.sampled_from(["direct", "finite-size", "symbolic"]))
+        if mode == "direct":
+            names = draw(st.lists(st.sampled_from(["--q", "--qtilde", "--theta"]), unique=True))
+            valid = {name: RATIONALS for name in names}
+        elif mode == "symbolic":
+            valid, extra = {}, ["--symbolic"]
+        elif draw(st.booleans()):
+            valid["--theta"] = RATIONALS
+        valid["--n"] = st.sampled_from([4, 1, 2, 7, 14])
+    flags = {flag: draw(strategy) for flag, strategy in valid.items()}
+    broken = draw(st.sampled_from([None, None, *flags]))
+    if broken:
+        flags[broken] = draw(invalid[broken])
+    return [sub] + [f"{flag}={value}" for flag, value in flags.items()] + extra
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(moments_mixed_or_qtilde_argv())
+@example(["qtilde", "--N=3", "--p=4", "--k=1"])
+@example(["moments", "--n=2", "--theta=1e400"])
+def test_moments_mixed_and_qtilde_keep_the_exit_code_contract(capsys, argv):
+    code, out, err = run_cli(argv + ["--deterministic"], capsys)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if out.startswith("{"):
+        json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in the output"))
+    else:
+        echoed = [a.split("=", 1)[1] for a in argv if "=" in a]
+        assert all(math.isfinite(x) for x in _numbers(out, echoed))
+
+
 def test_zn_overflow_is_nonconvergence(capsys):
     code, out, err = run_cli(["zn", "--n", "1", "--beta", "1000", "--q", "0.5",
                               "--qtilde", "0.25", "--deterministic"], capsys)
@@ -321,6 +384,13 @@ def test_compare_overflow_is_nonconvergence(theta, capsys):
     # 1e30 overflowed the stderr column to inf; 1e60 overflowed the analytic moment
     code, out, err = run_cli(["compare", "--N", "8", "--k", "1", "--theta", theta,
                               "--samples", "2", "--n-max", "6", "--deterministic"], capsys)
+    assert code == 3
+    assert out == "" and "overflows a float" in err
+
+
+def test_moments_overflow_is_nonconvergence(capsys):
+    # m_1 = theta = 1e400 does not fit a float
+    code, out, err = run_cli(["moments", "--n", "2", "--theta", "1e400", "--deterministic"], capsys)
     assert code == 3
     assert out == "" and "overflows a float" in err
 

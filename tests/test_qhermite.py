@@ -118,24 +118,25 @@ class TestLinearization:
         assert qh.linearization([]) == MultiPoly.one()
 
     def test_matches_matching_oracle(self):
-        def degree_lists(total_max, max_len):
-            for length in range(1, max_len + 1):
-                def rec(left, prefix):
-                    if len(prefix) == length:
-                        yield list(prefix)
-                        return
-                    for d in range(left + 1):
-                        yield from rec(left - d, prefix + [d])
-                yield from rec(total_max, [])
-        for degrees in degree_lists(10, 3):
-            if sum(degrees) > 10:
-                continue
-            assert qh.linearization(degrees) == cc.inhomogeneous_matching_oracle(degrees)
+        def sorted_degree_lists(total, smallest=1):
+            # sorted positive degree lists summing to total, of any length
+            if total == 0:
+                yield []
+            for d in range(smallest, total + 1):
+                for rest in sorted_degree_lists(total - d, d):
+                    yield [d] + rest
+        for total in range(0, 11, 2):
+            for degrees in sorted_degree_lists(total):
+                expected = cc.inhomogeneous_matching_oracle(degrees)
+                assert qh.linearization(degrees) == expected
+                # H_0 = 1 factors and the order of the factors change nothing
+                assert qh.linearization([0] + degrees[::-1] + [0]) == expected
 
     def test_order_invariance_of_raw_formula(self):
-        base = qh._linearization_ordered((1, 2, 3, 2))
+        # the walk itself, not only the sorted lookup, is order invariant
+        base = qh._hermite_walk((1, 2, 3, 2))
         for perm in set(permutations((1, 2, 3, 2))):
-            assert qh._linearization_ordered(perm) == base
+            assert qh._hermite_walk(perm) == base
 
 
 class TestRTMoment:
