@@ -9,9 +9,9 @@ from .qhermite import (hermite_in_x, monomial_to_hermite, c_closed_form, lineari
                        ConvergenceError)
 from .moments import (reduced_moment, reduced_moment_gf, full_moment, boolean_moment_c1,
                       qtilde_limit_check, b_continued_fraction, z_n, MomentTable, BSeries)
-from .mixed import Word, mixed_moment, word_sum_moment, free_moment_d
+from .mixed import Word, mixed_moment, word_sum_moment, free_convolution_moment
 from .edlab import (ModelParams, SpectrumSample, majorana, build_h_syk, build_dc,
-                    verify_dc_majorana_expansion, sample_spectra, empirical_moments,
-                    paired_reduced_moments, qn_finite, qtilde_weight, phase_scan)
+                    verify_dc_majorana_expansion, sample_spectra, paired_reduced_moments,
+                    qn_finite, qtilde_weight, phase_scan)
 from .freeconv import (GridMeasure, ConvolutionResult, resolvent, semicircle_plus_atomic,
                        outlier_location, semicircle_resolvent)

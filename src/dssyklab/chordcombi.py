@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qcore import HermiteExpansion, MultiPoly, q_integer
 
@@ -47,9 +46,6 @@ class SetPartition:
     def singletons(self) -> list[int]:
         return [b[0] for b in self.blocks if len(b) == 1]
 
-    def to_json_obj(self) -> dict:
-        return {"blocks": [list(b) for b in self.blocks]}
-
 
 @dataclass(frozen=True)
 class MatchingStats:
@@ -63,11 +59,6 @@ class MatchingStats:
     cr: int
     sd: int
     singleton_count: int
-
-    def to_json_obj(self) -> dict:
-        obj = self.partition.to_json_obj()
-        obj.update(cr=self.cr, sd=self.sd, singletons=self.singleton_count)
-        return obj
 
 
 def crossing_number(pairs) -> int:
@@ -104,6 +95,8 @@ def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
     new chord (f, p), with f the smallest open point, crosses each earlier
     chord whose right end lies strictly inside it, and those right ends are
     the p - f - 1 points of (f, p) that are no longer open.
+
+    Oracle for `qhermite.rt_moment`, through `pair_partition_polynomial`.
     """
     if n < 0 or n > PAIR_PARTITION_CAP:
         raise ValueError(f"enumerate_pair_partitions supports 0 <= n <= {PAIR_PARTITION_CAP}")
@@ -269,7 +262,10 @@ def transfer_vacuum_moment(k: int, L: int | None = None) -> MultiPoly:
 
 
 def pair_partition_polynomial(n: int) -> MultiPoly:
-    """Sum of q^cr over all perfect matchings of {1..n}; zero for odd n."""
+    """Sum of q^cr over all perfect matchings of {1..n}; zero for odd n.
+
+    Oracle for `qhermite.rt_moment`, by explicit enumeration.
+    """
     counts = Counter(stats.cr for stats in enumerate_pair_partitions(n))
     return MultiPoly({(cr, 0, 0): count for cr, count in counts.items()})
 
@@ -290,7 +286,10 @@ def p12_hermite_polynomial(k: int) -> HermiteExpansion:
 
 
 def involution_count(k: int) -> int:
-    """Number of partitions in P_{1,2}(k): the k-th involution number."""
+    """Number of partitions in P_{1,2}(k): the k-th involution number.
+
+    Oracle for `enumerate_p12`, by the recurrence I(m) = I(m-1) + (m-1) I(m-2).
+    """
     a, b = 1, 1  # I(0), I(1)
     if k == 0:
         return 1
@@ -300,13 +299,13 @@ def involution_count(k: int) -> int:
 
 
 def double_factorial(n: int) -> int:
+    """n!! = n (n-2) (n-4) ... down to 1 or 2; 1 for n <= 1.
+
+    Oracle for `enumerate_pair_partitions` and `mixed.mixed_moment`: (2k-1)!!
+    counts the perfect matchings of 2k points.
+    """
     out = 1
     while n > 1:
         out *= n
         n -= 2
     return out
-
-
-def oracle_dump(stats_list: list[MatchingStats]) -> list[dict]:
-    """JSON-ready listing of partitions with their statistics (golden files)."""
-    return [s.to_json_obj() for s in stats_list]

@@ -29,6 +29,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_GUARD = 4
 
 ZSCORE_GUARD = 5.0
+MAX_GRID = 10 ** 6  # cap on --grid and --bins: every row or bin is held in memory
 
 
 def _fmt(x: float) -> str:
@@ -94,6 +95,16 @@ def _derive_q_qt(args) -> tuple[Fraction | None, Fraction | None, dict]:
     return q, qt, {}
 
 
+def _largest_rational_flag(args) -> str:
+    """The --q/--qtilde/--theta input with the longest numerator or denominator."""
+    given = {flag: _fraction(text) for flag, text in
+             (("--q", args.q), ("--qtilde", args.qtilde), ("--theta", args.theta))
+             if text is not None}
+    if not given:
+        return "--N/--p/--k"
+    return max(given, key=lambda flag: max(abs(given[flag].numerator), given[flag].denominator))
+
+
 def run_moments(args) -> int:
     if args.n < 1 or args.n > moments.MAX_MOMENT_ORDER:
         raise ValueError(f"--n must lie in 1..{moments.MAX_MOMENT_ORDER}")
@@ -101,14 +112,19 @@ def run_moments(args) -> int:
     if args.symbolic and (q is not None or qt is not None or args.theta is not None):
         raise ValueError("--symbolic cannot be combined with numeric parameters")
     theta = _fraction(args.theta) if args.theta is not None else None
-    table = moments.MomentTable.specialized(args.n, q=q, qt=qt, theta=theta)
+    try:
+        table = moments.MomentTable.specialized(args.n, q=q, qt=qt, theta=theta)
+        fully_numeric = all(v.is_constant() for v in table.values)
+        payload = None if fully_numeric and not args.symbolic else table.to_json_obj()
+    except ValueError:  # an exact value has more digits than an int may print
+        raise ValueError(
+            f"{_largest_rational_flag(args)} is too large for an exact table at --n {args.n}: "
+            f"a value passes {sys.get_int_max_str_digits()} digits") from None
     meta = _metadata_lines(args, note)
-    fully_numeric = all(v.is_constant() for v in table.values)
-    if fully_numeric and not args.symbolic:
+    if payload is None:
         rows = [f"{n},{_fmt(v)}" for n, v in table.numeric_rows()]
         _write(args, _csv(meta, "n,m_n", rows))
     else:
-        payload = table.to_json_obj()
         payload["metadata"] = [line[2:] for line in meta]
         _write(args, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -128,8 +144,8 @@ def run_mixed(args) -> int:
 
 
 def run_ed(args) -> int:
-    if args.bins < 1:
-        raise ValueError("--bins must be positive")
+    if not 1 <= args.bins <= MAX_GRID:
+        raise ValueError(f"--bins must be positive and at most {MAX_GRID}")
     params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
                                seed=args.seed, samples=args.samples)
     if args.phase_thetas:
@@ -187,9 +203,15 @@ def run_compare(args) -> int:
     return EXIT_OK
 
 
+def _check_grid(args):
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must lie in 2..{MAX_GRID}")
+
+
 def run_density(args) -> int:
     if not 0.0 <= args.q <= qhermite.Q_NUMERIC_MAX:
         raise ValueError(f"--q must lie in [0, {qhermite.Q_NUMERIC_MAX}]")
+    _check_grid(args)
     if args.kernel_r is not None:
         r = args.kernel_r
         x0 = args.kernel_x
@@ -207,14 +229,14 @@ def run_density(args) -> int:
 
 
 def run_freeconv(args) -> int:
+    _check_grid(args)
     result = freeconv.semicircle_plus_atomic(args.r, args.theta, args.grid)
     rows = [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(result.measure.grid, result.measure.density)]
     _write(args, _csv(_metadata_lines(args), "x,density", rows))
-    prediction = freeconv.outlier_location(args.theta, freeconv.semicircle_resolvent, 2.0) \
-        if args.theta > 0 else None
+    prediction = freeconv.outlier_location(args.theta) if args.theta > 0 else None
     summary = {
         "support_intervals": [[a, b] for a, b in result.support_intervals],
-        "outliers": result.outliers,
+        "outliers": [],
         "total_mass": result.measure.total_mass(),
         "small_r_outlier_prediction": prediction,
         "metadata": [line[2:] for line in _metadata_lines(args)],

@@ -1,5 +1,5 @@
 """Finite-N laboratory: Majorana operators, random-coupling Hamiltonians,
-the constant diagonal defect, spectra and empirical moments.
+the constant diagonal defect, spectra and paired moment estimates.
 
 Majorana operators are tensor products of Pauli matrices, kept in
 symplectic form as an (x-mask, z-mask, phase) triple for phase * X^x Z^z,
@@ -27,7 +27,7 @@ without it and is diagonalized once per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -35,6 +35,10 @@ from itertools import combinations
 import numpy as np
 
 MAX_QUBITS = 12  # dimension cap 2^12
+# gap statistics: the fraction of the pooled spectrum trimmed from each end,
+# and the share of the interior span a gap must exceed to count as a void
+GAP_TRIM = 0.005
+GAP_SPAN_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +165,6 @@ class ModelParams:
     def r(self) -> float:
         return 2.0 ** (-self.k)
 
-    @property
-    def nonzero_entries(self) -> int:
-        return 1 << (self.N // 2 - self.k)
-
     def metadata(self) -> dict:
         return {"N": self.N, "p": self.p, "theta": self.theta, "k": self.k,
                 "seed": self.seed, "samples": self.samples}
@@ -236,7 +236,11 @@ def _h_blocks(params: ModelParams, rng: np.random.Generator) -> list[np.ndarray]
 def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """One realization of the random p-body Hamiltonian as a dense matrix:
     the block-diagonal embedding of its two chirality blocks.  Hermitian
-    by construction."""
+    by construction.
+
+    Oracle for `_h_blocks`: tests compare this dense form with H rebuilt
+    term by term from `majorana`.
+    """
     half = params.dim // 2
     H = np.zeros((params.dim, params.dim), dtype=complex)
     H[:half, :half], H[half:, half:] = _h_blocks(params, rng)
@@ -338,7 +342,7 @@ def verify_dc_majorana_expansion(N: int, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampling and empirical moments
+# sampling and paired moment estimates
 # ---------------------------------------------------------------------------
 
 def _spectrum(blocks: list[np.ndarray], shift: np.ndarray, memo: dict) -> np.ndarray:
@@ -370,17 +374,6 @@ def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
     return [SpectrumSample(_spectrum(_h_blocks(params, sample_rng(params.seed, s)), defect, {}),
                            params, s)
             for s in range(params.samples)]
-
-
-def empirical_moments(spectra: list[SpectrumSample], max_n: int) -> list[float]:
-    """Ensemble means of the normalized trace moments, orders 0..max_n."""
-    if not spectra:
-        raise ValueError("no spectra given")
-    moments = np.zeros(max_n + 1)
-    for sample in spectra:
-        eigs = sample.eigenvalues
-        moments += np.array([np.mean(eigs ** n) for n in range(max_n + 1)])
-    return list(moments / len(spectra))
 
 
 def paired_reduced_moments(params: ModelParams, max_n: int):
@@ -468,14 +461,13 @@ def qtilde_weight_main_text(p: int, N: int, k: int) -> Fraction:
 # phase scan
 # ---------------------------------------------------------------------------
 
-def spectral_gap_report(pooled: np.ndarray, trim: float = 0.005,
-                        span_fraction: float = 0.05) -> dict:
+def spectral_gap_report(pooled: np.ndarray) -> dict:
     """Bimodality statistics of a pooled sorted spectrum.
 
-    A `trim` fraction of points is dropped from each end (isolated extreme
+    A GAP_TRIM fraction of points is dropped from each end (isolated extreme
     eigenvalues produce wide spacings that say nothing about the support),
     then the spectrum is flagged bimodal when the largest interior
-    nearest-neighbor gap exceeds `span_fraction` of the interior span:
+    nearest-neighbor gap exceeds GAP_SPAN_FRACTION of the interior span:
     a macroscopic void, not a sparse-sampling artifact.  `gap` is the
     detected gap size, zero for unimodal spectra; the max/median spacing
     ratio is reported alongside for reference.
@@ -483,7 +475,7 @@ def spectral_gap_report(pooled: np.ndarray, trim: float = 0.005,
     pooled = np.sort(np.asarray(pooled, dtype=float))
     if len(pooled) < 10:
         raise ValueError("pooled spectrum too small for gap statistics")
-    cut = int(len(pooled) * trim)
+    cut = int(len(pooled) * GAP_TRIM)
     interior = pooled[cut: len(pooled) - cut] if cut else pooled
     gaps = np.diff(interior)
     max_gap = float(gaps.max())
@@ -493,13 +485,12 @@ def spectral_gap_report(pooled: np.ndarray, trim: float = 0.005,
                          "median spacing is zero")
     span = float(interior[-1] - interior[0])
     ratio = max_gap / median_gap
-    bimodal = max_gap > span_fraction * span
+    bimodal = max_gap > GAP_SPAN_FRACTION * span
     return {"max_gap": max_gap, "median_gap": median_gap, "gap_ratio": ratio,
             "bimodal": bimodal, "gap": max_gap if bimodal else 0.0}
 
 
-def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = None,
-               trim: float = 0.005, span_fraction: float = 0.05) -> list[dict]:
+def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = None) -> list[dict]:
     """Gap statistics over a (theta, k) grid of pooled sampled spectra.
 
     Each sample's chirality blocks are built once and shared by every grid
@@ -517,7 +508,7 @@ def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = No
             spectra.append(_spectrum(blocks, defect, memo))
     rows = []
     for params, spectra in zip(grid, pooled):
-        report = spectral_gap_report(np.concatenate(spectra), trim, span_fraction)
+        report = spectral_gap_report(np.concatenate(spectra))
         rows.append({"theta": params.theta, "k": params.k, "samples": base.samples, **report})
     return rows
 

@@ -9,26 +9,24 @@ the subordination picture (Biane 1997): for each real u, v(u) >= 0 solves
 psi(u) = u + integral (u-x) d mu_a / ((u-x)^2 + v^2), and the density is
 v(u)/pi at psi(u).  For two atoms F = 1 is a quadratic in s = v^2, so v(u)
 is a closed form, and the support edges in u are the real roots of the
-quartic F(u, 0) = 1 cleared of denominators.  Spectral-outlier prediction
-for a vanishing atom fraction is handled separately through the resolvent
-inversion.
+quartic F(u, 0) = 1 cleared of denominators.  The spectral outlier for a
+vanishing atom fraction has the closed form theta + 1/theta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class GridMeasure:
-    """Probability measure: point atoms plus a density sampled on a grid."""
+    """Probability measure given by a density sampled on a sorted grid."""
 
-    atoms: list[tuple[float, float]] = field(default_factory=list)
-    grid: np.ndarray = field(default_factory=lambda: np.array([]))
-    density: np.ndarray = field(default_factory=lambda: np.array([]))
+    grid: np.ndarray
+    density: np.ndarray
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -41,81 +39,52 @@ class GridMeasure:
             raise ValueError("density must be nonnegative")
 
     @classmethod
-    def point_masses(cls, atoms) -> "GridMeasure":
-        return cls(atoms=list(atoms))
-
-    @classmethod
     def semicircle(cls, grid_n: int = 2000) -> "GridMeasure":
         x = np.linspace(-2.0, 2.0, grid_n)
         rho = np.sqrt(np.maximum(4.0 - x * x, 0.0)) / (2.0 * math.pi)
         return cls(grid=x, density=rho)
 
     def total_mass(self) -> float:
-        mass = sum(m for _, m in self.atoms)
-        if len(self.grid) > 1:
-            mass += float(np.trapezoid(self.density, self.grid))
-        return mass
+        return float(np.trapezoid(self.density, self.grid))
 
-    def support_max(self) -> float:
-        candidates = [x for x, m in self.atoms if m > 0]
-        if len(self.grid):
-            positive = self.grid[self.density > 0]
-            if len(positive):
-                candidates.append(float(positive.max()))
-        if not candidates:
-            raise ValueError("measure has empty support")
-        return max(candidates)
-
-    def in_support(self, x: float, pad: float = 1e-9) -> bool:
-        if any(abs(x - a) <= pad for a, m in self.atoms if m > 0):
-            return True
-        if len(self.grid) > 1:
-            inside = (self.grid[0] - pad <= x <= self.grid[-1] + pad)
-            if inside:
-                rho = float(np.interp(x, self.grid, self.density))
-                return rho > 0
-        return False
+    def in_support(self, x: float) -> bool:
+        if not self.grid[0] <= x <= self.grid[-1]:
+            return False
+        return float(np.interp(x, self.grid, self.density)) > 0
 
     def cdf(self, x) -> np.ndarray:
-        """Distribution function on arbitrary points (atoms included)."""
+        """Distribution function on arbitrary points."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        if len(self.grid) > 1:
-            cum = np.concatenate([[0.0], np.cumsum(
-                0.5 * (self.density[1:] + self.density[:-1]) * np.diff(self.grid))])
-            out += np.interp(x, self.grid, cum, left=0.0, right=cum[-1])
-        for loc, mass in self.atoms:
-            out += mass * (x >= loc)
-        return out
+        cum = np.concatenate([[0.0], np.cumsum(
+            0.5 * (self.density[1:] + self.density[:-1]) * np.diff(self.grid))])
+        return np.interp(x, self.grid, cum, left=0.0, right=cum[-1])
 
 
 @dataclass
 class ConvolutionResult:
     measure: GridMeasure
     support_intervals: list[tuple[float, float]]
-    outliers: list[float]
 
 
 def resolvent(measure: GridMeasure, z: complex) -> complex:
-    """Cauchy transform G(z) = integral d mu(x) / (z - x).
+    """Cauchy transform G(z) = integral d mu(x) / (z - x), by trapezoid on
+    the measure's grid.
 
-    Atoms are summed exactly, the density by trapezoid on its own grid.
+    Oracle for `semicircle_plus_atomic`, through the subordination identity.
     Evaluation on the real axis is allowed only outside the support.
     """
     z = complex(z)
     if z.imag == 0.0 and measure.in_support(z.real):
         raise ValueError(f"resolvent evaluated on the support at z={z.real}")
-    total = 0j
-    for loc, mass in measure.atoms:
-        total += mass / (z - loc)
-    if len(measure.grid) > 1:
-        total += complex(np.trapezoid(measure.density / (z - measure.grid), measure.grid))
-    return total
+    return complex(np.trapezoid(measure.density / (z - measure.grid), measure.grid))
 
 
 def semicircle_resolvent(z: complex) -> complex:
     """Closed form for the radius-2 semicircle: G(z) = (z - sqrt(z^2 - 4))/2,
-    with the branch G(z) ~ 1/z at infinity."""
+    with the branch G(z) ~ 1/z at infinity.
+
+    Oracle for `outlier_location`, whose E solves G(E) = 1/theta.
+    """
     z = complex(z)
     root = np.sqrt(z * z - 4.0)
     if (z.real * root.real + z.imag * root.imag) < 0:
@@ -174,8 +143,8 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
     radius-2 semicircle, reconstructed by subordination.
 
     Returns the density resampled to uniform grids per support interval;
-    the output is purely absolutely continuous (no atoms, no point
-    outliers; a detached atom shows up as a second interval).
+    the output is a density with no atoms (a detached atom shows up as a
+    second interval).
     """
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
@@ -208,34 +177,22 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
         densities.append(resampled)
 
     measure = GridMeasure(grid=np.concatenate(grids), density=np.concatenate(densities))
-    return ConvolutionResult(measure=measure, support_intervals=intervals, outliers=[])
+    return ConvolutionResult(measure=measure, support_intervals=intervals)
 
 
-def outlier_location(theta: float, g_resolvent, e_max: float,
-                     search_pad: float = 50.0) -> float | None:
+def outlier_location(theta: float) -> float | None:
     """Detached-eigenvalue prediction for a vanishing atom fraction.
 
-    Solves 1/G_b(E) = theta for E above the bulk edge e_max; returns None
-    when theta <= 1/G_b(e_max) (no outlier detaches).  g_resolvent is the
-    resolvent of the unperturbed measure, evaluated on the real axis.
+    The outlier E solves 1/G(E) = theta with G the semicircle resolvent,
+    which gives E = theta + 1/theta when theta > 1 (Benaych-Georges and
+    Nadakuditi, arXiv:0910.2120); for 0 < theta <= 1 no outlier detaches
+    and the result is None.
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    edge_threshold = 1.0 / complex(g_resolvent(e_max + 1e-12)).real
-    if theta <= edge_threshold:
+    if theta <= 1.0:
         return None
-    lo = e_max + 1e-12
-    hi = max(e_max + search_pad, e_max + theta + search_pad)
-    f = lambda E: 1.0 / complex(g_resolvent(E)).real - theta
-    if f(hi) < 0:
-        raise ValueError("outlier search bracket too small")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return theta + 1.0 / theta
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +202,10 @@ def outlier_location(theta: float, g_resolvent, e_max: float,
 def wigner_plus_diagonal_spectrum(dim: int, r: float, theta: float,
                                   seed: int = 0) -> np.ndarray:
     """Eigenvalues of a GUE-like Wigner matrix (semicircle radius 2) plus a
-    diagonal with a fraction r of entries equal to theta."""
+    diagonal with a fraction r of entries equal to theta.
+
+    Oracle for `semicircle_plus_atomic`, by Monte Carlo.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = (a + a.conj().T) / (2.0 * math.sqrt(dim))
@@ -257,7 +217,10 @@ def wigner_plus_diagonal_spectrum(dim: int, r: float, theta: float,
 
 def ks_distance(measure: GridMeasure, samples: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between an empirical sample and the
-    measure's distribution function."""
+    measure's distribution function.
+
+    Oracle for `semicircle_plus_atomic`, with `wigner_plus_diagonal_spectrum`.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = len(samples)
     model = measure.cdf(samples)

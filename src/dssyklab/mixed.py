@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -166,37 +167,33 @@ def noncrossing_count(n: int) -> int:
     return sum(1 for _ in noncrossing_partitions(tuple(range(1, n + 1))))
 
 
-@lru_cache(maxsize=None)
-def _free_cumulant_for_atom(j: int) -> MultiPoly:
-    """j-th free cumulant of the variable with moments theta^j, obtained by
-    inverting the free moment-cumulant relation on NC(j)."""
-    moment = MultiPoly.monomial(theta_pow=j)
-    rest = MultiPoly.zero()
-    for part in noncrossing_partitions(tuple(range(1, j + 1))):
-        if len(part) == 1:
-            continue  # the full block is the cumulant being solved for
+def _noncrossing_sum(n: int, cumulants: list[MultiPoly]) -> MultiPoly:
+    """Sum over NC(n) of the products of cumulants[|block|]."""
+    total = MultiPoly.zero()
+    for part in noncrossing_partitions(tuple(range(1, n + 1))):
         term = MultiPoly.one()
         for block in part:
-            term = term * _free_cumulant_for_atom(len(block))
-        rest = rest + term
-    return moment - rest
+            term = term * cumulants[len(block)]
+        total = total + term
+    return total
 
 
-def free_moment_d(n: int) -> MultiPoly:
-    """Reassemble the n-th moment of d from its free cumulants over NC(n).
+def free_convolution_moment(n: int, r) -> MultiPoly:
+    """n-th moment of ((1-r) delta_0 + r delta_theta) (+) semicircle, exact in theta.
 
-    The cumulants are derived from the moment sequence theta^j, so the
-    result must come back as exactly theta^n; this exercises the
-    non-crossing enumeration and the moment-cumulant inversion.
+    Oracle for `freeconv.semicircle_plus_atomic`.  Free cumulants add under
+    free convolution: those of the two-atom measure come from inverting the
+    moment-cumulant relation on NC(j) against its moments r theta^j, the
+    radius-2 semicircle adds kappa_2 = 1, and the moment is the NC(n) sum of
+    products of the summed cumulants.  r is an exact rational.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > FREE_MOMENT_CAP:
         raise ValueError(f"free moments capped at n <= {FREE_MOMENT_CAP}")
-    total = MultiPoly.zero()
-    for part in noncrossing_partitions(tuple(range(1, n + 1))):
-        term = MultiPoly.one()
-        for block in part:
-            term = term * _free_cumulant_for_atom(len(block))
-        total = total + term
-    return total
+    atom = [MultiPoly.zero()]  # atom[j]: j-th free cumulant of the two-atom measure
+    for j in range(1, n + 1):
+        # with atom[j] still zero, the NC(j) sum is every partition but the full block
+        atom.append(MultiPoly.zero())
+        atom[j] = MultiPoly.monomial(theta_pow=j, coeff=Fraction(r)) - _noncrossing_sum(j, atom)
+    return _noncrossing_sum(n, [c + 1 if j == 2 else c for j, c in enumerate(atom)])

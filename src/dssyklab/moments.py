@@ -187,6 +187,8 @@ def reduced_moment_gf(n: int) -> MultiPoly:
     of Hermite basis elements (kept unexpanded), takes n times the z^n
     coefficient, and evaluates every deferred product through the
     linearization kernel in one final pass.
+
+    Oracle for `reduced_moment`.
     """
     if n < 1:
         raise ValueError("moment order must be positive")

@@ -293,11 +293,6 @@ class HermiteExpansion:
             coeffs.pop()
         self.coeffs = coeffs
 
-    @classmethod
-    def basis(cls, degree: int, coeff: MultiPoly | None = None) -> "HermiteExpansion":
-        coeffs = [MultiPoly.zero()] * degree + [coeff if coeff is not None else MultiPoly.one()]
-        return cls(coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -306,10 +301,6 @@ class HermiteExpansion:
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]
         return MultiPoly.zero()
-
-    def __add__(self, other: "HermiteExpansion") -> "HermiteExpansion":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return HermiteExpansion([self.coefficient(d) + other.coefficient(d) for d in range(n)])
 
     def scale(self, factor: MultiPoly) -> "HermiteExpansion":
         return HermiteExpansion([c * factor for c in self.coeffs])

@@ -73,8 +73,8 @@ def contraction_coefficient(m: int, k: int) -> MultiPoly:
 def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
     """Closed-form alternating sum for c_{m,n}, evaluated exactly at rational q.
 
-    Cross-check route only; the 1/(1-q)^m prefactor makes q = 1 a genuine
-    pole of the expression (the recurrence route covers q = 1).
+    Oracle for `contraction_coefficient`.  The 1/(1-q)^m prefactor makes
+    q = 1 a genuine pole of the expression (the walk covers q = 1).
     """
     q_value = Fraction(q_value)
     if m < 0 or 2 * m > n:
@@ -172,18 +172,18 @@ class QGaussianQuadrature:
     """Fixed quadrature rule for integrals against the q-Gaussian measure.
 
     Uses the substitution x = 2 cos(theta)/sqrt(1-q) and composite
-    Gauss-Legendre panels on theta in [0, pi]; the substitution removes the
-    square-root endpoint singularities of the density.  Weights are
-    renormalized so they sum to one.  Immutable after construction.
+    Gauss-Legendre panels of 8 points on theta in [0, pi]; the substitution
+    removes the square-root endpoint singularities of the density.  The
+    density's infinite product is truncated at default_truncation(q)
+    factors.  Weights are renormalized so they sum to one.  Immutable after
+    construction.
     """
 
-    def __init__(self, q: float, panels: int = 64, points_per_panel: int = 8,
-                 truncation_K: int | None = None):
+    def __init__(self, q: float, panels: int = 64):
         if not 0.0 <= q <= Q_NUMERIC_MAX:
             raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
         self.q = float(q)
-        self.truncation_K = truncation_K if truncation_K is not None else default_truncation(q)
-        base_x, base_w = np.polynomial.legendre.leggauss(points_per_panel)
+        base_x, base_w = np.polynomial.legendre.leggauss(8)
         edges = np.linspace(0.0, math.pi, panels + 1)
         thetas = []
         weights = []
@@ -192,51 +192,43 @@ class QGaussianQuadrature:
             thetas.append(0.5 * (a + b) + half * base_x)
             weights.append(half * base_w)
         theta = np.concatenate(thetas)
-        wtheta = np.concatenate(weights) * _theta_weight(theta, self.q, self.truncation_K)
+        wtheta = np.concatenate(weights) * _theta_weight(theta, self.q, default_truncation(self.q))
         self._raw_mass = float(np.sum(wtheta))
         self.nodes = 2.0 * np.cos(theta) / math.sqrt(1.0 - self.q)
         self.weights = wtheta / self._raw_mass
         if np.any(self.weights <= 0):
             raise ValueError("quadrature produced non-positive weights")
 
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
     def moment(self, n: int) -> float:
         return float(np.sum(self.weights * self.nodes ** n))
 
 
 @lru_cache(maxsize=32)
-def _cached_quadrature(q: float, K: int) -> QGaussianQuadrature:
-    return QGaussianQuadrature(q, truncation_K=K)
+def quadrature(q: float) -> QGaussianQuadrature:
+    return QGaussianQuadrature(q)
 
 
-def quadrature(q: float, truncation_K: int | None = None) -> QGaussianQuadrature:
-    K = truncation_K if truncation_K is not None else default_truncation(q)
-    return _cached_quadrature(float(q), K)
-
-
-def nu_q_density(x: float, q: float, truncation_K: int | None = None) -> float:
+def nu_q_density(x: float, q: float) -> float:
     """Density of the q-Gaussian measure at x for 0 <= q <= 0.99.
 
-    The infinite product is truncated at K factors and the result is
-    renormalized by the quadrature mass so the measure integrates to one.
-    At q = 0 this collapses to the semicircle sqrt(4 - x^2)/(2 pi).
+    The infinite product is truncated at default_truncation(q) factors and
+    the result is renormalized by the quadrature mass so the measure
+    integrates to one.  At q = 0 this collapses to the semicircle
+    sqrt(4 - x^2)/(2 pi).
     """
     if not 0.0 <= q <= Q_NUMERIC_MAX:
         raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
     R = support_radius(q)
     if abs(x) > R * (1 + 1e-12):
         raise ValueError(f"x={x} outside the support [-{R}, {R}]")
-    K = truncation_K if truncation_K is not None else default_truncation(q)
     arg = min(1.0, max(-1.0, x * math.sqrt(1.0 - q) / 2.0))
     theta = math.acos(arg)
     dens = (math.sqrt(1.0 - q) / math.pi) * math.sin(theta)
     cos2t = math.cos(2.0 * theta)
-    for k in range(1, K + 1):
+    for k in range(1, default_truncation(q) + 1):
         qk = q ** k
         dens *= (1.0 - qk) * (1.0 - 2.0 * qk * cos2t + qk * qk)
-    return dens / _cached_quadrature(float(q), K)._raw_mass
+    return dens / quadrature(q)._raw_mass
 
 
 def hermite_values(n_max: int, x, q: float):
@@ -278,6 +270,9 @@ def conditional_kernel(x: float, y: float, r: float, q: float, truncation: int =
     for n in range(truncation + 1):
         term = rn * hx * hy / fact
         total += term
+        if not math.isfinite(total):  # a non-finite term leaves the total non-finite too
+            raise ConvergenceError(
+                f"kernel sum overflows a float at (x={x}, y={y}, r={r}, q={q})")
         if abs(term) <= 1e-14 * max(1.0, abs(total)):
             settled += 1
             if settled >= 3:

@@ -176,14 +176,17 @@ def test_criterion_9_freeconv_suite():
     for r, theta in ((0.25, 3.0), (0.25, 1.0), (0.5, 0.0)):
         res = fc.semicircle_plus_atomic(r, theta)
         assert abs(res.measure.total_mass() - 1.0) < 1e-4, (r, theta)
+    semi = fc.GridMeasure.semicircle(8000)
     for theta in (1.5, 2.0, 3.0):
-        loc = fc.outlier_location(theta, fc.semicircle_resolvent, 2.0)
-        assert loc == pytest.approx(theta + 1 / theta, abs=1e-6), theta
+        loc = fc.outlier_location(theta)
+        assert abs(fc.semicircle_resolvent(loc) - 1 / theta) < 1e-12, theta
+        assert abs(fc.resolvent(semi, loc) - 1 / theta) < 1e-5, theta
     res = fc.semicircle_plus_atomic(0.25, 3.0)
     eigs = fc.wigner_plus_diagonal_spectrum(1024, 0.25, 3.0, seed=5)
     ks = fc.ks_distance(res.measure, eigs)
     assert ks < 0.05, ks
-    _report(9, f"mass within 1e-4, outliers at theta+1/theta to 1e-6, KS distance {ks:.4f} < 0.05")
+    _report(9, f"mass within 1e-4, outliers solve G(E) = 1/theta (closed-form G to 1e-12, "
+               f"grid G to 1e-5), KS distance {ks:.4f} < 0.05")
 
 
 def test_criterion_10_partition_function():

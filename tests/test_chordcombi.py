@@ -131,10 +131,3 @@ class TestTransferMatrix:
     def test_larger_truncation_harmless(self):
         assert cc.transfer_vacuum_moment(6, 3) == cc.transfer_vacuum_moment(6, 7)
 
-
-def test_oracle_dump_round_trips_to_json():
-    import json
-    dump = cc.oracle_dump(cc.enumerate_p12(3))
-    text = json.dumps(dump)
-    assert json.loads(text) == dump
-    assert all(set(d) == {"blocks", "cr", "sd", "singletons"} for d in dump)

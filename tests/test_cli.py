@@ -251,6 +251,15 @@ class TestZnCommand:
                  "bins", id="ed-histogram-fails-before-spectra"),
     pytest.param(["qtilde", "--N", "3", "--p", "4", "--k", "1"], "need 0 < p <= N",
                  id="qtilde-p-above-N"),
+    pytest.param(["density", "--q", "0.5", "--grid", str(10 ** 12)], "--grid must lie",
+                 id="density-grid-10^12"),
+    pytest.param(["density", "--q", "0.5", "--grid", "0"], "--grid must lie", id="density-grid-0"),
+    pytest.param(["density", "--q", "0.5", "--grid", "-5"], "--grid must lie",
+                 id="density-grid-negative"),
+    pytest.param(["freeconv", "--r", "0.25", "--theta", "3", "--grid", str(10 ** 12)],
+                 "--grid must lie", id="freeconv-grid-10^12"),
+    pytest.param(["ed", "--N", "4", "--bins", str(10 ** 12), "--histogram", "h.csv"],
+                 "--bins must be positive and at most", id="ed-bins-10^12"),
 ])
 def test_boundary_rejects_before_output(args, reason, capsys):
     code, out, err = run_cli(args + ["--deterministic"], capsys)
@@ -370,6 +379,65 @@ def test_moments_mixed_and_qtilde_keep_the_exit_code_contract(capsys, argv):
     else:
         echoed = [a.split("=", 1)[1] for a in argv if "=" in a]
         assert all(math.isfinite(x) for x in _numbers(out, echoed))
+
+
+KERNEL_OVERFLOW = ["density", "--q=0.99", "--kernel-r=0.9", "--grid=3"]
+GRIDS = st.one_of(st.integers(2, 40), st.sampled_from([0, 1, -5, 10 ** 12]))
+
+
+@st.composite
+def density_freeconv_or_zn_argv(draw):
+    """Numeric flags with q up to 0.99 and grids from a small valid range or the boundary."""
+    sub = draw(st.sampled_from(["density", "freeconv", "zn"]))
+    q = draw(st.floats(0, 0.99))
+    if sub == "density":
+        argv = ["density", f"--q={q!r}", f"--grid={draw(GRIDS)}"]
+        if draw(st.booleans()):
+            argv += [f"--kernel-r={draw(st.floats(0, 0.99))!r}",
+                     f"--kernel-x={draw(st.floats(-25, 25))!r}"]
+        return argv
+    if sub == "freeconv":
+        return ["freeconv", f"--r={draw(st.floats(0.01, 0.99))!r}",
+                f"--theta={draw(st.floats(-8, 8))!r}",
+                f"--grid={draw(st.one_of(st.integers(100, 300), GRIDS))}", "--summary", "SUMMARY"]
+    return ["zn", f"--n={draw(st.integers(1, 4))}", f"--beta={draw(st.floats(-50, 50))!r}",
+            f"--q={q!r}", f"--qtilde={draw(st.floats(0, 0.99))!r}"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(density_freeconv_or_zn_argv())
+@example(KERNEL_OVERFLOW)
+@example(["freeconv", "--r=0.25", "--theta=3.0", f"--grid={10 ** 12}", "--summary", "SUMMARY"])
+def test_density_freeconv_and_zn_keep_the_exit_code_contract(tmp_path, capsys, argv):
+    summary = tmp_path / "summary.json"
+    summary.unlink(missing_ok=True)
+    argv = [str(summary) if a == "SUMMARY" else a for a in argv] + ["--deterministic"]
+    code, out, err = run_cli(argv, capsys)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert all(math.isfinite(x) for x in _numbers(out))
+    if summary.exists():
+        json.loads(summary.read_text(),
+                   parse_constant=lambda token: pytest.fail(f"{token} in the summary"))
+
+
+def test_kernel_overflow_is_nonconvergence(capsys):
+    # the kernel terms at y = +-20 overflow a float; the settling test then passed on inf
+    code, out, err = run_cli(KERNEL_OVERFLOW + ["--deterministic"], capsys)
+    assert code == 3
+    assert out == "" and "overflows a float" in err
+
+
+@pytest.mark.parametrize("args,flag", [
+    pytest.param(["--n", "14", "--q", "1e400"], "--q", id="q-1e400"),
+    pytest.param(["--n", "3", "--q", "1/2", "--theta", "1e5000"], "--theta", id="theta-1e5000"),
+])
+def test_oversized_rational_names_the_flag(args, flag, capsys):
+    code, out, err = run_cli(["moments"] + args + ["--deterministic"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {flag} is too large")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_zn_overflow_is_nonconvergence(capsys):

@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
+from dssyklab import freeconv as fc
 from dssyklab import mixed as mx
 from dssyklab import moments as mo
 from dssyklab.qcore import MultiPoly
@@ -151,14 +156,36 @@ class TestFreeSide:
         assert len(parts) == 14
 
     def test_atom_cumulants(self):
-        assert mx._free_cumulant_for_atom(1) == THETA
-        for j in range(2, 7):
-            assert mx._free_cumulant_for_atom(j).is_zero()
+        # at r = 1 the atom part is delta_theta, whose only cumulant is theta,
+        # so the sum is the semicircle shifted by theta
+        catalan = [1, 1, 2, 5]
+        for n in range(1, 7):
+            shifted = sum((math.comb(n, 2 * k) * catalan[k] * THETA ** (n - 2 * k)
+                           for k in range(n // 2 + 1)), MultiPoly.zero())
+            assert mx.free_convolution_moment(n, 1) == shifted
 
     def test_moments_reassemble(self):
-        for n in (1, 2, 4, 6):
-            assert mx.free_moment_d(n) == THETA ** n
+        # the summed cumulants reassemble into the moments of the density
+        # that freeconv reconstructs by subordination
+        for theta in (1, 3):
+            res = fc.semicircle_plus_atomic(0.25, theta)
+            grid, density = res.measure.grid, res.measure.density
+            for n in range(1, 7):
+                exact = mx.free_convolution_moment(n, Fraction(1, 4)).substitute(theta=theta)
+                numeric = float(np.trapezoid(density * grid ** n, grid))
+                assert numeric == pytest.approx(float(exact.constant_value()), rel=1e-3), (theta, n)
+
+    def test_not_the_q0_limit(self):
+        # freeconv agrees with the q = 0 model only through n = 5
+        r, theta = Fraction(1, 4), 3
+        free = mx.free_convolution_moment(6, r).substitute(theta=theta)
+        model = mo.full_moment(6, r).substitute(q=0, qt=r, theta=theta)
+        assert free == Fraction(793, 2)
+        assert model == Fraction(25295, 64)
+        for n in range(1, 6):
+            assert mx.free_convolution_moment(n, r).substitute(theta=theta) == \
+                mo.full_moment(n, r).substitute(q=0, qt=r, theta=theta)
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            mx.free_moment_d(13)
+            mx.free_convolution_moment(13, Fraction(1, 4))

@@ -271,9 +271,3 @@ class TestHermiteExpansion:
     def test_trailing_zeros_trimmed(self):
         e = HermiteExpansion([MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero()])
         assert e.degree == 0
-
-    def test_basis_and_addition(self):
-        e = HermiteExpansion.basis(2) + HermiteExpansion.basis(0)
-        assert e.coefficient(2) == MultiPoly.one()
-        assert e.coefficient(0) == MultiPoly.one()
-        assert e.coefficient(1).is_zero()
