@@ -194,7 +194,7 @@ class TestOutlier:
         assert fc.outlier_location(1.0) is None
 
     def test_asymptote(self):
-        # the bisection on a cancelling resolvent was 23 off at theta = 1e6
+        # far from the bulk 1/G(E) - E cancels, so a root search on it loses digits
         assert fc.outlier_location(60.0) == pytest.approx(60.0 + 1 / 60.0, rel=1e-15)
         assert fc.outlier_location(1e6) == pytest.approx(1e6 + 1e-6, rel=1e-15)
 
