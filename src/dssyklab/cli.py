@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -70,12 +71,18 @@ def _csv(metadata: list[str], header: str, rows: list[str]) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _fraction(text: str) -> Fraction:
-    """A rational flag value; malformed or zero-denominator input is a ValueError."""
+def _fraction(text: str, flag: str) -> Fraction:
+    """The rational value of `flag`; malformed, zero-denominator or overlong
+    input is a ValueError."""
+    limit = sys.get_int_max_str_digits()  # 0 when unlimited
+    # a digit run past the int-parsing limit fails inside Fraction with a
+    # message about the interpreter; underscores separate digits, as in int()
+    if limit and any(len(run.replace("_", "")) > limit for run in re.findall(r"[\d_]+", text)):
+        raise ValueError(f"{flag} is too large to parse: a number in it passes {limit} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {flag} {text!r}") from None
 
 
 def _derive_q_qt(args) -> tuple[Fraction | None, Fraction | None, dict]:
@@ -90,14 +97,14 @@ def _derive_q_qt(args) -> tuple[Fraction | None, Fraction | None, dict]:
         q = edlab.qn_finite(args.p, args.N)
         qt = edlab.qtilde_weight(args.p, args.N, args.k) if args.k >= 1 else Fraction(1)
         return q, qt, {"derived_q": str(q), "derived_qtilde": str(qt)}
-    q = _fraction(args.q) if args.q is not None else None
-    qt = _fraction(args.qtilde) if args.qtilde is not None else None
+    q = _fraction(args.q, "--q") if args.q is not None else None
+    qt = _fraction(args.qtilde, "--qtilde") if args.qtilde is not None else None
     return q, qt, {}
 
 
 def _largest_rational_flag(args) -> str:
     """The --q/--qtilde/--theta input with the longest numerator or denominator."""
-    given = {flag: _fraction(text) for flag, text in
+    given = {flag: _fraction(text, flag) for flag, text in
              (("--q", args.q), ("--qtilde", args.qtilde), ("--theta", args.theta))
              if text is not None}
     if not given:
@@ -111,7 +118,7 @@ def run_moments(args) -> int:
     q, qt, note = _derive_q_qt(args)
     if args.symbolic and (q is not None or qt is not None or args.theta is not None):
         raise ValueError("--symbolic cannot be combined with numeric parameters")
-    theta = _fraction(args.theta) if args.theta is not None else None
+    theta = _fraction(args.theta, "--theta") if args.theta is not None else None
     try:
         table = moments.MomentTable.specialized(args.n, q=q, qt=qt, theta=theta)
         fully_numeric = all(v.is_constant() for v in table.values)

@@ -4,9 +4,11 @@ the constant diagonal defect, spectra and paired moment estimates.
 Majorana operators are tensor products of Pauli matrices, kept in
 symplectic form as an (x-mask, z-mask, phase) triple for phase * X^x Z^z,
 which maps |b> to phase * (-1)^popcount(z & b) |b XOR x>.  Products are bit
-operations, and a Hamiltonian with thousands of interaction terms assembles
-one x-mask group at a time.  The layout pairs sigma_y/sigma_z factors
-behind a sigma_x string:
+operations.  The terms sharing an x-mask fill one permutation pattern of H,
+and their entries there are a Walsh-Hadamard transform over z-masks, so a
+Hamiltonian with thousands of interaction terms assembles as one batched
+transform.  The layout pairs sigma_y/sigma_z factors behind a sigma_x
+string:
 
     psi_1    = X X ... X
     psi_2j   = X^(n-j) Y I^(j-1)      (n = N/2 qubits)
@@ -21,7 +23,9 @@ no top bit and commutes with the chirality.  H_random is therefore block
 diagonal in the top qubit: two chirality blocks of size 2^(N/2-1), which
 are assembled and diagonalized separately.  For k >= 1 the defect lies
 inside the top-bit-0 block, so the top-bit-1 block is the same with and
-without it and is diagonalized once per sample.
+without it and is diagonalized once per sample.  When N/2 is odd an
+antiunitary symmetry maps one block onto the other (`_mirror_sign`), and
+the top-bit-1 spectrum is read off the top-bit-0 one.
 """
 
 from __future__ import annotations
@@ -192,18 +196,37 @@ def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
 @lru_cache(maxsize=2)
 def _term_structure(N: int, p: int):
     """The C(N,p) interaction terms i^(p(p-1)/2) psi_i1 ... psi_ip grouped
-    by x-mask: (x, term indices in combinations order, z-masks, phases)."""
+    by x-mask: (the G distinct x-masks, and for each term in combinations
+    order its slot g * 2^(N/2) + z in a G x 2^(N/2) array and its phase)."""
     singles = _majorana_strings(N)
     prefactor = 1j ** (p * (p - 1) // 2)
-    groups: dict[int, list] = {}
-    for t, idx_set in enumerate(combinations(range(N), p)):
+    dim = 1 << (N // 2)
+    groups: dict[int, int] = {}
+    slots, phases = [], []
+    for idx_set in combinations(range(N), p):
         x, z, phase = _pauli_product(singles[i] for i in idx_set)
-        groups.setdefault(x, []).append((t, z, prefactor * phase))
-    structure = []
-    for x, members in groups.items():
-        terms, zs, phases = zip(*members)
-        structure.append((x, np.array(terms), np.array(zs), np.array(phases)))
-    return structure
+        slots.append(groups.setdefault(x, len(groups)) * dim + z)
+        phases.append(prefactor * phase)
+    return np.array(list(groups)), np.array(slots), np.array(phases)
+
+
+@lru_cache(maxsize=8)
+def _sylvester(n: int) -> np.ndarray:
+    """The 2^n x 2^n Sylvester-Hadamard matrix, entries (-1)^popcount(a & b)."""
+    idx = np.arange(1 << n)
+    return _parity_signs(n)[idx[:, None] & idx]
+
+
+def _hadamard_rows(flat: np.ndarray, n: int) -> np.ndarray:
+    """The rows of a flattened G x 2^n array, each times the Sylvester matrix
+    H_n = H_a (x) H_b with a = n // 2 high and b = n - a low bits: a row read
+    as a 2^a x 2^b matrix V becomes H_a V H_b.  These per-row products are
+    small enough that BLAS runs each on one thread, which was faster than
+    one (G 2^a) x 2^b product and left the buffers of other BLAS threads
+    untouched (a lower peak RSS)."""
+    a, b = n // 2, n - n // 2
+    g = flat.size >> n
+    return (_sylvester(a) @ flat.reshape(g, 1 << a, 1 << b) @ _sylvester(b)).reshape(g, 1 << n)
 
 
 def _h_blocks(params: ModelParams, rng: np.random.Generator) -> list[np.ndarray]:
@@ -211,25 +234,31 @@ def _h_blocks(params: ModelParams, rng: np.random.Generator) -> list[np.ndarray]
     chirality blocks: the top-qubit-0 block, then the top-qubit-1 block.
 
     Couplings are i.i.d. normal with variance 1/C(N,p), which normalizes
-    the trace of H^2 to one.  Each x-mask group fills one column-to-row
-    permutation inside both blocks.  Its rows are summed along axis 0,
-    a sequential reduction in combinations order, which keeps every entry
-    bit-identical to a term-by-term sum; a BLAS product would round
-    differently.
+    the trace of H^2 to one.  The x-mask group of x fills the entries
+    (b XOR x, b) with sum_t c_t phase_t (-1)^popcount(z_t & b): the
+    Walsh-Hadamard transform of the group's weights spread over z-masks.
+    The real and imaginary parts of the weights go through the real
+    transform separately, all groups in one batch.  Each group's row then
+    fills one column-to-row permutation inside both blocks.
     """
     N, p = params.N, params.p
     half = params.dim // 2
     n_terms = math.comb(N, p)
     couplings = rng.standard_normal(n_terms) / math.sqrt(n_terms)
+    xs, slots, phases = _term_structure(N, p)
+    weights = couplings * phases
+    spread = np.zeros(len(xs) * params.dim)
+    spread[slots] = weights.real
+    real = _hadamard_rows(spread, N // 2)
+    spread[slots] = weights.imag
+    imag = _hadamard_rows(spread, N // 2)
+    del spread
     blocks = [np.zeros((half, half), dtype=complex) for _ in range(2)]
     idx = np.arange(half)
-    states = np.arange(params.dim)
-    parity = _parity_signs(N // 2)
-    for x, terms, zs, phases in _term_structure(N, p):
-        signs = parity[zs[:, None] & states]
-        entries = ((couplings[terms] * phases)[:, None] * signs).sum(axis=0)
-        for block, part in zip(blocks, np.split(entries, 2)):
-            block[idx ^ x, idx] = part
+    for x, re, im in zip(xs, real, imag):
+        entries, rows = re + 1j * im, idx ^ x
+        for block, part in zip(blocks, (entries[:half], entries[half:])):
+            block[rows, idx] = part
     return blocks
 
 
@@ -345,23 +374,54 @@ def verify_dc_majorana_expansion(N: int, k: int) -> bool:
 # sampling and paired moment estimates
 # ---------------------------------------------------------------------------
 
-def _spectrum(blocks: list[np.ndarray], shift: np.ndarray, memo: dict) -> np.ndarray:
-    """Sorted eigenvalues of blockdiag(blocks) + diag(shift).
+def _mirror_sign(N: int, p: int) -> int:
+    """sigma with spec(B1 + c) = sigma * spec(B0 + sigma * c) for every real
+    constant c when N/2 is odd, or 0 when N/2 is even.
+
+    For n = N/2 odd let S = X^x Z^z with x = sum over even j < n of 2^j,
+    whose top bit n - 1 is even and so set, and z = 2^(n-1) - 1.  Then
+    S conj(psi_l) S^dagger = psi_l for every Majorana, so S conj(H) S^dagger
+    = sigma H with sigma = conj(i^(p(p-1)/2)) / i^(p(p-1)/2)
+    = (-1)^(p(p-1)/2) for real couplings.  S flips the top qubit and maps
+    block 0 onto block 1, which makes sigma * (B1 + c) unitarily equivalent
+    to conj(B0 + sigma * c).
+    """
+    if N // 2 % 2 == 0:
+        return 0
+    return (-1) ** (p * (p - 1) // 2)
+
+
+def _block_spectra(blocks: list[np.ndarray], shift: np.ndarray, memo: dict,
+                   sigma: int) -> list[np.ndarray]:
+    """Eigenvalues of each chirality block plus its slice of diag(shift).
 
     `memo` maps (block, shift slice) to that block's eigenvalues, so a block
     whose slice repeats within one sample, such as a defect-free block, is
-    diagonalized once.
+    diagonalized once.  With sigma = `_mirror_sign(N, p)` nonzero and block
+    1's slice a constant c, block 1's spectrum is sigma * spec(B0 + sigma c)
+    taken from block 0's entry: the same array when sigma = +1, negated (so
+    descending) when sigma = -1.
     """
-    parts = []
-    for i, (block, part) in enumerate(zip(blocks, np.split(shift, 2))):
-        key = (i, part.tobytes())
+    def eig(i: int, part: np.ndarray) -> np.ndarray:
+        key = (i, (part + 0.0).tobytes())  # + 0.0 maps -0.0 onto the key of 0.0
         if key not in memo:
+            block = blocks[i]
             if part.any():
                 block = block.copy()
                 block[np.diag_indices_from(block)] += part
             memo[key] = np.linalg.eigvalsh(block)
-        parts.append(memo[key])
-    return np.sort(np.concatenate(parts))
+        return memo[key]
+
+    low, high = np.split(shift, 2)
+    if sigma and (high == high[0]).all():
+        mirrored = eig(0, sigma * high)
+        return [eig(0, low), mirrored if sigma > 0 else -mirrored]
+    return [eig(0, low), eig(1, high)]
+
+
+def _spectrum(blocks: list[np.ndarray], shift: np.ndarray, memo: dict, sigma: int) -> np.ndarray:
+    """Sorted eigenvalues of blockdiag(blocks) + diag(shift); see `_block_spectra`."""
+    return np.sort(np.concatenate(_block_spectra(blocks, shift, memo, sigma)))
 
 
 def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
@@ -371,8 +431,9 @@ def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
     stream regardless of how many samples are requested.
     """
     defect = params.theta * _defect_diagonal(params.N, params.k)
-    return [SpectrumSample(_spectrum(_h_blocks(params, sample_rng(params.seed, s)), defect, {}),
-                           params, s)
+    sigma = _mirror_sign(params.N, params.p)
+    return [SpectrumSample(_spectrum(_h_blocks(params, sample_rng(params.seed, s)), defect, {},
+                                     sigma), params, s)
             for s in range(params.samples)]
 
 
@@ -390,12 +451,13 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
         raise ValueError("paired moments need samples >= 2 for a standard error")
     r = params.r
     defect = params.theta * _defect_diagonal(params.N, params.k)
+    sigma = _mirror_sign(params.N, params.p)
     per_sample = np.zeros((params.samples, max_n))
     for s in range(params.samples):
         blocks = _h_blocks(params, sample_rng(params.seed, s))
         memo: dict = {}
-        eig_syk = _spectrum(blocks, np.zeros_like(defect), memo)
-        eig_full = _spectrum(blocks, defect, memo)
+        eig_syk = _spectrum(blocks, np.zeros_like(defect), memo, sigma)
+        eig_full = _spectrum(blocks, defect, memo, sigma)
         for n in range(1, max_n + 1):
             full = np.mean(eig_full ** n)
             syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
@@ -494,18 +556,23 @@ def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = No
     """Gap statistics over a (theta, k) grid of pooled sampled spectra.
 
     Each sample's chirality blocks are built once and shared by every grid
-    point; a block the defect misses is diagonalized once per sample.
+    point; a block the defect misses is diagonalized once per sample.  Where
+    block 1's spectrum is block 0's own (N/2 odd, sigma = +1, both slices
+    the same constant), each level is pooled once: its exact double would
+    make the median spacing zero.
     """
     ks = ks if ks is not None else [base.k]
     grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=k, seed=base.seed,
                         samples=base.samples) for k in ks for theta in thetas]
     defects = [params.theta * _defect_diagonal(params.N, params.k) for params in grid]
+    sigma = _mirror_sign(base.N, base.p)
     pooled: list[list[np.ndarray]] = [[] for _ in grid]
     for s in range(base.samples):
         blocks = _h_blocks(base, sample_rng(base.seed, s))
         memo: dict = {}
         for defect, spectra in zip(defects, pooled):
-            spectra.append(_spectrum(blocks, defect, memo))
+            low, high = _block_spectra(blocks, defect, memo, sigma)
+            spectra += [low] if high is low else [low, high]
     rows = []
     for params, spectra in zip(grid, pooled):
         report = spectral_gap_report(np.concatenate(spectra))

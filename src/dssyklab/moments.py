@@ -379,8 +379,9 @@ def z_n(n: int, beta: float, q: float, qt: float) -> float:
 
     def value(panels: int) -> float:
         quad = qhermite.QGaussianQuadrature(q, panels=panels)
-        y = np.exp(-beta * quad.nodes) * coherent_state_factor(quad.nodes, q, qt)
-        return float(np.sum(quad.weights * y ** n))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            y = np.exp(-beta * quad.nodes) * coherent_state_factor(quad.nodes, q, qt)
+            return float(np.sum(quad.weights * y ** n))
 
     coarse, fine = value(64), value(128)
     if not math.isfinite(fine):

@@ -261,6 +261,9 @@ def conditional_kernel(x: float, y: float, r: float, q: float, truncation: int =
         raise ValueError("kernel arguments must lie inside the support")
     if r == 0.0:
         return 1.0
+    # Python floats overflow to inf silently, where numpy scalars from a grid
+    # would warn; the finiteness check below reports the overflow
+    x, y, r, q = float(x), float(y), float(r), float(q)
     total = 0.0
     hx_prev, hx = 0.0, 1.0  # H_{-1}, H_0 at x
     hy_prev, hy = 0.0, 1.0

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -432,12 +433,29 @@ def test_kernel_overflow_is_nonconvergence(capsys):
 @pytest.mark.parametrize("args,flag", [
     pytest.param(["--n", "14", "--q", "1e400"], "--q", id="q-1e400"),
     pytest.param(["--n", "3", "--q", "1/2", "--theta", "1e5000"], "--theta", id="theta-1e5000"),
+    pytest.param(["--n", "2", "--q", "1" + "0" * 5000], "--q", id="q-5001-digits"),
+    pytest.param(["--n", "2", "--q", "1/2", "--qtilde", "1/" + "1_0" * 3000], "--qtilde",
+                 id="qtilde-6000-digits-underscored"),
 ])
 def test_oversized_rational_names_the_flag(args, flag, capsys):
     code, out, err = run_cli(["moments"] + args + ["--deterministic"], capsys)
     assert code == 2
     assert out == "" and err.startswith(f"error: {flag} is too large")
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(KERNEL_OVERFLOW, id="density-kernel"),
+    pytest.param(["zn", "--n", "1", "--beta", "1000", "--q", "0.5", "--qtilde", "0.25"], id="zn"),
+])
+def test_overflow_emits_no_runtime_warning(argv, capsys):
+    # the overflow is reported by exit 3, not by numpy on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(argv + ["--deterministic"], capsys)
+    assert code == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "Warning" not in err
 
 
 def test_zn_overflow_is_nonconvergence(capsys):

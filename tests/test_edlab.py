@@ -136,7 +136,102 @@ class TestChiralityBlocks:
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_x_masks_leave_top_qubit_alone(self, N, p):
         top = 1 << (N // 2 - 1)
-        assert all(x & top == 0 for x, *_ in ed._term_structure(N, p))
+        xs, _, _ = ed._term_structure(N, p)
+        assert all(x & top == 0 for x in xs)
+
+
+def _sign_matrix_blocks(params, rng):
+    """The chirality blocks summed one x-mask group at a time: each group's
+    terms expanded into a dense +-1 sign matrix over basis states and summed
+    along axis 0.  Oracle for the Walsh-Hadamard assembly of `_h_blocks`."""
+    N, p = params.N, params.p
+    half = params.dim // 2
+    n_terms = math.comb(N, p)
+    couplings = rng.standard_normal(n_terms) / math.sqrt(n_terms)
+    singles = ed._majorana_strings(N)
+    groups = {}
+    for t, idx_set in enumerate(combinations(range(N), p)):
+        x, z, phase = ed._pauli_product(singles[i] for i in idx_set)
+        groups.setdefault(x, []).append((t, z, 1j ** (p * (p - 1) // 2) * phase))
+    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2)]
+    idx = np.arange(half)
+    states = np.arange(params.dim)
+    parity = ed._parity_signs(N // 2)
+    for x, members in groups.items():
+        terms, zs, phases = map(np.array, zip(*members))
+        signs = parity[zs[:, None] & states]
+        entries = ((couplings[terms] * phases)[:, None] * signs).sum(axis=0)
+        for block, part in zip(blocks, np.split(entries, 2)):
+            block[idx ^ x, idx] = part
+    return blocks
+
+
+class TestHadamardAssembly:
+    @pytest.mark.parametrize("N", [14, 16, 20])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_matches_sign_matrix_assembly(self, N, p):
+        params = ed.ModelParams(N=N, p=p, seed=29)
+        got = ed._h_blocks(params, ed.sample_rng(29, 0))
+        want = _sign_matrix_blocks(params, ed.sample_rng(29, 0))
+        for block, oracle in zip(got, want):
+            assert np.abs(block - oracle).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5])
+    def test_hadamard_rows_match_sylvester(self, n):
+        rows = np.random.default_rng(n).standard_normal((3, 1 << n))
+        got = ed._hadamard_rows(rows.reshape(-1), n)
+        assert np.abs(got - rows @ ed._sylvester(n)).max() < 1e-12
+
+
+class TestBlockMirror:
+    """At N/2 odd, S = X^x Z^z with x = sum_(j even) 2^j, z = 2^(N/2-1) - 1
+    fixes every Majorana under S conj(.) S^dagger and maps block 0 onto
+    block 1 up to the sign (-1)^(p(p-1)/2)."""
+
+    @staticmethod
+    def _s_matrix(N):
+        n = N // 2
+        x = sum(1 << j for j in range(0, n, 2))
+        return ed._pauli_matrix((x, (1 << (n - 1)) - 1, 1), n)
+
+    @pytest.mark.parametrize("N", [2, 6, 10, 14])
+    def test_s_fixes_every_majorana(self, N):
+        S = self._s_matrix(N)
+        for l in range(1, N + 1):
+            psi = ed.majorana(l, N)
+            assert np.abs(S @ psi.conj() @ S.conj().T - psi).max() < 1e-13
+
+    @pytest.mark.parametrize("N,p", [(N, p) for N in (2, 6, 10, 14) for p in (2, 4, 6) if p <= N])
+    def test_conjugation_maps_block0_onto_block1(self, N, p):
+        params = ed.ModelParams(N=N, p=p, seed=31)
+        b0, b1 = ed._h_blocks(params, ed.sample_rng(31, 0))
+        half = params.dim // 2
+        S10 = self._s_matrix(N)[half:, :half]  # S flips the top qubit
+        sigma = (-1) ** (p * (p - 1) // 2)
+        assert ed._mirror_sign(N, p) == sigma
+        assert np.abs(S10 @ b0.conj() @ S10.conj().T - sigma * b1).max() < 1e-14
+
+    @pytest.mark.parametrize("N,p,k,fn,calls", [
+        (14, 4, 0, "sample", 1), (14, 4, 2, "paired", 2),
+        (14, 6, 2, "paired", 2),  # sigma = -1: the mirrored slice -0.0 must hit the 0.0 entry
+        (12, 4, 0, "sample", 2), (12, 4, 2, "paired", 3),
+    ])
+    def test_eigvalsh_calls_per_sample(self, N, p, k, fn, calls, monkeypatch):
+        count = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            count.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(ed.np.linalg, "eigvalsh", counted)
+        params = ed.ModelParams(N=N, p=p, theta=2.0, k=k, seed=3, samples=3)
+        if fn == "sample":
+            ed.sample_spectra(params)
+        else:
+            ed.paired_reduced_moments(params, 4)
+        assert len(count) == calls * params.samples
+        assert set(count) == {(params.dim // 2, params.dim // 2)}
 
 
 def _paired_full_matrix_oracle(params, max_n):
@@ -168,7 +263,31 @@ class TestBlockSpectraOracle:
             oracle = np.linalg.eigvalsh(H + theta * ed.build_dc(N, k))
             assert np.abs(sample.eigenvalues - oracle).max() < 1e-12
 
-    @pytest.mark.parametrize("N", [10, 12])
+    @pytest.mark.parametrize("N", [10, 14])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("theta", [0.0, 3.0])
+    def test_mirrored_spectra_match_full_matrix(self, N, p, k, theta):
+        # N/2 odd: block 1's spectrum comes from block 0's
+        params = ed.ModelParams(N=N, p=p, theta=theta, k=k, seed=23, samples=2)
+        for sample in ed.sample_spectra(params):
+            H = ed.build_h_syk(params, ed.sample_rng(23, sample.sample_index))
+            oracle = np.linalg.eigvalsh(H + theta * ed.build_dc(N, k))
+            assert np.abs(sample.eigenvalues - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("N", [10, 14])
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_uneven_shift_on_block1_is_diagonalized(self, N, p):
+        # the mirror needs a constant shift on block 1; any other shift is
+        # diagonalized directly
+        params = ed.ModelParams(N=N, p=p, seed=41)
+        blocks = ed._h_blocks(params, ed.sample_rng(41, 0))
+        shift = np.linspace(-1.0, 2.0, params.dim)
+        got = ed._spectrum(blocks, shift, {}, ed._mirror_sign(N, p))
+        H = ed.build_h_syk(params, ed.sample_rng(41, 0))
+        assert np.abs(got - np.linalg.eigvalsh(H + np.diag(shift))).max() < 1e-12
+
+    @pytest.mark.parametrize("N", [10, 12, 14])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_paired_moments_match_full_matrix(self, N, k):
         params = ed.ModelParams(N=N, p=4, theta=2.5, k=k, seed=17, samples=4)
@@ -178,17 +297,24 @@ class TestBlockSpectraOracle:
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_phase_scan_matches_per_point_spectra(self):
-        base = ed.ModelParams(N=12, p=4, seed=5, samples=4)
         thetas = [0.0, 1.0, 5.0]
-        rows = ed.phase_scan(base, thetas, ks=[0, 2])
-        reference = []
-        for k in (0, 2):
-            for theta in thetas:
-                params = ed.ModelParams(N=12, p=4, theta=theta, k=k, seed=5, samples=4)
-                pooled = np.concatenate([s.eigenvalues for s in ed.sample_spectra(params)])
-                reference.append({"theta": theta, "k": k, "samples": 4,
-                                  **ed.spectral_gap_report(pooled)})
-        assert rows == reference
+        for N in (12, 14):
+            base = ed.ModelParams(N=N, p=4, seed=5, samples=4)
+            rows = ed.phase_scan(base, thetas, ks=[0, 2])
+            reference = []
+            for k in (0, 2):
+                for theta in thetas:
+                    params = ed.ModelParams(N=N, p=4, theta=theta, k=k, seed=5, samples=4)
+                    spectra = [s.eigenvalues for s in ed.sample_spectra(params)]
+                    if N == 14 and (k == 0 or theta == 0.0):
+                        # N/2 odd, p = 4: the blocks are isospectral and both
+                        # carry the same constant shift, so every level is
+                        # exactly doubled; the scan pools each level once
+                        assert all(np.array_equal(e[::2], e[1::2]) for e in spectra)
+                        spectra = [e[::2] for e in spectra]
+                    reference.append({"theta": theta, "k": k, "samples": 4,
+                                      **ed.spectral_gap_report(np.concatenate(spectra))})
+            assert rows == reference
 
 
 class TestSampling:
