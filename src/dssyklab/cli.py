@@ -195,9 +195,10 @@ def run_compare(args) -> int:
                              .evaluate(theta=args.theta))
         except OverflowError:
             analytic = math.inf
-        dev = means[n - 1] - analytic
-        scale = max(errs[n - 1], 1e-12 * max(1.0, abs(analytic)))
-        z = dev / scale
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are reported below
+            dev = means[n - 1] - analytic
+            scale = max(errs[n - 1], 1e-12 * max(1.0, abs(analytic)))
+            z = dev / scale
         if not all(map(math.isfinite, (analytic, means[n - 1], errs[n - 1], z))):
             raise ConvergenceError(f"order {n} overflows a float at theta={args.theta}")
         if n <= 6 and abs(z) > ZSCORE_GUARD:
@@ -224,13 +225,13 @@ def run_density(args) -> int:
         x0 = args.kernel_x
         R = qhermite.support_radius(args.q)
         ys = np.linspace(-R, R, args.grid)
-        rows = [f"{_fmt(x0)},{_fmt(y)},{_fmt(qhermite.conditional_kernel(x0, y, r, args.q))}"
-                for y in ys]
+        values = qhermite.conditional_kernel(x0, ys, r, args.q)
+        rows = [f"{_fmt(x0)},{_fmt(y)},{_fmt(v)}" for y, v in zip(ys, values)]
         _write(args, _csv(_metadata_lines(args), "x,y,value", rows))
         return EXIT_OK
     R = qhermite.support_radius(args.q)
     xs = np.linspace(-R, R, args.grid)
-    rows = [f"{_fmt(x)},{_fmt(qhermite.nu_q_density(x, args.q))}" for x in xs]
+    rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, qhermite.nu_q_density(xs, args.q))]
     _write(args, _csv(_metadata_lines(args), "x,value", rows))
     return EXIT_OK
 
@@ -240,7 +241,7 @@ def run_freeconv(args) -> int:
     result = freeconv.semicircle_plus_atomic(args.r, args.theta, args.grid)
     rows = [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(result.measure.grid, result.measure.density)]
     _write(args, _csv(_metadata_lines(args), "x,density", rows))
-    prediction = freeconv.outlier_location(args.theta) if args.theta > 0 else None
+    prediction = freeconv.outlier_location(args.theta)
     summary = {
         "support_intervals": [[a, b] for a, b in result.support_intervals],
         "outliers": [],

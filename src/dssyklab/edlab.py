@@ -453,17 +453,19 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
     defect = params.theta * _defect_diagonal(params.N, params.k)
     sigma = _mirror_sign(params.N, params.p)
     per_sample = np.zeros((params.samples, max_n))
-    for s in range(params.samples):
-        blocks = _h_blocks(params, sample_rng(params.seed, s))
-        memo: dict = {}
-        eig_syk = _spectrum(blocks, np.zeros_like(defect), memo, sigma)
-        eig_full = _spectrum(blocks, defect, memo, sigma)
-        for n in range(1, max_n + 1):
-            full = np.mean(eig_full ** n)
-            syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
-            per_sample[s, n - 1] = (full - syk) / r
-    means = per_sample.mean(axis=0)
-    stderr = per_sample.std(axis=0, ddof=1) / math.sqrt(params.samples)
+    # a huge theta overflows the moments to inf/nan; the caller reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(params.samples):
+            blocks = _h_blocks(params, sample_rng(params.seed, s))
+            memo: dict = {}
+            eig_syk = _spectrum(blocks, np.zeros_like(defect), memo, sigma)
+            eig_full = _spectrum(blocks, defect, memo, sigma)
+            for n in range(1, max_n + 1):
+                full = np.mean(eig_full ** n)
+                syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
+                per_sample[s, n - 1] = (full - syk) / r
+        means = per_sample.mean(axis=0)
+        stderr = per_sample.std(axis=0, ddof=1) / math.sqrt(params.samples)
     return list(means), list(stderr)
 
 

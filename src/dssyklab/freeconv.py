@@ -184,13 +184,12 @@ def outlier_location(theta: float) -> float | None:
     """Detached-eigenvalue prediction for a vanishing atom fraction.
 
     The outlier E solves 1/G(E) = theta with G the semicircle resolvent,
-    which gives E = theta + 1/theta when theta > 1 (Benaych-Georges and
-    Nadakuditi, arXiv:0910.2120); for 0 < theta <= 1 no outlier detaches
-    and the result is None.
+    which gives E = theta + 1/theta when |theta| > 1 (Benaych-Georges and
+    Nadakuditi, arXiv:0910.2120).  The semicircle is symmetric, so the map
+    is odd in theta: a negative theta detaches the outlier below the bulk.
+    For |theta| <= 1 no outlier detaches and the result is None.
     """
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if theta <= 1.0:
+    if abs(theta) <= 1.0:
         return None
     return theta + 1.0 / theta
 

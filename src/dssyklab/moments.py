@@ -314,13 +314,21 @@ def qtilde_limit_check(n: int, which: int) -> MultiPoly:
 # numeric layer: continued fraction and the n-boundary partition function
 # ---------------------------------------------------------------------------
 
-def _b_fraction_once(z: float, x0: float, q: float, qt: float, depth: int, theta: float) -> float:
+@lru_cache(maxsize=64)
+def _b_levels(q: float, qt: float, depth: int) -> tuple[tuple[int, float, float], ...]:
+    """The levels (j, sqrt(qt) q^j, (1 - qt q^j)[j+1]_q) for j = depth .. 0.
+
+    They depend on neither z nor x0, so a sweep over a grid builds them once.
+    """
     sq = math.sqrt(qt)
+    return tuple((j, sq * q ** j, (1.0 - qt * q ** j) * (1.0 - q ** (j + 1)) / (1.0 - q))
+                 for j in range(depth, -1, -1))
+
+
+def _b_fraction_once(z: float, x0: float, levels, theta: float) -> float:
     g = 0.0
-    for j in range(depth, -1, -1):
-        diag = sq * q ** j * x0
-        off = (1.0 - qt * q ** j) * (1.0 - q ** (j + 1)) / (1.0 - q)
-        denom = 1.0 - diag * z - off * z * z * g
+    for j, sq_qj, off in levels:
+        denom = 1.0 - sq_qj * x0 * z - off * z * z * g
         if denom == 0.0:
             raise ConvergenceError(f"continued fraction hit a pole at level {j}")
         g = 1.0 / denom
@@ -332,8 +340,9 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float,
     """Continued-fraction evaluation of the interval generating function B.
 
     Level j has diagonal sqrt(qt) q^j x0 and off-diagonal weight
-    (1 - qt q^j)[j+1]_q; convergence is checked by comparing two truncation
-    depths.  theta enters as an overall linear factor.
+    (1 - qt q^j)[j+1]_q; the level table is cached per (q, qt, depth).
+    Convergence is checked by comparing the full depth with the same table
+    cut five levels shorter.  theta enters as an overall linear factor.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("need 0 <= q < 1")
@@ -341,8 +350,9 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float,
         raise ValueError("need 0 <= qt <= 1")
     if depth < 20:
         raise ValueError("depth must be at least 20")
-    deep = _b_fraction_once(z, x0, q, qt, depth, theta)
-    shallow = _b_fraction_once(z, x0, q, qt, depth - 5, theta)
+    levels = _b_levels(float(q), float(qt), depth)
+    deep = _b_fraction_once(z, x0, levels, theta)
+    shallow = _b_fraction_once(z, x0, levels[5:], theta)
     if abs(deep - shallow) > 1e-12 * max(1.0, abs(deep)):
         raise ConvergenceError(
             f"continued fraction not settled at depth {depth}: |delta|={abs(deep - shallow):.3e}")

@@ -208,27 +208,33 @@ def quadrature(q: float) -> QGaussianQuadrature:
     return QGaussianQuadrature(q)
 
 
-def nu_q_density(x: float, q: float) -> float:
+def nu_q_density(x, q: float):
     """Density of the q-Gaussian measure at x for 0 <= q <= 0.99.
 
-    The infinite product is truncated at default_truncation(q) factors and
-    the result is renormalized by the quadrature mass so the measure
-    integrates to one.  At q = 0 this collapses to the semicircle
-    sqrt(4 - x^2)/(2 pi).
+    x may be a scalar or an array; a scalar gives a float.  The infinite
+    product is truncated at default_truncation(q) factors, each applied to
+    the whole grid at once, and the result is renormalized by the
+    quadrature mass so the measure integrates to one.  At q = 0 this
+    collapses to the semicircle sqrt(4 - x^2)/(2 pi).
     """
     if not 0.0 <= q <= Q_NUMERIC_MAX:
         raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
+    xs = np.asarray(x, dtype=float)
     R = support_radius(q)
-    if abs(x) > R * (1 + 1e-12):
-        raise ValueError(f"x={x} outside the support [-{R}, {R}]")
-    arg = min(1.0, max(-1.0, x * math.sqrt(1.0 - q) / 2.0))
-    theta = math.acos(arg)
-    dens = (math.sqrt(1.0 - q) / math.pi) * math.sin(theta)
-    cos2t = math.cos(2.0 * theta)
+    outside = np.flatnonzero(~(np.abs(xs) <= R * (1 + 1e-12)))  # NaN is outside too
+    if outside.size:
+        raise ValueError(f"x={float(xs.flat[outside[0]])} outside the support [-{R}, {R}]")
+    mass = quadrature(q)._raw_mass
+    arg = np.clip(xs.ravel() * math.sqrt(1.0 - q) / 2.0, -1.0, 1.0)
+    # math, not numpy: numpy's acos/sin/cos differ from libm in the last bit
+    theta = np.fromiter(map(math.acos, arg), float, arg.size)
+    dens = (math.sqrt(1.0 - q) / math.pi) * np.fromiter(map(math.sin, theta), float, arg.size)
+    cos2t = np.fromiter((math.cos(2.0 * t) for t in theta), float, arg.size)
     for k in range(1, default_truncation(q) + 1):
         qk = q ** k
         dens *= (1.0 - qk) * (1.0 - 2.0 * qk * cos2t + qk * qk)
-    return dens / quadrature(q)._raw_mass
+    dens = (dens / mass).reshape(xs.shape)
+    return float(dens) if dens.ndim == 0 else dens
 
 
 def hermite_values(n_max: int, x, q: float):
@@ -244,48 +250,64 @@ def hermite_values(n_max: int, x, q: float):
     return values
 
 
-def conditional_kernel(x: float, y: float, r: float, q: float, truncation: int = 200) -> float:
+def conditional_kernel(x: float, y, r: float, q: float, truncation: int = 200):
     """Conditional q-normal kernel p_r(x,y) = sum_n r^n H_n(x) H_n(y) / [n]_q!.
 
-    Direct summation with a settling guard: the partial sums must become
-    stationary (three consecutive negligible terms) within the truncation
-    budget, otherwise a ConvergenceError is raised.  p_r(x,.) integrates to
-    one against the q-Gaussian measure.
+    y may be a scalar or an array; a scalar gives a float.  The x-side
+    factors r^n H_n(x) and [n]_q! run once for the whole grid, and each y
+    lane sums its own terms.  Direct summation with a settling guard: a
+    lane's partial sum must become stationary (three consecutive negligible
+    terms) within the truncation budget, and then it is frozen; a lane that
+    overflows or never settles raises a ConvergenceError naming the first
+    such y in grid order.  p_r(x,.) integrates to one against the
+    q-Gaussian measure.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("need 0 <= q < 1")
     if not 0.0 <= r < 1.0:
         raise ValueError("need 0 <= r < 1")
+    ys = np.asarray(y, dtype=float)
     R = support_radius(q)
-    if not (abs(x) <= R * (1 + 1e-12) and abs(y) <= R * (1 + 1e-12)):  # NaN fails too
+    if not (abs(x) <= R * (1 + 1e-12) and np.all(np.abs(ys) <= R * (1 + 1e-12))):  # NaN fails too
         raise ValueError("kernel arguments must lie inside the support")
-    if r == 0.0:
-        return 1.0
-    # Python floats overflow to inf silently, where numpy scalars from a grid
-    # would warn; the finiteness check below reports the overflow
-    x, y, r, q = float(x), float(y), float(r), float(q)
-    total = 0.0
-    hx_prev, hx = 0.0, 1.0  # H_{-1}, H_0 at x
-    hy_prev, hy = 0.0, 1.0
+    x, r, q = float(x), float(r), float(q)
+    flat = ys.ravel()
+    out = np.empty_like(flat)
+    failure = np.zeros(flat.size, dtype=np.int8)  # 1: overflow, 2: did not settle
+    lanes = np.arange(flat.size)  # the lanes still summing, in grid order
+    yl, total, settled = flat, np.zeros_like(flat), np.zeros(flat.size, dtype=int)
+    hy_prev, hy = np.zeros_like(flat), np.ones_like(flat)  # H_{-1}, H_0 at each y
+    hx_prev, hx = 0.0, 1.0
     rn = 1.0      # r^n
     fact = 1.0    # [n]_q!
-    settled = 0
-    for n in range(truncation + 1):
-        term = rn * hx * hy / fact
-        total += term
-        if not math.isfinite(total):  # a non-finite term leaves the total non-finite too
-            raise ConvergenceError(
-                f"kernel sum overflows a float at (x={x}, y={y}, r={r}, q={q})")
-        if abs(term) <= 1e-14 * max(1.0, abs(total)):
-            settled += 1
-            if settled >= 3:
-                return total
-        else:
-            settled = 0
-        qn = (1.0 - q ** n) / (1.0 - q)          # [n]_q
-        hx, hx_prev = x * hx - qn * hx_prev, hx  # H_{n+1} = x H_n - [n]_q H_{n-1}
-        hy, hy_prev = y * hy - qn * hy_prev, hy
-        rn *= r
-        fact *= (1.0 - q ** (n + 1)) / (1.0 - q)
-    raise ConvergenceError(
-        f"kernel sum did not settle within {truncation} terms at (x={x}, y={y}, r={r}, q={q})")
+    # a lane that overflows leaves inf/nan behind; the failure report names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(truncation + 1):
+            term = rn * hx * hy / fact
+            total += term
+            settled = (settled + 1) * (np.abs(term) <= 1e-14 * np.maximum(1.0, np.abs(total)))
+            finite = np.isfinite(total)
+            keep = finite & (settled < 3)
+            if not keep.all():
+                done = finite & ~keep
+                out[lanes[done]] = total[done]
+                failure[lanes[~finite]] = 1
+                lanes, yl, total, settled, hy, hy_prev = (
+                    a[keep] for a in (lanes, yl, total, settled, hy, hy_prev))
+                if not lanes.size:
+                    break
+            qn = (1.0 - q ** n) / (1.0 - q)          # [n]_q
+            hx, hx_prev = x * hx - qn * hx_prev, hx  # H_{n+1} = x H_n - [n]_q H_{n-1}
+            hy, hy_prev = yl * hy - qn * hy_prev, hy
+            rn *= r
+            fact *= (1.0 - q ** (n + 1)) / (1.0 - q)
+    failure[lanes] = 2
+    failed = np.flatnonzero(failure)
+    if failed.size:
+        i = failed[0]
+        where = f"(x={x}, y={float(flat[i])}, r={r}, q={q})"
+        if failure[i] == 1:
+            raise ConvergenceError(f"kernel sum overflows a float at {where}")
+        raise ConvergenceError(f"kernel sum did not settle within {truncation} terms at {where}")
+    out = out.reshape(ys.shape)
+    return float(out) if out.ndim == 0 else out

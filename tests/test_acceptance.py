@@ -111,7 +111,7 @@ def test_criterion_6_kernel_quadrature_suite():
             assert quad.moment(2 * k) == pytest.approx(rt, abs=1e-7), (q, k)
     q, r, x0 = 0.5, 0.6, 0.7
     quad = qh.quadrature(q)
-    kernel_vals = np.array([qh.conditional_kernel(x0, y, r, q) for y in quad.nodes])
+    kernel_vals = qh.conditional_kernel(x0, quad.nodes, r, q)
     assert float(np.sum(quad.weights * kernel_vals)) == pytest.approx(1.0, abs=1e-8)
     h2 = qh.hermite_values(2, quad.nodes, q)[2]
     lhs = float(np.sum(quad.weights * h2 * kernel_vals))

@@ -181,6 +181,14 @@ class TestFreeconvCommand:
         assert summary["total_mass"] == pytest.approx(1.0, abs=1e-4)
         assert summary["small_r_outlier_prediction"] == pytest.approx(3 + 1 / 3, abs=1e-6)
 
+    def test_negative_theta_outlier_below_the_bulk(self, tmp_path, capsys):
+        summary = tmp_path / "fc.json"
+        code, _, _ = run_cli(["freeconv", "--r", "0.25", "--theta", "-3", "--grid", "200",
+                              "--summary", str(summary), "--deterministic"], capsys)
+        assert code == 0
+        prediction = json.loads(summary.read_text())["small_r_outlier_prediction"]
+        assert prediction == -3.3333333333333335
+
     def test_validation(self, capsys):
         code, _, _ = run_cli(["freeconv", "--r", "1.5", "--theta", "1"], capsys)
         assert code == 2
@@ -427,7 +435,9 @@ def test_kernel_overflow_is_nonconvergence(capsys):
     # the kernel terms at y = +-20 overflow a float; the settling test then passed on inf
     code, out, err = run_cli(KERNEL_OVERFLOW + ["--deterministic"], capsys)
     assert code == 3
-    assert out == "" and "overflows a float" in err
+    # the first y of the grid, -R, is the first lane that overflows
+    assert out == "" and err == ("non-convergence: kernel sum overflows a float at "
+                                 "(x=0.0, y=-19.99999999999999, r=0.9, q=0.99)\n")
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -447,6 +457,10 @@ def test_oversized_rational_names_the_flag(args, flag, capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(KERNEL_OVERFLOW, id="density-kernel"),
     pytest.param(["zn", "--n", "1", "--beta", "1000", "--q", "0.5", "--qtilde", "0.25"], id="zn"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e30", "--samples", "2",
+                  "--n-max", "6"], id="compare-1e30"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e60", "--samples", "2",
+                  "--n-max", "6"], id="compare-1e60"),
 ])
 def test_overflow_emits_no_runtime_warning(argv, capsys):
     # the overflow is reported by exit 3, not by numpy on stderr

@@ -203,11 +203,14 @@ class TestOutlier:
         for theta in (1.5, 2.0, 3.0):
             assert abs(fc.resolvent(semi, fc.outlier_location(theta)) - 1 / theta) < 1e-5
 
-    def test_theta_positive_required(self):
-        with pytest.raises(ValueError):
-            fc.outlier_location(-1.0)
-        with pytest.raises(ValueError):
-            fc.outlier_location(0.0)
+    def test_odd_in_theta(self):
+        # the mirrored measure has the mirrored outlier, below the bulk
+        assert fc.outlier_location(-1.0) is None
+        assert fc.outlier_location(0.0) is None
+        assert fc.outlier_location(-0.5) is None
+        for theta in (1.5, 3.0, 60.0):
+            assert fc.outlier_location(-theta) == -fc.outlier_location(theta)
+        assert fc.outlier_location(-3.0) == pytest.approx(-10 / 3, rel=1e-15)
 
 
 class TestMonteCarlo:

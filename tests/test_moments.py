@@ -167,10 +167,73 @@ class TestContinuedFraction:
         with pytest.raises(ValueError):
             mo.b_continued_fraction(0.05, 0.3, 0.5, 0.25, depth=5)
 
+    def test_pole_guard(self):
+        # level 60 at x0 = 2^60: denom = 1 - sqrt(qt) q^60 x0 z = 1 - 1 = 0
+        with pytest.raises(ConvergenceError, match="hit a pole at level 60"):
+            mo.b_continued_fraction(1.0, 2.0 ** 60, 0.5, 1.0)
+
+    def test_rejected_call_leaves_level_cache_alone(self):
+        mo.b_continued_fraction(0.05, 0.3, 0.5, 0.25)
+        before = mo._b_levels.cache_info()
+        for args in ((0.05, 0.3, 1.0, 0.25), (0.05, 0.3, 0.5, 1.5),
+                     (0.05, 0.3, 0.5, 0.25, 5), (0.05, 0.3, -0.1, 0.25)):
+            with pytest.raises(ValueError):
+                mo.b_continued_fraction(*args)
+        assert mo._b_levels.cache_info() == before
+
+    def test_levels_are_shared_across_points(self):
+        mo.b_continued_fraction(0.05, 0.3, 0.45, 0.2)
+        before = mo._b_levels.cache_info()
+        for z in (-0.2, 0.0, 0.1):
+            for x0 in (-1.0, 1.0):
+                mo.b_continued_fraction(z, x0, 0.45, 0.2)
+        after = mo._b_levels.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (6, 0)
+
+    @pytest.mark.parametrize("q,qt", [(0.5, 0.25), (0.9, 0.7)])
+    def test_matches_per_point_oracle(self, q, qt):
+        # the z grid of the benchmark sweep, 2001 points in [-0.25, 0.25]
+        zs = [-0.25 + 0.5 * i / 2000 for i in range(2001)]
+        for z in zs:
+            for x0 in (-1.0, 0.0, 1.0):
+                assert (_outcome(mo.b_continued_fraction, z, x0, q, qt)
+                        == _outcome(_b_continued_fraction_per_level, z, x0, q, qt))
+
     def test_bseries_coefficients(self):
         bs = mo.BSeries.build(4)
         assert bs.coeffs[1].coefficient(0) == MultiPoly.theta()
         assert bs.coeffs[0].degree == -1  # empty z^0 entry
+
+
+def _b_fraction_per_level(z, x0, q, qt, depth, theta):
+    sq = math.sqrt(qt)
+    g = 0.0
+    for j in range(depth, -1, -1):
+        diag = sq * q ** j * x0
+        off = (1.0 - qt * q ** j) * (1.0 - q ** (j + 1)) / (1.0 - q)
+        denom = 1.0 - diag * z - off * z * z * g
+        if denom == 0.0:
+            raise ConvergenceError(f"continued fraction hit a pole at level {j}")
+        g = 1.0 / denom
+    return theta * z * g
+
+
+def _b_continued_fraction_per_level(z, x0, q, qt, depth=60, theta=1.0):
+    """The continued fraction with every level rebuilt per call, as before
+    the level table was cached; the oracle of `b_continued_fraction`."""
+    deep = _b_fraction_per_level(z, x0, q, qt, depth, theta)
+    shallow = _b_fraction_per_level(z, x0, q, qt, depth - 5, theta)
+    if abs(deep - shallow) > 1e-12 * max(1.0, abs(deep)):
+        raise ConvergenceError(
+            f"continued fraction not settled at depth {depth}: |delta|={abs(deep - shallow):.3e}")
+    return deep
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ConvergenceError as exc:
+        return str(exc)
 
 
 class TestPartitionFunction:

@@ -173,6 +173,10 @@ class TestQuadratureAndDensity:
     def test_outside_support_rejected(self):
         with pytest.raises(ValueError):
             qh.nu_q_density(2.1, 0.0)
+        with pytest.raises(ValueError, match="x=nan outside"):
+            qh.nu_q_density(math.nan, 0.5)
+        with pytest.raises(ValueError, match="x=-3.0 outside"):
+            qh.nu_q_density(np.array([0.0, -3.0, 3.0]), 0.0)
 
     def test_q_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -201,7 +205,7 @@ class TestQuadratureAndDensity:
         q = 0.5
         R = qh.support_radius(q)
         xs = np.linspace(-R, R, 20001)
-        rho = np.array([qh.nu_q_density(x, q) for x in xs])
+        rho = qh.nu_q_density(xs, q)
         second = np.trapezoid(xs ** 2 * rho, xs)
         assert second == pytest.approx(1.0, abs=1e-5)
 
@@ -226,16 +230,14 @@ class TestConditionalKernel:
     def test_normalization(self):
         q, r, x0 = 0.5, 0.6, 0.7
         quad = qh.quadrature(q)
-        total = sum(w * qh.conditional_kernel(x0, y, r, q)
-                    for y, w in zip(quad.nodes, quad.weights))
+        total = float(np.sum(quad.weights * qh.conditional_kernel(x0, quad.nodes, r, q)))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_hermite_eigenrelation(self):
         q, r, x0 = 0.5, 0.6, 0.7
         quad = qh.quadrature(q)
         h2 = qh.hermite_values(2, quad.nodes, q)[2]
-        val = sum(w * h * qh.conditional_kernel(x0, y, r, q)
-                  for y, w, h in zip(quad.nodes, quad.weights, h2))
+        val = float(np.sum(quad.weights * h2 * qh.conditional_kernel(x0, quad.nodes, r, q)))
         target = r ** 2 * float(qh.hermite_values(2, np.array(x0), q)[2])
         assert val == pytest.approx(target, abs=1e-6)
 
@@ -246,5 +248,119 @@ class TestConditionalKernel:
             qh.conditional_kernel(10.0, 0.0, 0.5, 0.5)
 
     def test_settling_guard(self):
-        with pytest.raises(qh.ConvergenceError):
+        with pytest.raises(qh.ConvergenceError, match="did not settle within 3 terms"):
             qh.conditional_kernel(1.0, 1.0, 0.9, 0.5, truncation=3)
+
+    def test_scalar_gives_float_and_array_keeps_shape(self):
+        assert type(qh.conditional_kernel(0.7, 0.2, 0.6, 0.5)) is float
+        grid = np.array([[0.2, -0.4], [1.0, 0.0]])
+        values = qh.conditional_kernel(0.7, grid, 0.6, 0.5)
+        assert values.shape == grid.shape
+        assert values[1, 0] == qh.conditional_kernel(0.7, 1.0, 0.6, 0.5)
+
+    def test_out_of_support_lane_is_rejected(self):
+        with pytest.raises(ValueError, match="inside the support"):
+            qh.conditional_kernel(0.0, np.array([0.0, 3.0, 0.5]), 0.5, 0.5)
+        with pytest.raises(ValueError, match="inside the support"):
+            qh.conditional_kernel(0.0, np.array([0.0, np.nan]), 0.5, 0.5)
+
+    def test_first_failing_lane_in_grid_order_is_named(self):
+        # at q = 0.99 the lane y = 20 overflows at n = 156, before y = 10 does
+        # at n = 186, but y = 10 comes first in the grid
+        with pytest.raises(qh.ConvergenceError,
+                           match=r"overflows a float at \(x=0.0, y=10.0, r=0.9, q=0.99\)"):
+            qh.conditional_kernel(0.0, np.array([0.0, 10.0, 20.0]), 0.9, 0.99)
+        # y = 0.5 has not settled by n = 170, after y = 20 overflowed
+        with pytest.raises(qh.ConvergenceError,
+                           match=r"did not settle within 170 terms at \(x=0.0, y=0.5, "):
+            qh.conditional_kernel(0.0, np.array([1.0, 0.5, 20.0]), 0.9, 0.99, truncation=170)
+
+
+# ---------------------------------------------------------------------------
+# per-point oracles for the grid-at-once numeric kernels
+# ---------------------------------------------------------------------------
+
+def _density_per_point(x, q):
+    """The per-point density loop that `nu_q_density` replaced; its oracle."""
+    R = qh.support_radius(q)
+    if abs(x) > R * (1 + 1e-12):
+        raise ValueError(f"x={x} outside the support [-{R}, {R}]")
+    arg = min(1.0, max(-1.0, x * math.sqrt(1.0 - q) / 2.0))
+    theta = math.acos(arg)
+    dens = (math.sqrt(1.0 - q) / math.pi) * math.sin(theta)
+    cos2t = math.cos(2.0 * theta)
+    for k in range(1, qh.default_truncation(q) + 1):
+        qk = q ** k
+        dens *= (1.0 - qk) * (1.0 - 2.0 * qk * cos2t + qk * qk)
+    return dens / qh.quadrature(q)._raw_mass
+
+
+def _kernel_per_point(x, y, r, q, truncation=200):
+    """The per-point kernel loop that `conditional_kernel` replaced; its oracle."""
+    if r == 0.0:
+        return 1.0
+    x, y, r, q = float(x), float(y), float(r), float(q)
+    total = 0.0
+    hx_prev, hx = 0.0, 1.0
+    hy_prev, hy = 0.0, 1.0
+    rn = 1.0
+    fact = 1.0
+    settled = 0
+    for n in range(truncation + 1):
+        term = rn * hx * hy / fact
+        total += term
+        if not math.isfinite(total):
+            raise qh.ConvergenceError(
+                f"kernel sum overflows a float at (x={x}, y={y}, r={r}, q={q})")
+        if abs(term) <= 1e-14 * max(1.0, abs(total)):
+            settled += 1
+            if settled >= 3:
+                return total
+        else:
+            settled = 0
+        qn = (1.0 - q ** n) / (1.0 - q)
+        hx, hx_prev = x * hx - qn * hx_prev, hx
+        hy, hy_prev = y * hy - qn * hy_prev, hy
+        rn *= r
+        fact *= (1.0 - q ** (n + 1)) / (1.0 - q)
+    raise qh.ConvergenceError(
+        f"kernel sum did not settle within {truncation} terms at (x={x}, y={y}, r={r}, q={q})")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except qh.ConvergenceError as exc:
+        return str(exc)
+
+
+class TestGridKernelsMatchPerPointOracles:
+    """The array kernels keep each point's float operation order, so they
+    equal the per-point loops bit for bit, not just approximately."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99])
+    def test_density(self, q):
+        R = qh.support_radius(q)
+        xs = np.linspace(-R, R, 2000)
+        values = qh.nu_q_density(xs, q)
+        assert values.tolist() == [_density_per_point(x, q) for x in xs]
+        assert qh.nu_q_density(xs[123], q) == values[123]
+
+    @pytest.mark.parametrize("q,r,x0", [(0.0, 0.3, 0.0), (0.5, 0.6, 0.7), (0.9, 0.8, -1.0)])
+    def test_kernel(self, q, r, x0):
+        R = qh.support_radius(q)
+        ys = np.linspace(-R, R, 401)
+        expected = [_outcome(_kernel_per_point, x0, y, r, q) for y in ys]
+        failures = [e for e in expected if isinstance(e, str)]
+        result = _outcome(qh.conditional_kernel, x0, ys, r, q)
+        if failures:  # (0.9, 0.8, -1): the support edges do not settle within 200 terms
+            assert result == failures[0]  # the per-point loop's first failure
+        else:
+            assert result.tolist() == expected
+        settled = [i for i, e in enumerate(expected) if not isinstance(e, str)]
+        assert qh.conditional_kernel(x0, ys[settled], r, q).tolist() == [
+            expected[i] for i in settled]
+
+    def test_memoryless_grid(self):
+        ys = np.linspace(-2.0, 2.0, 9)
+        assert qh.conditional_kernel(0.4, ys, 0.0, 0.5).tolist() == [1.0] * 9
