@@ -31,6 +31,8 @@ EXIT_GUARD = 4
 
 ZSCORE_GUARD = 5.0
 MAX_GRID = 10 ** 6  # cap on --grid and --bins: every row or bin is held in memory
+# the message of the ValueError that str(int) raises past sys.get_int_max_str_digits()
+INT_DIGITS_ERROR = "for integer string conversion"
 
 
 def _fmt(x: float) -> str:
@@ -123,7 +125,10 @@ def run_moments(args) -> int:
         table = moments.MomentTable.specialized(args.n, q=q, qt=qt, theta=theta)
         fully_numeric = all(v.is_constant() for v in table.values)
         payload = None if fully_numeric and not args.symbolic else table.to_json_obj()
-    except ValueError:  # an exact value has more digits than an int may print
+    except ValueError as exc:
+        if INT_DIGITS_ERROR not in str(exc):
+            raise
+        # an exact value has more digits than an int may print
         raise ValueError(
             f"{_largest_rational_flag(args)} is too large for an exact table at --n {args.n}: "
             f"a value passes {sys.get_int_max_str_digits()} digits") from None
@@ -187,12 +192,12 @@ def run_compare(args) -> int:
     if args.k == 3:
         note["qtilde_main_text"] = str(edlab.qtilde_weight_main_text(args.p, args.N, args.k))
     means, errs = edlab.paired_reduced_moments(params, args.n_max)
+    table = moments.MomentTable.specialized(args.n_max, q=q, qt=qt)
     rows = []
     guard_trip = False
     for n in range(1, args.n_max + 1):
         try:
-            analytic = float(moments.reduced_moment(n).substitute(q=q, qt=qt)
-                             .evaluate(theta=args.theta))
+            analytic = float(table.moment(n).evaluate(theta=args.theta))
         except OverflowError:
             analytic = math.inf
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are reported below

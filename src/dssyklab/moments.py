@@ -1,14 +1,20 @@
 """Reduced moments of the constant-perturbed double-scaled model.
 
-Two independent exact routes to m_n are provided: the direct combinatorial
-sum over interval compositions (`reduced_moment`) and the extraction from
-the cyclic generating function log 1/(1-B) (`reduced_moment_gf`).  Both
-return identical polynomials in (q, qt, theta).
+Three independent exact routes to m_n return identical polynomials in
+(q, qt, theta):
 
-Half-integer powers of qt appear in intermediate quantities because every
-unpaired chord is marked with sqrt(qt) before the inter-interval pairing.
-Internally the qt exponent therefore counts *half* powers; the doubled
-bookkeeping is collapsed (and integrality asserted) at the very end.
+* the two-stack chord walk on dense int64 arrays (`reduced_moment`), the
+  production route, up to order `MAX_MOMENT_ORDER`;
+* the direct combinatorial sum over interval compositions
+  (`reduced_moment_compositions`), an oracle;
+* the extraction from the cyclic generating function log 1/(1-B)
+  (`reduced_moment_gf`), an oracle.
+
+The oracles stop at `ORACLE_MAX_ORDER`, and neither is built on the walk.
+Half-integer powers of qt appear in their intermediate quantities because
+every unpaired chord is marked with sqrt(qt) before the inter-interval
+pairing.  Internally their qt exponent therefore counts *half* powers; the
+doubled bookkeeping is collapsed (and integrality asserted) at the very end.
 """
 
 from __future__ import annotations
@@ -25,8 +31,145 @@ from . import qhermite
 from .qcore import HermiteExpansion, MultiPoly
 from .qhermite import ConvergenceError, linearization, monomial_to_hermite, rt_moment
 
-MAX_MOMENT_ORDER = 14
+MAX_MOMENT_ORDER = 30
+ORACLE_MAX_ORDER = 14  # the composition, generating-function and Boolean oracles
+WALK_TOTAL_LIMIT = 2 ** 61  # a walk state's coefficient sum; see `walk_vacua`
 
+
+def _check_order(n: int, cap: int):
+    if n < 1:
+        raise ValueError("moment order must be positive")
+    if n > cap:
+        raise ValueError(f"moment order capped at {cap}")
+
+
+# ---------------------------------------------------------------------------
+# production route: the two-stack chord walk
+# ---------------------------------------------------------------------------
+
+def q_power_bound(n: int) -> int:
+    """The largest q power in any state of the walk to n: C(floor((n-1)/2), 2)."""
+    return math.comb((n - 1) // 2, 2)
+
+
+def walk_vacua(n: int) -> list[MultiPoly]:
+    """m_1 .. m_n from one two-stack chord walk to n.
+
+    Each cyclic word over {x, d} with j >= 1 letters d is rotated to start
+    with d.  The walk state is (a, b): a chords opened before the last wall
+    ("passed"), b opened after it ("unpassed").  An x opens a chord,
+    (a, b) -> (a, b+1), with weight 1; closes an unpassed chord,
+    (a, b) -> (a, b-1), with weight [b]_q; or closes a passed chord,
+    (a, b) -> (a-1, b), with weight qt q^b [a]_q.  A d is a wall,
+    (a, b) -> (a+b, 0), with weight theta.  After t letters the vacuum
+    (0, 0) holds the words of length t that start with d, and
+    m_t = sum_j (t/j) [theta^j] <0|walk|0>.
+
+    Every state holds one int64 array indexed by (theta power, qt power,
+    q power).  A step moves a + b by at most one, so a state with
+    a + b > n - t after t letters never returns to the vacuum by letter n:
+    it is dropped, and one walk gives the exact m_1 .. m_n.
+
+    The q axis stops at `q_power_bound(n)`, and nothing is cut off.  A kept
+    state after t letters closes within t + a + b <= n letters, the first of
+    them a d, so the o chords it has opened satisfy 2 o <= n - 1.  Each q
+    counts one crossing pair of these chords (a close crosses some of the
+    open chords opened after it, each pair at most once), so the q power is
+    at most C(o, 2).  Every weight is positive, so no term cancels, and a
+    shifted term past the axis would be a term of a kept state above the
+    bound.  The qt power counts closed chords, at most o; the theta power
+    counts letters d, at most t.
+
+    Overflow guard: the coefficient sum of a state is its value at
+    q = qt = theta = 1, computed exactly from the step weights.  Each step
+    checks that every new sum stays below `WALK_TOTAL_LIMIT` = 2^61; every
+    partial value of a step is at most twice such a sum, so int64 holds.
+    """
+    _check_order(n, MAX_MOMENT_ORDER)
+    chords = (n - 1) // 2
+    width = q_power_bound(n) + 1
+    start = np.zeros((2, chords + 1, width), dtype=np.int64)
+    start[1, 0, 0] = 1  # the leading d
+    states = {(0, 0): (start, 1)}
+    vacua = [_cyclic_moment(1, start)]
+    for t in range(2, n + 1):
+        room = n - t
+        arrays: dict[tuple[int, int], np.ndarray] = {}
+        sums: dict[tuple[int, int], int] = {}
+
+        def target(key, weight, total):
+            sums[key] = sums.get(key, 0) + weight * total
+            arr = arrays.get(key)
+            if arr is None:
+                arr = arrays[key] = np.zeros((t + 1, chords + 1, width), dtype=np.int64)
+            return arr
+
+        for (a, b), (v, total) in states.items():
+            if a + b + 1 <= room:  # x opens a chord
+                target((a, b + 1), 1, total)[:t] += v
+            if a + b <= room:  # d, a wall
+                target((a + b, 0), 1, total)[1:t + 1] += v
+            if a + b:
+                # [k]_q v = c - q^k c with c the running sum of v along q
+                c = np.cumsum(v, axis=2)
+            if b:  # x closes an unpassed chord: [b]_q
+                w = target((a, b - 1), b, total)[:t]
+                w += c
+                if b < width:
+                    w[:, :, b:] -= c[:, :, :width - b]
+            if a:  # x closes a passed chord: qt q^b [a]_q
+                w = target((a - 1, b), a, total)[:t]
+                if b < width:
+                    w[:, 1:, b:] += c[:, :-1, :width - b]
+                if a + b < width:
+                    w[:, 1:, a + b:] -= c[:, :-1, :width - a - b]
+        worst = max(sums.values())
+        if worst >= WALK_TOTAL_LIMIT:
+            raise ValueError(f"chord walk to order {n} outgrows int64: a state sums to {worst} "
+                             f"at letter {t}")
+        states = {key: (arr, sums[key]) for key, arr in arrays.items()}
+        vacua.append(_cyclic_moment(t, states[(0, 0)][0]))
+    return vacua
+
+
+def _cyclic_moment(t: int, vacuum: np.ndarray) -> MultiPoly:
+    """m_t from the vacuum array after t letters: [theta^j] times t/j.
+
+    A word of length t with j letters d has j rotations that start with d,
+    so t/j times the d-first sum is the sum over all words, and every
+    coefficient is an integer.  Terms are inserted by descending theta
+    power, the order of the composition route, so a float evaluation sums
+    in the same order.
+    """
+    js, qts, qs = np.nonzero(vacuum)
+    terms = {}
+    for j, b, a, x in reversed(list(zip(js.tolist(), qts.tolist(), qs.tolist(),
+                                        vacuum[js, qts, qs].tolist()))):
+        m, rest = divmod(t * x, j)
+        if rest:
+            raise AssertionError(f"m_{t} has a non-integral coefficient at q^{a} qt^{b} theta^{j}")
+        terms[(a, b, j)] = m
+    return MultiPoly(terms)
+
+
+_VACUA: dict[int, MultiPoly] = {}  # m_n from every walk so far
+
+
+def reduced_moment(n: int) -> MultiPoly:
+    """Exact reduced moment m_n as a polynomial in (q, qt, theta).
+
+    A cache miss walks to n (`walk_vacua`) and keeps m_1 .. m_n, so a table
+    asks for its highest order first and reads the rest from that walk.
+    """
+    _check_order(n, MAX_MOMENT_ORDER)
+    if n not in _VACUA:
+        _VACUA.update(enumerate(walk_vacua(n), start=1))
+    return _VACUA[n]
+
+
+# ---------------------------------------------------------------------------
+# composition route
+# ---------------------------------------------------------------------------
 
 def _halve_qt(poly: MultiPoly) -> MultiPoly:
     """Collapse the doubled qt bookkeeping; every exponent must be even."""
@@ -44,7 +187,8 @@ def conditional_moment_expansion(k: int) -> HermiteExpansion:
 
     The coefficient of H_{k-2m} is c_{m,k} * qt^{(k-2m)/2}; since MultiPoly
     exponents are integers, the qt exponent stored here counts half powers
-    (qt_pow = k-2m means qt to the (k-2m)/2).
+    (qt_pow = k-2m means qt to the (k-2m)/2).  It serves the composition
+    and generating-function oracles only.
     """
     if k < 0:
         raise ValueError("order must be nonnegative")
@@ -66,7 +210,8 @@ def _compositions(total: int, parts: int):
 @lru_cache(maxsize=None)
 def _block_vacuum(comp: tuple[int, ...]) -> MultiPoly:
     """Vacuum expectation of prod_i b_{k_i}: per-interval contractions times
-    the inter-interval linearization.  qt exponents in half units."""
+    the inter-interval linearization.  qt exponents in half units.  It
+    serves the composition oracle only."""
     options = []
     for k in comp:
         exp = conditional_moment_expansion(k)
@@ -85,12 +230,15 @@ def _block_vacuum(comp: tuple[int, ...]) -> MultiPoly:
     return total
 
 
-def _reduced_moment_half(n: int) -> MultiPoly:
-    """m_n with qt exponents still in half units (they are all even)."""
-    if n < 1:
-        raise ValueError("moment order must be positive")
-    if n > MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order capped at {MAX_MOMENT_ORDER}")
+def reduced_moment_compositions(n: int) -> MultiPoly:
+    """m_n by the direct route: sum over the number 2j of random nodes, over
+    interval counts l and ordered compositions (k_1..k_l) of 2j, with the
+    cyclic factor n/(n-2j), the slot choice C(n-2j, l), per-interval
+    contraction coefficients and the inter-interval linearization.
+
+    Oracle for `reduced_moment`.
+    """
+    _check_order(n, ORACLE_MAX_ORDER)
     total = MultiPoly.monomial(theta_pow=n)  # j = 0: bare theta^n
     for j in range(1, (n - 1) // 2 + 1):
         blocks = n - 2 * j
@@ -102,19 +250,7 @@ def _reduced_moment_half(n: int) -> MultiPoly:
             for comp in _compositions(2 * j, l):
                 acc = acc + _block_vacuum(tuple(sorted(comp)))
             total = total + (cyclic * slot_choice) * theta_factor * acc
-    return total
-
-
-@lru_cache(maxsize=None)
-def reduced_moment(n: int) -> MultiPoly:
-    """Exact reduced moment m_n as a polynomial in (q, qt, theta).
-
-    Direct route: sum over the number 2j of random nodes, over interval
-    counts l and ordered compositions (k_1..k_l) of 2j, with the cyclic
-    factor n/(n-2j), the slot choice C(n-2j, l), per-interval contraction
-    coefficients and the inter-interval linearization.
-    """
-    return _halve_qt(_reduced_moment_half(n))
+    return _halve_qt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +326,7 @@ def reduced_moment_gf(n: int) -> MultiPoly:
 
     Oracle for `reduced_moment`.
     """
-    if n < 1:
-        raise ValueError("moment order must be positive")
-    if n > MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order capped at {MAX_MOMENT_ORDER}")
+    _check_order(n, ORACLE_MAX_ORDER)
     bseries = BSeries.build(n)
     b_terms = [dict() for _ in range(n + 1)]
     for p in range(1, n + 1):
@@ -260,10 +393,7 @@ def boolean_moment_c1(n: int) -> MultiPoly:
     weights and the cyclic prefactor; coincides with reduced_moment at
     qt = 0.
     """
-    if n < 1:
-        raise ValueError("moment order must be positive")
-    if n > MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order capped at {MAX_MOMENT_ORDER}")
+    _check_order(n, ORACLE_MAX_ORDER)
     total = MultiPoly.monomial(theta_pow=n)
     for j in range(1, (n - 1) // 2 + 1):
         blocks = n - 2 * j
@@ -289,7 +419,8 @@ def qtilde_limit_check(n: int, which: int) -> MultiPoly:
     corresponding independent formula (Boolean at 0, binomial shift at 1).
 
     Returns the specialized polynomial; raises ValueError with a diagnostic
-    on inconsistency.
+    on inconsistency.  The Boolean side stops at `ORACLE_MAX_ORDER`, the
+    binomial shift at `MAX_MOMENT_ORDER`.
     """
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
@@ -415,14 +546,15 @@ class MomentTable:
 
     @classmethod
     def symbolic(cls, max_n: int) -> "MomentTable":
-        vals = [reduced_moment(n) for n in range(1, max_n + 1)]
-        return cls(max_n, vals, {"q": "symbolic", "qt": "symbolic", "theta": "symbolic"})
+        return cls.specialized(max_n)
 
     @classmethod
     def specialized(cls, max_n: int, q=None, qt=None, theta=None) -> "MomentTable":
         note = {"q": "symbolic" if q is None else str(Fraction(q)),
                 "qt": "symbolic" if qt is None else str(Fraction(qt)),
                 "theta": "symbolic" if theta is None else str(Fraction(theta))}
+        if max_n >= 1:
+            reduced_moment(max_n)  # one walk for the whole table
         vals = [reduced_moment(n).substitute(q=q, qt=qt, theta=theta)
                 for n in range(1, max_n + 1)]
         return cls(max_n, vals, note)

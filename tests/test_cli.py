@@ -49,8 +49,24 @@ class TestMomentsCommand:
         assert code == 2
 
     def test_over_cap(self, capsys):
-        code, _, _ = run_cli(["moments", "--n", "15", "--symbolic"], capsys)
+        code, _, _ = run_cli(["moments", "--n", "31", "--symbolic"], capsys)
         assert code == 2
+
+    def test_at_cap(self, capsys):
+        code, out, _ = run_cli(["moments", "--n", "30", "--q", "1/2", "--qtilde", "1/4",
+                                "--theta", "3", "--deterministic"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if line[0].isdigit()]
+        assert [int(n) for n, _ in rows] == list(range(1, 31))
+        assert all(math.isfinite(float(v)) and float(v) > 0 for _, v in rows)
+
+    def test_other_table_errors_are_not_reported_as_too_large(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("something else went wrong")
+        monkeypatch.setattr(MomentTable, "specialized", fail)
+        code, out, err = run_cli(["moments", "--n", "4", "--q", "1/2"], capsys)
+        assert code == 2
+        assert out == "" and err == "error: something else went wrong\n"
 
     def test_partially_symbolic_falls_back_to_json(self, capsys):
         code, out, _ = run_cli(["moments", "--n", "4", "--theta", "2", "--deterministic"], capsys)
@@ -252,7 +268,7 @@ class TestZnCommand:
                  "--n-max must lie", id="compare-n-max-negative"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--n-max", "0"],
                  "--n-max must lie", id="compare-n-max-0"),
-    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--n-max", "15"],
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--n-max", "31"],
                  "--n-max must lie", id="compare-n-max-above-order-cap"),
     pytest.param(["ed", "--N", "4", "--samples", "5", "--phase-thetas", "1"], "too degenerate",
                  id="ed-phase-scan-degenerate"),
@@ -343,7 +359,7 @@ FINITE_SIZE = {"--N": st.sampled_from([26, 8, 12, 4, 10 ** 6]), "--p": st.sample
                "--k": st.sampled_from([1, 2, 3, 0])}
 FINITE_SIZE_INVALID = {"--N": st.sampled_from([0, 3, -4]), "--p": st.sampled_from([0, 3, -2, 40]),
                        "--k": st.sampled_from([-1, 30])}
-MOMENTS_INVALID = {**FINITE_SIZE_INVALID, "--n": st.sampled_from([0, 15, -3]),
+MOMENTS_INVALID = {**FINITE_SIZE_INVALID, "--n": st.sampled_from([0, 31, -3]),
                    "--q": BAD_RATIONALS, "--qtilde": BAD_RATIONALS, "--theta": BAD_RATIONALS}
 
 

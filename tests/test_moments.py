@@ -72,14 +72,111 @@ class TestReducedMoment:
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            mo.reduced_moment(15)
+            mo.reduced_moment(mo.MAX_MOMENT_ORDER + 1)
         with pytest.raises(ValueError):
             mo.reduced_moment(0)
 
 
+def _grow(v, q=0, qt=0, theta=0, shape=None):
+    """v shifted by the given powers into a zero array of `shape` (default: just big enough)."""
+    if shape is None:
+        shape = (v.shape[0] + q, v.shape[1] + qt, v.shape[2] + theta)
+    out = np.zeros(shape, dtype=object)
+    out[q:q + v.shape[0], qt:qt + v.shape[1], theta:theta + v.shape[2]] = v
+    return out
+
+
+def _object_walk(n):
+    """The two-stack walk to n on object arrays that grow to fit every term.
+
+    [k]_q is applied as k shifted copies and nothing is ever cut off, so
+    this checks the int64 walk's fixed axes.  Returns m_1 .. m_n and, per
+    letter t and state (a, b), the largest q power held.
+    """
+    def add(states, key, w):
+        old = states.get(key)
+        if old is not None:
+            if old.shape != w.shape:
+                old = _grow(old, shape=tuple(np.maximum(old.shape, w.shape)))
+            old[:w.shape[0], :w.shape[1], :w.shape[2]] += w
+            w = old
+        states[key] = w
+
+    start = np.zeros((1, 1, 2), dtype=object)
+    start[0, 0, 1] = 1  # the leading d
+    states, vacua, top_q = {(0, 0): start}, [], {}
+    for t in range(1, n + 1):
+        if t > 1:
+            new = {}
+            for (a, b), v in states.items():
+                if a + b + 1 <= n - t:
+                    add(new, (a, b + 1), v.copy())
+                if a + b <= n - t:
+                    add(new, (a + b, 0), _grow(v, theta=1))
+                for s in range(b):
+                    add(new, (a, b - 1), _grow(v, q=s))
+                for s in range(a):
+                    add(new, (a - 1, b), _grow(v, q=b + s, qt=1))
+            states = new
+        for key, v in states.items():
+            top_q[(t,) + key] = max(np.nonzero(v)[0])
+        vac = states[(0, 0)]
+        vacua.append(MultiPoly({(a, b, j): Fraction(t * vac[a, b, j], j)
+                                for a, b, j in zip(*np.nonzero(vac))}))
+    return vacua, top_q
+
+
+class TestChordWalk:
+    def test_equals_composition_oracle_through_18(self, monkeypatch):
+        # the oracle's own cap keeps callers off its slow enumeration; this
+        # cross-check lifts it on purpose (about 0.4 s through n = 18)
+        monkeypatch.setattr(mo, "ORACLE_MAX_ORDER", 18)
+        vacua = mo.walk_vacua(18)
+        for n in range(1, 19):
+            assert vacua[n - 1] == mo.reduced_moment_compositions(n), f"routes differ at n={n}"
+            assert mo.walk_vacua(n) == vacua[:n], f"the walk sized for n={n} differs"
+
+    def test_q_axis_bound_against_untruncated_walk(self):
+        vacua, top_q = _object_walk(20)
+        # a state after t letters closes within t + a + b letters
+        for (t, a, b), top in top_q.items():
+            assert top <= mo.q_power_bound(t + a + b), f"state {(a, b)} after {t} letters"
+        assert max(top_q.values()) == mo.q_power_bound(20)  # the bound is attained
+        for n in range(1, 21):
+            assert mo.walk_vacua(n) == vacua[:n], f"int64 walk differs at n={n}"
+
+    def test_q_power_bound_values(self):
+        assert [mo.q_power_bound(n) for n in (14, 20, 26, 30)] == [15, 36, 66, 91]
+
+    def test_qt_one_binomial_shift_through_cap(self):
+        # also shows that the int64 guard holds at the cap
+        mo.reduced_moment(mo.MAX_MOMENT_ORDER)  # one walk fills every order
+        for n in range(1, mo.MAX_MOMENT_ORDER + 1):
+            mo.qtilde_limit_check(n, 1)
+
+    def test_int64_guard(self, monkeypatch):
+        monkeypatch.setattr(mo, "WALK_TOTAL_LIMIT", 10 ** 6)
+        with pytest.raises(ValueError, match="chord walk to order 16 outgrows int64"):
+            mo.walk_vacua(16)
+
+    def test_one_walk_fills_the_table(self, monkeypatch):
+        calls = []
+        walk = mo.walk_vacua
+        monkeypatch.setattr(mo, "walk_vacua", lambda n: calls.append(n) or walk(n))
+        monkeypatch.setattr(mo, "_VACUA", {})
+        mo.MomentTable.specialized(9, q=Fraction(1, 2))
+        assert calls == [9]
+
+
+class TestCompositionOracle:
+    def test_cap(self):
+        with pytest.raises(ValueError, match="capped at 14"):
+            mo.reduced_moment_compositions(mo.ORACLE_MAX_ORDER + 1)
+
+
 class TestGeneratingFunctionRoute:
     def test_identical_polynomials(self):
-        for n in range(1, mo.MAX_MOMENT_ORDER + 1):
+        for n in range(1, mo.ORACLE_MAX_ORDER + 1):
             assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
 
     def test_m1_is_theta(self):
