@@ -1,10 +1,13 @@
-"""Brute-force combinatorial oracles on chord diagrams.
+"""Chord diagrams: the matching kernel and the brute-force oracles.
 
-Everything here exists for correctness, not speed: partitions and matchings
-are enumerated explicitly (with deliberate scale caps) so the closed-form
-machinery elsewhere can be checked against direct counting.  The chord
-transfer matrix lives here too, as the oracle for `qhermite.rt_moment`,
-which reads the same moments off the Hermite walk.
+`matching_counts` is the one kernel that counts perfect matchings of
+labelled points on a line by their crossings and their chords between
+different labels; `mixed.mixed_moment` and the chord-enumeration oracles
+read it.  Everything else here exists for correctness, not speed:
+partitions and matchings are enumerated explicitly (with deliberate scale
+caps) so the closed-form machinery elsewhere can be checked against direct
+counting.  The chord transfer matrix lives here too, as the oracle for
+`qhermite.rt_moment`, which reads the same moments off the Hermite walk.
 """
 
 from __future__ import annotations
@@ -79,11 +82,33 @@ def singleton_depths(pairs, singletons) -> int:
     return sum(1 for s in singletons for (a, b) in pairs if a < s < b)
 
 
-def _stats(blocks) -> MatchingStats:
-    part = SetPartition.from_blocks(blocks)
-    pairs = part.pairs()
-    singles = part.singletons()
-    return MatchingStats(part, crossing_number(pairs), singleton_depths(pairs, singles), len(singles))
+def matching_counts(labels) -> Counter:
+    """Perfect matchings of len(labels) points on a line, counted by statistics.
+
+    Maps (crossings, chords joining two different labels) to the number of
+    matchings with those counts; empty for an odd number of points.  The
+    recursion pairs the smallest open point f with each open p and carries
+    the crossing count as `enumerate_pair_partitions` does: the chord (f, p)
+    adds p - f - 1 - i, with i the number of open points inside it.
+    """
+    labels = tuple(labels)
+    if len(labels) > PAIR_PARTITION_CAP:
+        raise ValueError(f"matching_counts supports at most {PAIR_PARTITION_CAP} points")
+    counts: Counter = Counter()
+    if len(labels) % 2:
+        return counts
+
+    def recurse(remaining: tuple[int, ...], cr: int, bc: int):
+        if not remaining:
+            counts[cr, bc] += 1
+            return
+        first, rest = remaining[0], remaining[1:]
+        for i, partner in enumerate(rest):
+            recurse(rest[:i] + rest[i + 1:], cr + partner - first - 1 - i,
+                    bc + (labels[first] != labels[partner]))
+
+    recurse(tuple(range(len(labels))), 0, 0)
+    return counts
 
 
 def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
@@ -96,7 +121,7 @@ def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
     chord whose right end lies strictly inside it, and those right ends are
     the p - f - 1 points of (f, p) that are no longer open.
 
-    Oracle for `qhermite.rt_moment`, through `pair_partition_polynomial`.
+    Oracle for `matching_counts`, which it checks matching by matching.
     """
     if n < 0 or n > PAIR_PARTITION_CAP:
         raise ValueError(f"enumerate_pair_partitions supports 0 <= n <= {PAIR_PARTITION_CAP}")
@@ -119,25 +144,33 @@ def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
 
 
 def enumerate_p12(k: int) -> list[MatchingStats]:
-    """All partitions of {1..k} with blocks of size at most 2, with statistics."""
+    """All partitions of {1..k} with blocks of size at most 2, with statistics.
+
+    Enumeration is by smallest unplaced element, which is either a singleton
+    or the left end of a chord, so blocks come out in canonical order.  cr is
+    carried as in `enumerate_pair_partitions`.  A singleton at f sits under
+    every chord open there, whose right ends are the k - f - len(rest)
+    points beyond f that are already placed, so that many is added to sd.
+    """
     if k < 0 or k > P12_CAP:
         raise ValueError(f"enumerate_p12 supports 0 <= k <= {P12_CAP}")
     out: list[MatchingStats] = []
 
-    def recurse(remaining: tuple[int, ...], acc: list[tuple[int, ...]]):
+    def recurse(remaining: tuple[int, ...], acc: list[tuple[int, ...]], cr: int, sd: int,
+                singles: int):
         if not remaining:
-            out.append(_stats(list(acc)))
+            out.append(MatchingStats(SetPartition(tuple(acc)), cr, sd, singles))
             return
         first, rest = remaining[0], remaining[1:]
         acc.append((first,))
-        recurse(rest, acc)
+        recurse(rest, acc, cr, sd + k - first - len(rest), singles + 1)
         acc.pop()
         for i, partner in enumerate(rest):
             acc.append((first, partner))
-            recurse(rest[:i] + rest[i + 1:], acc)
+            recurse(rest[:i] + rest[i + 1:], acc, cr + partner - first - 1 - i, sd, singles)
             acc.pop()
 
-    recurse(tuple(range(1, k + 1)), [])
+    recurse(tuple(range(1, k + 1)), [], 0, 0, 0)
     return out
 
 
@@ -181,69 +214,26 @@ def inhomogeneous_matching_oracle(class_sizes: list[int]) -> MultiPoly:
     Oracle for `qhermite.linearization`.
 
     Points are laid out on a line grouped by class in the given order; a
-    chord may only join points of different classes.  Zero when no such
-    matching exists (in particular for odd totals).
+    chord may only join points of different classes, so only the matchings
+    of `matching_counts` whose every chord joins two classes count.  Zero
+    when no such matching exists (in particular for odd totals).
     """
     if any(s < 0 for s in class_sizes):
         raise ValueError("class sizes must be nonnegative")
     total = sum(class_sizes)
     if total > ORACLE_POINT_CAP:
         raise ValueError(f"oracle capped at {ORACLE_POINT_CAP} points")
-    if total % 2 == 1:
-        return MultiPoly.zero()
-    label = {}
-    pos = 1
-    for ci, size in enumerate(class_sizes):
-        for _ in range(size):
-            label[pos] = ci
-            pos += 1
-    result = MultiPoly.zero()
-
-    def recurse(remaining: tuple[int, ...], acc: list[tuple[int, int]]):
-        nonlocal result
-        if not remaining:
-            result = result + MultiPoly.monomial(q_pow=crossing_number(acc))
-            return
-        first, rest = remaining[0], remaining[1:]
-        for i, partner in enumerate(rest):
-            if label[first] == label[partner]:
-                continue
-            acc.append((first, partner))
-            recurse(rest[:i] + rest[i + 1:], acc)
-            acc.pop()
-
-    recurse(tuple(range(1, total + 1)), [])
-    return result
-
-
-class TransferMatrix:
-    """Truncated chord transfer matrix T|l> = |l+1> + [l]_q |l-1>.
-
-    Entries are exact polynomials in q on the chord-number basis
-    |0>, ..., |L>.  Truncation at L is lossless for moments T^k as long
-    as at most L chords can simultaneously be open, i.e. L >= ceil(k/2).
-    """
-
-    def __init__(self, truncation: int):
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        self.truncation = truncation
-
-    def apply(self, vec: list[MultiPoly]) -> list[MultiPoly]:
-        L = self.truncation
-        out = [MultiPoly.zero() for _ in range(L + 1)]
-        for l, amp in enumerate(vec):
-            if amp.is_zero():
-                continue
-            if l + 1 <= L:
-                out[l + 1] = out[l + 1] + amp
-            if l - 1 >= 0:
-                out[l - 1] = out[l - 1] + amp * q_integer(l)
-        return out
+    labels = [ci for ci, size in enumerate(class_sizes) for _ in range(size)]
+    counts = matching_counts(labels)
+    return MultiPoly({(cr, 0, 0): c for (cr, bc), c in counts.items() if 2 * bc == total})
 
 
 def transfer_vacuum_moment(k: int, L: int | None = None) -> MultiPoly:
     """<0| T^k |0> over the polynomial ring, via the truncated transfer matrix.
+
+    T|l> = |l+1> + [l]_q |l-1> on the chord-number basis |0>, ..., |L>.
+    Truncation at L is lossless as long as at most L chords can be open at
+    once, i.e. L >= ceil(k/2).
 
     Oracle for `qhermite.rt_moment`.
     """
@@ -254,10 +244,12 @@ def transfer_vacuum_moment(k: int, L: int | None = None) -> MultiPoly:
         L = need
     if L < need:
         raise ValueError(f"truncation L={L} loses chords for k={k}; need L >= {need}")
-    T = TransferMatrix(L)
-    vec = [MultiPoly.one()] + [MultiPoly.zero()] * L
+    zero = MultiPoly.zero()
+    vec = [MultiPoly.one()] + [zero] * L
     for _ in range(k):
-        vec = T.apply(vec)
+        # the amplitude on |l> after a step comes from |l-1> and from [l+1]_q |l+1>
+        vec = [(vec[l - 1] if l else zero) + (vec[l + 1] * q_integer(l + 1) if l < L else zero)
+               for l in range(L + 1)]
     return vec[0]
 
 
@@ -266,8 +258,9 @@ def pair_partition_polynomial(n: int) -> MultiPoly:
 
     Oracle for `qhermite.rt_moment`, by explicit enumeration.
     """
-    counts = Counter(stats.cr for stats in enumerate_pair_partitions(n))
-    return MultiPoly({(cr, 0, 0): count for cr, count in counts.items()})
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return MultiPoly({(cr, 0, 0): c for (cr, _), c in matching_counts([0] * n).items()})
 
 
 def p12_hermite_polynomial(k: int) -> HermiteExpansion:
@@ -276,13 +269,10 @@ def p12_hermite_polynomial(k: int) -> HermiteExpansion:
     This is the partition form of the normal-ordering identity; it must
     agree with normal_order_power degree by degree.
     """
-    buckets: dict[int, MultiPoly] = {}
-    for stats in enumerate_p12(k):
-        s = stats.singleton_count
-        term = MultiPoly.monomial(q_pow=stats.cr + stats.sd)
-        buckets[s] = buckets.get(s, MultiPoly.zero()) + term
-    max_s = max(buckets, default=0)
-    return HermiteExpansion([buckets.get(s, MultiPoly.zero()) for s in range(max_s + 1)])
+    counts = Counter((stats.singleton_count, stats.cr + stats.sd) for stats in enumerate_p12(k))
+    max_s = max((s for s, _ in counts), default=0)
+    return HermiteExpansion([MultiPoly({(a, 0, 0): c for (s, a), c in counts.items() if s == d})
+                             for d in range(max_s + 1)])
 
 
 def involution_count(k: int) -> int:
@@ -301,7 +291,7 @@ def involution_count(k: int) -> int:
 def double_factorial(n: int) -> int:
     """n!! = n (n-2) (n-4) ... down to 1 or 2; 1 for n <= 1.
 
-    Oracle for `enumerate_pair_partitions` and `mixed.mixed_moment`: (2k-1)!!
+    Oracle for `enumerate_pair_partitions` and `matching_counts`: (2k-1)!!
     counts the perfect matchings of 2k points.
     """
     out = 1

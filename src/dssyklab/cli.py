@@ -96,8 +96,7 @@ def _derive_q_qt(args) -> tuple[Fraction | None, Fraction | None, dict]:
     if derived:
         if args.N is None or args.p is None or args.k is None:
             raise ValueError("finite-size mode needs all of --N, --p, --k")
-        q = edlab.qn_finite(args.p, args.N)
-        qt = edlab.qtilde_weight(args.p, args.N, args.k) if args.k >= 1 else Fraction(1)
+        q, qt = edlab.finite_size_weights(args.N, args.p, args.k)
         return q, qt, {"derived_q": str(q), "derived_qtilde": str(qt)}
     q = _fraction(args.q, "--q") if args.q is not None else None
     qt = _fraction(args.qtilde, "--qtilde") if args.qtilde is not None else None
@@ -186,8 +185,7 @@ def run_compare(args) -> int:
         raise ValueError(f"--n-max must lie in 1..{moments.MAX_MOMENT_ORDER}")
     params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
                                seed=args.seed, samples=args.samples)
-    q = edlab.qn_finite(args.p, args.N)
-    qt = edlab.qtilde_weight(args.p, args.N, args.k)
+    q, qt = edlab.finite_size_weights(args.N, args.p, args.k)
     note = {"q_finite": str(q), "qtilde": str(qt)}
     if args.k == 3:
         note["qtilde_main_text"] = str(edlab.qtilde_weight_main_text(args.p, args.N, args.k))
@@ -260,10 +258,10 @@ def run_freeconv(args) -> int:
 
 
 def run_qtilde(args) -> int:
-    qt = edlab.qtilde_weight(args.p, args.N, args.k)
+    q, qt = edlab.finite_size_weights(args.N, args.p, args.k)
     payload = {
         "N": args.N, "p": args.p, "k": args.k,
-        "q_finite": str(edlab.qn_finite(args.p, args.N)),
+        "q_finite": str(q),
         "q_j": [str(edlab.qj_weight(args.p, args.N, j)) for j in range(args.k)],
         "qtilde": str(qt),
         "qtilde_float": float(qt),

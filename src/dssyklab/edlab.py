@@ -150,10 +150,7 @@ class ModelParams:
 
     def __post_init__(self):
         _check_even_dim(self.N)
-        if self.p % 2 or not 0 < self.p <= self.N:
-            raise ValueError("p must be even with 0 < p <= N")
-        if not 0 <= self.k <= self.N // 2:
-            raise ValueError("k must satisfy 0 <= k <= N/2")
+        finite_size_weights(self.N, self.p, self.k)
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if not math.isfinite(self.theta):
@@ -511,6 +508,23 @@ def qtilde_weight(p: int, N: int, k: int) -> Fraction:
         raise ValueError("need k >= 1 and 2(k-1) <= N")
     total = sum(math.comb(k - 1, j) * qj_weight(p, N, j) for j in range(k))
     return total / 2 ** (k - 1)
+
+
+def finite_size_weights(N: int, p: int, k: int) -> tuple[Fraction, Fraction]:
+    """Check (N, p, k) and return the finite-size pair (q, qtilde).
+
+    Needs N even with N >= 2, p even with 0 < p <= N, and 0 <= k <= N/2.
+    At k = 0 the defect is theta times the identity, which no wall
+    separates, so qtilde = 1.  The weights are exact at any N: the ED
+    dimension cap is not checked here.
+    """
+    if p % 2 or not 0 < p <= N:
+        raise ValueError("need 0 < p <= N with p even")
+    if N % 2 or N < 2:
+        raise ValueError("N must be a positive even integer")
+    if not 0 <= k <= N // 2:
+        raise ValueError("k must satisfy 0 <= k <= N/2")
+    return qn_finite(p, N), qtilde_weight(p, N, k) if k else Fraction(1)
 
 
 def qtilde_weight_main_text(p: int, N: int, k: int) -> Fraction:

@@ -4,21 +4,21 @@ The functional is tracial, so a word is really a necklace: removing the d
 positions splits the x positions into cyclic arcs.  Every perfect matching
 of the x positions is weighted by q per chord crossing and by qt per chord
 whose endpoints lie in different arcs (a chord passing any number of walls
-picks up the weight exactly once).  Summed over all words of fixed length,
-this reconstructs the reduced moments and serves as their independent
-oracle.
+picks up the weight exactly once).  The matchings are counted by the chord
+kernel `chordcombi.matching_counts`, with each x labelled by its arc.
+Summed over all words of fixed length, this reconstructs the reduced
+moments and serves as their independent oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from .qcore import MultiPoly
-from .chordcombi import ORACLE_POINT_CAP
+from .chordcombi import ORACLE_POINT_CAP, matching_counts
 
 WORD_SUM_CAP = 10
 FREE_MOMENT_CAP = 12
@@ -55,61 +55,38 @@ class MixedMomentResult:
     partition_count: int
 
 
-def _cyclic_arc_ids(letters: tuple[str, ...]) -> dict[int, int]:
-    """Map x-positions (1-based) to the id of their cyclic wall-bounded arc."""
-    n = len(letters)
-    ids: dict[int, int] = {}
-    arc = 0
-    prev_was_d = False
-    for i, c in enumerate(letters, start=1):
+def _arc_labels(letters: tuple[str, ...]) -> tuple[int, ...]:
+    """The cyclic wall-bounded arc of each x letter, in word order.
+
+    An x's arc is the number of d letters before it, modulo the number of d
+    letters, so on the circle the x letters after the last d share the arc
+    of those before the first.
+    """
+    walls = max(letters.count("d"), 1)
+    labels, seen = [], 0
+    for c in letters:
         if c == "d":
-            prev_was_d = True
+            seen += 1
         else:
-            if prev_was_d:
-                arc += 1
-                prev_was_d = False
-            ids[i] = arc
-    # wrap-around: a leading x-run and a trailing x-run form one arc on the circle
-    if ids and letters[0] == "x" and letters[-1] == "x" and arc > 0:
-        last_arc = ids[max(ids)]
-        for pos, a in ids.items():
-            if a == last_arc:
-                ids[pos] = 0
-    return ids
+            labels.append(seen % walls)
+    return tuple(labels)
 
 
 def mixed_moment(w: Word) -> MixedMomentResult:
     """Joint moment of the word under the trace functional.
 
     Sum over perfect matchings of the x positions of
-    q^(chord crossings) * qt^(chords joining different arcs) * theta^(#d).
-    Zero (as a polynomial) when the number of x letters is odd.  Words with
-    more than ORACLE_POINT_CAP x letters are rejected: the walk visits all
+    q^(chord crossings) * qt^(chords joining different arcs) * theta^(#d),
+    counted by `chordcombi.matching_counts` on the arc labels.  Zero (as a
+    polynomial) when the number of x letters is odd.  Words with more than
+    ORACLE_POINT_CAP x letters are rejected: the walk visits all
     (n_x - 1)!! matchings.
     """
-    letters = w.letters
-    xpos = [i for i, c in enumerate(letters, start=1) if c == "x"]
-    if len(xpos) > ORACLE_POINT_CAP:
+    arcs = _arc_labels(w.letters)
+    if len(arcs) > ORACLE_POINT_CAP:
         raise ValueError(f"mixed moment capped at {ORACLE_POINT_CAP} x letters")
-    d_count = len(letters) - len(xpos)
-    if len(xpos) % 2 == 1:
-        return MixedMomentResult(MultiPoly.zero(), 0)
-    arc_of = _cyclic_arc_ids(letters)
-    arcs = tuple(arc_of[pos] for pos in xpos)
-    counts = Counter()
-
-    def recurse(remaining: tuple[int, ...], cr: int, bc: int):
-        # indices into xpos; a new chord crosses every earlier chord whose
-        # right end lies strictly inside it (see enumerate_pair_partitions)
-        if not remaining:
-            counts[cr, bc] += 1
-            return
-        first, rest = remaining[0], remaining[1:]
-        for i, partner in enumerate(rest):
-            recurse(rest[:i] + rest[i + 1:], cr + partner - first - 1 - i,
-                    bc + (arcs[first] != arcs[partner]))
-
-    recurse(tuple(range(len(xpos))), 0, 0)
+    d_count = len(w.letters) - len(arcs)
+    counts = matching_counts(arcs)
     value = MultiPoly({(cr, bc, d_count): c for (cr, bc), c in counts.items()})
     return MixedMomentResult(value, sum(counts.values()))
 

@@ -337,24 +337,31 @@ def q_factorial(n: int) -> MultiPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+_Q_PASCAL: dict[tuple[int, int], MultiPoly] = {}
+
+
 def q_binomial(n: int, k: int) -> MultiPoly:
     """Gaussian binomial [n choose k]_q via the q-Pascal recurrence.
 
-    Addition-only: C(n,k) = C(n-1,k-1) + q^k * C(n-1,k).  Memoized: the
-    values are immutable, so every caller shares them.
+    Addition-only: C(n,k) = C(n-1,k-1) + q^k * C(n-1,k).  Memoized entry by
+    entry: the values are immutable, so every caller shares them, and each
+    entry is built once.  The entries (n, k) depends on are filled row by
+    row in a loop, so a large n costs no recursion depth.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n} k={k}")
-    # row-by-row Pascal triangle, keeping a single row in memory
-    row = [MultiPoly.one()]
-    for m in range(1, n + 1):
-        new = [MultiPoly.one()]
-        for j in range(1, m):
-            new.append(row[j - 1] + MultiPoly.monomial(q_pow=j) * row[j])
-        new.append(MultiPoly.one())
-        row = new
-    return row[k]
+    table = _Q_PASCAL
+    if (n, k) not in table:
+        for m in range(n + 1):
+            for j in range(max(0, k - n + m), min(m, k) + 1):
+                if (m, j) in table:
+                    continue
+                if j in (0, m):
+                    table[m, j] = MultiPoly.one()
+                else:
+                    qj = MultiPoly.monomial(q_pow=j)
+                    table[m, j] = table[m - 1, j - 1] + qj * table[m - 1, j]
+    return table[n, k]
 
 
 def q_binomial_by_division(n: int, k: int) -> MultiPoly:

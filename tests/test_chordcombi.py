@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from dssyklab import chordcombi as cc
@@ -41,6 +44,35 @@ class TestPairPartitions:
             cc.enumerate_pair_partitions(18)
 
 
+class TestMatchingCounts:
+    def test_matches_enumeration_and_recount(self):
+        # random labellings: each matching's crossings and cross-label chords, recounted
+        rng = random.Random(11)
+        for n in range(0, 11):
+            for _ in range(4):
+                labels = [rng.randrange(3) for _ in range(n)]
+                expected = Counter()
+                for stats in cc.enumerate_pair_partitions(n):
+                    pairs = stats.partition.pairs()
+                    bc = sum(labels[a - 1] != labels[b - 1] for a, b in pairs)
+                    expected[cc.crossing_number(pairs), bc] += 1
+                assert cc.matching_counts(labels) == expected, labels
+
+    def test_uniform_labels_give_no_cross_label_chords(self):
+        counts = cc.matching_counts("aaaaaa")
+        assert counts == Counter({(0, 0): 5, (1, 0): 6, (2, 0): 3, (3, 0): 1})
+
+    def test_odd_is_empty_and_empty_has_one(self):
+        assert cc.matching_counts([0, 1, 0]) == Counter()
+        assert cc.matching_counts([]) == Counter({(0, 0): 1})
+
+    def test_cap(self):
+        with pytest.raises(ValueError):
+            cc.matching_counts([0] * 18)
+        with pytest.raises(ValueError):
+            cc.pair_partition_polynomial(18)
+
+
 class TestP12:
     def test_footnote_example(self):
         part = cc.SetPartition.from_blocks([(1, 3), (2, 5), (4,)])
@@ -61,6 +93,20 @@ class TestP12:
     def test_counts_are_involution_numbers(self):
         for k in range(9):
             assert len(cc.enumerate_p12(k)) == cc.involution_count(k)
+
+    def test_carried_statistics_match_recount(self):
+        for k in range(10):
+            for stats in cc.enumerate_p12(k):
+                part = stats.partition
+                pairs, singles = part.pairs(), part.singletons()
+                assert part == cc.SetPartition.from_blocks(part.blocks)
+                assert stats.cr == cc.crossing_number(pairs)
+                assert stats.sd == cc.singleton_depths(pairs, singles)
+                assert stats.singleton_count == len(singles)
+
+    def test_every_partition_once(self):
+        parts = [s.partition for s in cc.enumerate_p12(7)]
+        assert len(set(parts)) == len(parts) == cc.involution_count(7)
 
     def test_sd_zero_without_singletons(self):
         for s in cc.enumerate_p12(6):

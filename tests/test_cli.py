@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dssyklab import cli, edlab
 from dssyklab.moments import MomentTable, reduced_moment
+from dssyklab.qhermite import rt_moment
 
 
 def run_cli(args, capsys):
@@ -154,6 +155,21 @@ class TestCompareCommand:
         assert code == 4
         assert "regression guard" in err
 
+    def test_k0_analytic_is_the_binomial_shift(self, capsys):
+        # k = 0 makes the defect theta times the identity: qtilde = 1 and
+        # m_n = sum over even j < n of C(n, j) theta^(n-j) m_j^SYK
+        code, out, _ = run_cli(["compare", "--N", "12", "--p", "4", "--k", "0", "--theta", "3",
+                                "--samples", "20", "--seed", "1", "--deterministic"], capsys)
+        assert code == 0
+        assert "# qtilde=1" in out
+        q = float(edlab.qn_finite(4, 12))
+        body = [l.split(",") for l in out.splitlines() if l[0].isdigit()]
+        for n, analytic, *_ in body:
+            n = int(n)
+            shift = sum(math.comb(n, j) * 3.0 ** (n - j) * float(rt_moment(j // 2).evaluate(q=q))
+                        for j in range(0, n, 2))
+            assert float(analytic) == pytest.approx(shift, rel=1e-11)
+
     def test_k3_reports_both_qtilde_conventions(self, capsys):
         code, out, _ = run_cli(["compare", "--N", "12", "--p", "4", "--k", "3", "--theta", "2",
                                 "--samples", "3", "--n-max", "2", "--deterministic"], capsys)
@@ -227,6 +243,14 @@ class TestQtildeCommand:
         assert "qtilde_main_text" in obj
 
 
+    def test_k0_has_no_wall(self, capsys):
+        code, out, _ = run_cli(["qtilde", "--N", "8", "--p", "4", "--k", "0",
+                                "--deterministic"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["qtilde"] == "1" and obj["q_j"] == []
+
+
 class TestZnCommand:
     def test_beta_zero(self, capsys):
         code, out, _ = run_cli(["zn", "--n", "2", "--beta", "0", "--q", "0.5",
@@ -276,6 +300,16 @@ class TestZnCommand:
                  "bins", id="ed-histogram-fails-before-spectra"),
     pytest.param(["qtilde", "--N", "3", "--p", "4", "--k", "1"], "need 0 < p <= N",
                  id="qtilde-p-above-N"),
+    pytest.param(["qtilde", "--N", "3", "--p", "2", "--k", "1"], "N must be a positive even",
+                 id="qtilde-N-odd"),
+    pytest.param(["qtilde", "--N", "8", "--p", "4", "--k", "5"], "k must satisfy",
+                 id="qtilde-k-above-N/2"),
+    pytest.param(["moments", "--n", "4", "--N", "3", "--p", "2", "--k", "1"],
+                 "N must be a positive even", id="moments-N-odd"),
+    pytest.param(["moments", "--n", "4", "--N", "8", "--p", "4", "--k", "5"], "k must satisfy",
+                 id="moments-k-above-N/2"),
+    pytest.param(["compare", "--N", "8", "--k", "-1", "--theta", "1"], "k must satisfy",
+                 id="compare-k-negative"),
     pytest.param(["density", "--q", "0.5", "--grid", str(10 ** 12)], "--grid must lie",
                  id="density-grid-10^12"),
     pytest.param(["density", "--q", "0.5", "--grid", "0"], "--grid must lie", id="density-grid-0"),

@@ -371,6 +371,24 @@ class TestPairedComparison:
 
 
 class TestFiniteSizeWeights:
+    def test_pair_matches_the_weights(self):
+        assert ed.finite_size_weights(26, 4, 3) == (ed.qn_finite(4, 26), ed.qtilde_weight(4, 26, 3))
+
+    def test_k0_has_no_wall(self):
+        assert ed.finite_size_weights(8, 4, 0) == (ed.qn_finite(4, 8), 1)
+
+    @pytest.mark.parametrize("N,p,k", [(2, 2, 0), (2, 2, 1), (8, 8, 4), (26, 4, 13),
+                                       (10 ** 6, 4, 3)])
+    def test_boundary_accepted(self, N, p, k):
+        q, qt = ed.finite_size_weights(N, p, k)
+        assert -1 <= q <= 1 and -1 <= qt <= 1
+
+    @pytest.mark.parametrize("N,p,k", [(0, 2, 0), (3, 2, 1), (-4, 2, 0), (8, 0, 1), (8, 3, 1),
+                                       (8, 10, 1), (8, -2, 1), (8, 4, -1), (8, 4, 5)])
+    def test_boundary_rejected(self, N, p, k):
+        with pytest.raises(ValueError):
+            ed.finite_size_weights(N, p, k)
+
     def test_asymptotic_q(self):
         assert abs(float(ed.qn_finite(4, 1000)) - math.exp(-32 / 1000)) < 1e-2
 

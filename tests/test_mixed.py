@@ -67,6 +67,22 @@ class TestWorkedExamples:
         assert mx.word_sum_moment(1) == THETA
 
 
+class TestArcLabels:
+    def test_wrap_around_joins_first_and_last_runs(self):
+        assert mx._arc_labels(tuple("xxdxdxx")) == (0, 0, 1, 0, 0)
+
+    def test_adjacent_walls_leave_an_empty_arc(self):
+        assert mx._arc_labels(tuple("xddxdx")) == (0, 2, 0)
+
+    def test_no_walls_one_arc(self):
+        assert mx._arc_labels(tuple("xxxx")) == (0, 0, 0, 0)
+
+    def test_wrap_around_word(self):
+        # the outer x's share an arc across the cut, so only the inner pairings pay qt
+        assert phi("xdxxdx") == THETA ** 2 * (1 + QT ** 2 + Q * QT ** 2)
+        assert phi("xdxxdx") == phi("xxdxxd")
+
+
 class TestTraceProperty:
     def test_cyclic_invariance(self):
         from itertools import product
@@ -99,9 +115,8 @@ class TestIndependenceLimits:
             for letters in product("xd", repeat=n):
                 word = mx.Word(letters)
                 value = mx.mixed_moment(word).value.substitute(qt=0)
-                arcs = mx._cyclic_arc_ids(letters)
                 sizes = {}
-                for pos, arc in arcs.items():
+                for arc in mx._arc_labels(letters):
                     sizes[arc] = sizes.get(arc, 0) + 1
                 n_d = letters.count("d")
                 if any(s % 2 for s in sizes.values()):
