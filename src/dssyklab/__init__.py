@@ -9,7 +9,7 @@ from .qhermite import (hermite_in_x, monomial_to_hermite, c_closed_form, lineari
                        ConvergenceError)
 from .moments import (reduced_moment, reduced_moment_compositions, reduced_moment_gf,
                       full_moment, boolean_moment_c1, qtilde_limit_check,
-                      b_continued_fraction, z_n, MomentTable, BSeries)
+                      b_continued_fraction, z_n, MomentTable)
 from .mixed import Word, mixed_moment, word_sum_moment, free_convolution_moment
 from .edlab import (ModelParams, SpectrumSample, majorana, build_h_syk, build_dc,
                     verify_dc_majorana_expansion, sample_spectra, paired_reduced_moments,

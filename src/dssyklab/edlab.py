@@ -348,6 +348,8 @@ def verify_dc_majorana_expansion(N: int, k: int) -> bool:
     Both the general domino-subset sum and, for k <= 3, the printed
     special-case display are materialized and compared against build_dc.
     Raises with the first differing entry on mismatch.
+
+    Oracle for `build_dc`: the defect's Majorana expansion.
     """
     if N > 10:
         raise ValueError("expansion check is meant for N <= 10")

@@ -11,16 +11,16 @@ Three independent exact routes to m_n return identical polynomials in
   (`reduced_moment_gf`), an oracle.
 
 The oracles stop at `ORACLE_MAX_ORDER`, and neither is built on the walk.
-Half-integer powers of qt appear in their intermediate quantities because
-every unpaired chord is marked with sqrt(qt) before the inter-interval
-pairing.  Internally their qt exponent therefore counts *half* powers; the
-doubled bookkeeping is collapsed (and integrality asserted) at the very end.
+Both expand each interval of k letters x as x^k = sum_d c_d H_d, whose H_d
+stands for the d chords the interval leaves open, and weight qt once, where
+the open chords pair: a linearized product <H_{d_1} ... H_{d_l}> carries
+qt^(sum d / 2) (`_paired_vacuum`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from . import qhermite
-from .qcore import HermiteExpansion, MultiPoly
+from .qcore import MultiPoly
 from .qhermite import ConvergenceError, linearization, monomial_to_hermite, rt_moment
 
 MAX_MOMENT_ORDER = 30
@@ -168,34 +168,27 @@ def reduced_moment(n: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# composition route
+# the oracles' pairing rule
 # ---------------------------------------------------------------------------
 
-def _halve_qt(poly: MultiPoly) -> MultiPoly:
-    """Collapse the doubled qt bookkeeping; every exponent must be even."""
-    terms = {}
-    for (a, b, c), coeff in poly.terms.items():
-        if b % 2:
-            raise AssertionError(f"half-integer qt power survived pairing: qt^{b}/2 in {poly}")
-        terms[(a, b // 2, c)] = coeff
-    return MultiPoly(terms)
+def _paired_vacuum(degrees) -> MultiPoly:
+    """Vacuum expectation of prod_j H_{d_j} weighted by qt^(sum d / 2).
 
-
-def conditional_moment_expansion(k: int) -> HermiteExpansion:
-    """Hermite expansion of the conditional k-th moment of the stationary
-    q-Gaussian Markov transition.
-
-    The coefficient of H_{k-2m} is c_{m,k} * qt^{(k-2m)/2}; since MultiPoly
-    exponents are integers, the qt exponent stored here counts half powers
-    (qt_pow = k-2m means qt to the (k-2m)/2).  It serves the composition
-    and generating-function oracles only.
+    H_{d_j} stands for the d_j chords that interval j leaves open.  They
+    pair with the open chords of other intervals, so each of the sum(d)/2
+    chords passes a wall and carries one qt (the chord picture of Berkooz
+    et al., arXiv:1811.02584).  Zero when sum(d) is odd.  Both oracles
+    weight qt here and nowhere else.
     """
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    base = monomial_to_hermite(k)
-    coeffs = [base.coefficient(d) * MultiPoly.monomial(qt_pow=d) for d in range(base.degree + 1)]
-    return HermiteExpansion(coeffs)
+    total = sum(degrees)
+    if total % 2:
+        return MultiPoly.zero()
+    return linearization(list(degrees)) * MultiPoly.monomial(qt_pow=total // 2)
 
+
+# ---------------------------------------------------------------------------
+# composition route
+# ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
     """Ordered compositions of `total` into `parts` positive integers."""
@@ -209,24 +202,20 @@ def _compositions(total: int, parts: int):
 
 @lru_cache(maxsize=None)
 def _block_vacuum(comp: tuple[int, ...]) -> MultiPoly:
-    """Vacuum expectation of prod_i b_{k_i}: per-interval contractions times
-    the inter-interval linearization.  qt exponents in half units.  It
-    serves the composition oracle only."""
-    options = []
-    for k in comp:
-        exp = conditional_moment_expansion(k)
-        options.append([(d, exp.coefficient(d)) for d in range(exp.degree + 1)
-                        if not exp.coefficient(d).is_zero()])
+    """Vacuum expectation of prod_i b_{k_i}: interval i expands as
+    x^{k_i} = sum_d c_d H_d, and the open chords pair by `_paired_vacuum`.
+    Zero Hermite coefficients and zero pairings are skipped.  It serves the
+    composition oracle only."""
+    options = [[(d, c) for d, c in enumerate(monomial_to_hermite(k).coeffs) if not c.is_zero()]
+               for k in comp]
     total = MultiPoly.zero()
     for choice in product(*options):
-        degrees = [d for d, _ in choice]
-        lin = linearization(degrees)
-        if lin.is_zero():
+        term = _paired_vacuum([d for d, _ in choice])
+        if term.is_zero():
             continue
-        coeff = MultiPoly.one()
         for _, c in choice:
-            coeff = coeff * c
-        total = total + coeff * lin
+            term = term * c
+        total = total + term
     return total
 
 
@@ -234,7 +223,7 @@ def reduced_moment_compositions(n: int) -> MultiPoly:
     """m_n by the direct route: sum over the number 2j of random nodes, over
     interval counts l and ordered compositions (k_1..k_l) of 2j, with the
     cyclic factor n/(n-2j), the slot choice C(n-2j, l), per-interval
-    contraction coefficients and the inter-interval linearization.
+    contraction coefficients and the inter-interval pairing.
 
     Oracle for `reduced_moment`.
     """
@@ -250,109 +239,64 @@ def reduced_moment_compositions(n: int) -> MultiPoly:
             for comp in _compositions(2 * j, l):
                 acc = acc + _block_vacuum(tuple(sorted(comp)))
             total = total + (cyclic * slot_choice) * theta_factor * acc
-    return _halve_qt(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # generating-function route
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BSeries:
-    """Truncated z-series of the interval generating function B(z, x0).
+# _B_POWERS[p][m] is [z^p] B^m / theta^m for m = 1..p: a map from sorted
+# tuples of nonzero Hermite degrees (the product left unexpanded) to its
+# weight, a polynomial in q.  Entry [0] of each column is unused.  Columns
+# are appended in order of p, so each is built once per process.
+_B_POWERS: list[list[dict]] = [[]]
 
-    coeffs[p] is the Hermite expansion multiplying z^p; the z^0 entry is
-    identically empty and the z^1 coefficient is theta * H_0.  Coefficient
-    polynomials carry theta markers and half-unit qt exponents.
+
+def _b_power_column(p: int) -> list[dict]:
+    """Column p of `_B_POWERS`, from the columns below it.
+
+    [z^p] B = theta x^(p-1) = theta sum_d c_d H_d, with an H_0 factor left
+    out of the key, and for m >= 2 the Cauchy product
+    [z^p] B^m = sum_i [z^i] B [z^(p-i)] B^(m-1).
     """
-
-    order: int
-    coeffs: list[HermiteExpansion] = field(default_factory=list)
-
-    @classmethod
-    def build(cls, order: int) -> "BSeries":
-        theta = MultiPoly.theta()
-        coeffs = [HermiteExpansion([])]
-        for p in range(1, order + 1):
-            coeffs.append(conditional_moment_expansion(p - 1).scale(theta))
-        return cls(order=order, coeffs=coeffs)
-
-    def evaluate(self, z: float, x0: float, q: float, qt: float, theta: float = 1.0) -> float:
-        """Numeric partial sum of B at a point (principal sqrt for qt)."""
-        sq = math.sqrt(qt)
-        max_deg = max((exp.degree for exp in self.coeffs[1:]), default=0)
-        hvals = qhermite.hermite_values(max(max_deg, 0), np.array(x0), q)
-        total = 0.0
-        for p in range(1, self.order + 1):
-            exp = self.coeffs[p]
-            coeff = 0.0
-            for d in range(exp.degree + 1):
-                poly = exp.coefficient(d)
-                val = sum(float(frac) * q ** a * sq ** b * theta ** c
-                          for (a, b, c), frac in poly.terms.items())
-                coeff += val * float(hvals[d])
-            total += coeff * z ** p
-        return total
-
-
-def _series_multiply(s1, s2, order):
-    """Convolve two z-series whose coefficients map sorted Hermite-degree
-    tuples to MultiPoly weights (vacuum expectation deferred)."""
-    out = [dict() for _ in range(order + 1)]
-    for p1, terms1 in enumerate(s1):
-        if not terms1:
-            continue
-        for p2, terms2 in enumerate(s2):
-            if not terms2 or p1 + p2 > order:
-                continue
-            bucket = out[p1 + p2]
-            for key1, c1 in terms1.items():
-                for key2, c2 in terms2.items():
+    column = [{}, {(d,) if d else (): c
+                   for d, c in enumerate(monomial_to_hermite(p - 1).coeffs) if not c.is_zero()}]
+    for m in range(2, p + 1):
+        bucket = {}
+        for i in range(1, p - m + 2):
+            lower = _B_POWERS[p - i][m - 1]
+            for key1, c1 in _B_POWERS[i][1].items():
+                for key2, c2 in lower.items():
                     key = tuple(sorted(key1 + key2))
-                    prodc = c1 * c2
+                    term = c1 * c2
                     acc = bucket.get(key)
-                    bucket[key] = prodc if acc is None else acc + prodc
-    return out
+                    bucket[key] = term if acc is None else acc + term
+        column.append(bucket)
+    return column
 
 
 @lru_cache(maxsize=None)
 def reduced_moment_gf(n: int) -> MultiPoly:
-    """m_n extracted from the pointed-cycle generating function.
+    """m_n extracted from the pointed-cycle generating function:
+    m_n = n [z^n] log 1/(1-B) = sum_m (n/m) [z^n] B^m.
 
-    Builds log 1/(1-B) as a z-series whose coefficients are formal products
-    of Hermite basis elements (kept unexpanded), takes n times the z^n
-    coefficient, and evaluates every deferred product through the
-    linearization kernel in one final pass.
+    The columns [z^p] B^m keep every Hermite product unexpanded; each
+    deferred product is paired by `_paired_vacuum`, and [z^n] B^m carries
+    theta^m.
 
     Oracle for `reduced_moment`.
     """
     _check_order(n, ORACLE_MAX_ORDER)
-    bseries = BSeries.build(n)
-    b_terms = [dict() for _ in range(n + 1)]
-    for p in range(1, n + 1):
-        exp = bseries.coeffs[p]
-        for d in range(exp.degree + 1):
-            coeff = exp.coefficient(d)
-            if not coeff.is_zero():
-                b_terms[p][(d,)] = coeff
-    log_series = [dict() for _ in range(n + 1)]
-    power = b_terms
-    for m in range(1, n + 1):
-        inv_m = Fraction(1, m)
-        for p, terms in enumerate(power):
-            bucket = log_series[p]
-            for key, coeff in terms.items():
-                scaled = inv_m * coeff
-                acc = bucket.get(key)
-                bucket[key] = scaled if acc is None else acc + scaled
-        if m < n:
-            power = _series_multiply(power, b_terms, n)
+    while len(_B_POWERS) <= n:
+        _B_POWERS.append(_b_power_column(len(_B_POWERS)))
     total = MultiPoly.zero()
-    for key, coeff in log_series[n].items():
-        lin = linearization(list(key))
-        if not lin.is_zero():
-            total = total + coeff * lin
-    return _halve_qt(n * total)
+    for m in range(1, n + 1):
+        acc = MultiPoly.zero()
+        for key, coeff in _B_POWERS[n][m].items():
+            acc = acc + coeff * _paired_vacuum(key)
+        total = total + MultiPoly.monomial(theta_pow=m, coeff=Fraction(n, m)) * acc
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +334,10 @@ def boolean_moment_c1(n: int) -> MultiPoly:
     """Single-defect moment formula: the Boolean moment-cumulant special case.
 
     Sums over multisets of even-moment blocks RT(i) with multinomial slot
-    weights and the cyclic prefactor; coincides with reduced_moment at
-    qt = 0.
+    weights and the cyclic prefactor.
+
+    Oracle for `reduced_moment` at qt = 0, where the defect and the random
+    part are Boolean independent.
     """
     _check_order(n, ORACLE_MAX_ORDER)
     total = MultiPoly.monomial(theta_pow=n)
@@ -421,6 +367,9 @@ def qtilde_limit_check(n: int, which: int) -> MultiPoly:
     Returns the specialized polynomial; raises ValueError with a diagnostic
     on inconsistency.  The Boolean side stops at `ORACLE_MAX_ORDER`, the
     binomial shift at `MAX_MOMENT_ORDER`.
+
+    Oracle for `reduced_moment` at the qt in {0, 1} ends of its
+    interpolation between Boolean and classical independence.
     """
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
@@ -490,6 +439,23 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float,
     return deep
 
 
+def b_series(z: float, x0: float, q: float, qt: float, order: int = 12,
+             theta: float = 1.0) -> float:
+    """Partial sum of B to z^order, with [z^p] B = theta x^(p-1) expanded as
+    theta sum_d c_d sqrt(qt)^d H_d(x0).
+
+    Oracle for `b_continued_fraction`.
+    """
+    sq = math.sqrt(qt)
+    hvals = qhermite.hermite_values(order - 1, np.array(x0), q)
+    total = 0.0
+    for p in range(1, order + 1):
+        coeffs = monomial_to_hermite(p - 1).coeffs
+        total += z ** p * sum(c.evaluate(q=q) * sq ** d * float(hvals[d])
+                              for d, c in enumerate(coeffs))
+    return theta * total
+
+
 def coherent_state_factor(x, q: float, z: float):
     """q-deformed coherent state product Gamma_q(x, z), truncated at the
     standard product tolerance."""
@@ -543,10 +509,6 @@ class MomentTable:
     max_n: int
     values: list[MultiPoly]
     params_note: dict
-
-    @classmethod
-    def symbolic(cls, max_n: int) -> "MomentTable":
-        return cls.specialized(max_n)
 
     @classmethod
     def specialized(cls, max_n: int, q=None, qt=None, theta=None) -> "MomentTable":

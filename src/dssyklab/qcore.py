@@ -302,9 +302,6 @@ class HermiteExpansion:
             return self.coeffs[d]
         return MultiPoly.zero()
 
-    def scale(self, factor: MultiPoly) -> "HermiteExpansion":
-        return HermiteExpansion([c * factor for c in self.coeffs])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermiteExpansion):
             return NotImplemented

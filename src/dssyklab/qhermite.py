@@ -63,18 +63,12 @@ def monomial_to_hermite(k: int) -> HermiteExpansion:
     return _hermite_walk((1,) * k)
 
 
-def contraction_coefficient(m: int, k: int) -> MultiPoly:
-    """c_{m,k}: the H_{k-2m} coefficient of x^k, exact in q."""
-    if m < 0 or 2 * m > k:
-        raise ValueError("need 0 <= 2m <= k")
-    return monomial_to_hermite(k).coefficient(k - 2 * m)
-
-
 def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
     """Closed-form alternating sum for c_{m,n}, evaluated exactly at rational q.
 
-    Oracle for `contraction_coefficient`.  The 1/(1-q)^m prefactor makes
-    q = 1 a genuine pole of the expression (the walk covers q = 1).
+    Oracle for `monomial_to_hermite`, whose H_{n-2m} coefficient of x^n it
+    is.  The 1/(1-q)^m prefactor makes q = 1 a genuine pole of the
+    expression (the walk covers q = 1).
     """
     q_value = Fraction(q_value)
     if m < 0 or 2 * m > n:

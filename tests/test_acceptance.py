@@ -94,9 +94,10 @@ def test_criterion_5_closed_form_coefficients():
     rational q, exact equality, k <= 12."""
     for q in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
         for k in range(13):
+            walk = qh.monomial_to_hermite(k)
             for m in range(k // 2 + 1):
                 assert qh.c_closed_form(m, k, q) == \
-                    qh.contraction_coefficient(m, k).evaluate_exact(q, 0, 0), (m, k, q)
+                    walk.coefficient(k - 2 * m).evaluate_exact(q, 0, 0), (m, k, q)
     _report(5, "closed-form c_{m,k} equals recurrence route at q in {0,1/3,1/2}, k <= 12")
 
 
@@ -117,10 +118,9 @@ def test_criterion_6_kernel_quadrature_suite():
     lhs = float(np.sum(quad.weights * h2 * kernel_vals))
     rhs = r ** 2 * float(qh.hermite_values(2, np.array(x0), q)[2])
     assert lhs == pytest.approx(rhs, abs=1e-6)
-    series = mo.BSeries.build(12)
     for z, x0_, q_, qt_ in ((0.05, 0.3, 0.5, 0.25), (0.03, -0.6, 0.7, 0.5), (0.04, 1.0, 0.2, 0.0)):
         frac = mo.b_continued_fraction(z, x0_, q_, qt_)
-        assert frac == pytest.approx(series.evaluate(z, x0_, q_, qt_), abs=1e-9), (z, x0_)
+        assert frac == pytest.approx(mo.b_series(z, x0_, q_, qt_), abs=1e-9), (z, x0_)
     _report(6, "measure moments to 1e-7, kernel eigenrelation to 1e-6, fraction vs series to 1e-9")
 
 

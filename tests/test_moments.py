@@ -19,23 +19,6 @@ QT = MultiPoly.qt()
 Q = MultiPoly.q()
 
 
-class TestConditionalExpansion:
-    def test_k0(self):
-        e = mo.conditional_moment_expansion(0)
-        assert e.coefficient(0) == MultiPoly.one()
-
-    def test_k2(self):
-        # qt H_2 + H_0 (qt exponent doubled internally: qt_pow 2 means qt^1)
-        e = mo.conditional_moment_expansion(2)
-        assert e.coefficient(2) == MultiPoly.monomial(qt_pow=2)
-        assert e.coefficient(0) == MultiPoly.one()
-
-    def test_k3_half_powers(self):
-        e = mo.conditional_moment_expansion(3)
-        assert e.coefficient(3) == MultiPoly.monomial(qt_pow=3)
-        assert e.coefficient(1) == (2 + Q) * MultiPoly.monomial(qt_pow=1)
-
-
 class TestReducedMoment:
     def test_m1(self):
         assert mo.reduced_moment(1) == THETA
@@ -65,7 +48,6 @@ class TestReducedMoment:
             assert mo.reduced_moment(n).substitute(theta=0).is_zero()
 
     def test_qt_exponents_integral(self):
-        # construction would raise if a half power survived; spot check values
         for n in range(1, 11):
             for (a, b, c), _ in mo.reduced_moment(n).items():
                 assert b >= 0
@@ -168,6 +150,14 @@ class TestChordWalk:
         assert calls == [9]
 
 
+class TestPairedVacuum:
+    def test_pinned_values(self):
+        assert mo._paired_vacuum(()) == MultiPoly.one()
+        assert mo._paired_vacuum((1, 1)) == QT
+        assert mo._paired_vacuum((2, 2)) == QT ** 2 * (1 + Q)
+        assert mo._paired_vacuum((1, 2)).is_zero()
+
+
 class TestCompositionOracle:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped at 14"):
@@ -181,6 +171,41 @@ class TestGeneratingFunctionRoute:
 
     def test_m1_is_theta(self):
         assert mo.reduced_moment_gf(1) == THETA
+
+    def test_each_column_built_once(self, monkeypatch):
+        built = []
+        build = mo._b_power_column
+        monkeypatch.setattr(mo, "_b_power_column", lambda p: built.append(p) or build(p))
+        monkeypatch.setattr(mo, "_B_POWERS", [[]])
+        mo.reduced_moment_gf.cache_clear()
+        try:
+            for n in range(1, 15):
+                assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
+            assert built == list(range(1, 15))
+            mo.reduced_moment_gf.cache_clear()
+            assert mo.reduced_moment_gf(5) == mo.reduced_moment(5)
+            assert built == list(range(1, 15))
+        finally:
+            mo.reduced_moment_gf.cache_clear()
+
+
+def test_oracles_do_not_read_the_walk(monkeypatch):
+    expected = [mo.reduced_moment(n) for n in range(1, 11)]
+
+    def no_walk(n):
+        raise AssertionError("an oracle read the chord walk")
+
+    monkeypatch.setattr(mo, "walk_vacua", no_walk)
+    monkeypatch.setattr(mo, "_VACUA", {})
+    monkeypatch.setattr(mo, "_B_POWERS", [[]])
+    mo.reduced_moment_gf.cache_clear()
+    mo._block_vacuum.cache_clear()
+    try:
+        for n in range(1, 11):
+            assert mo.reduced_moment_gf(n) == expected[n - 1]
+            assert mo.reduced_moment_compositions(n) == expected[n - 1]
+    finally:
+        mo.reduced_moment_gf.cache_clear()
 
 
 class TestFullMoment:
@@ -249,11 +274,16 @@ class TestContinuedFraction:
             assert b == pytest.approx(z / (1 - x0 * z), abs=1e-12)
 
     def test_against_series(self):
-        bs = mo.BSeries.build(12)
         z, x0, q, qt = 0.05, 0.3, 0.5, 0.25
         frac = mo.b_continued_fraction(z, x0, q, qt)
-        series = bs.evaluate(z, x0, q, qt)
+        series = mo.b_series(z, x0, q, qt)
         assert frac == pytest.approx(series, abs=1e-9)
+
+    def test_series_classical_partial_sum(self):
+        # at qt = 1 every open chord weighs 1, so [z^p] B = x0^(p-1)
+        for z, x0, q in ((0.05, 0.3, 0.5), (0.1, -0.8, 0.9), (0.02, 1.5, 0.0)):
+            partial = sum(z ** p * x0 ** (p - 1) for p in range(1, 13))
+            assert mo.b_series(z, x0, q, 1.0) == pytest.approx(partial, rel=1e-12, abs=1e-15)
 
     def test_theta_scaling(self):
         b1 = mo.b_continued_fraction(0.05, 0.3, 0.5, 0.25)
@@ -295,11 +325,6 @@ class TestContinuedFraction:
             for x0 in (-1.0, 0.0, 1.0):
                 assert (_outcome(mo.b_continued_fraction, z, x0, q, qt)
                         == _outcome(_b_continued_fraction_per_level, z, x0, q, qt))
-
-    def test_bseries_coefficients(self):
-        bs = mo.BSeries.build(4)
-        assert bs.coeffs[1].coefficient(0) == MultiPoly.theta()
-        assert bs.coeffs[0].degree == -1  # empty z^0 entry
 
 
 def _b_fraction_per_level(z, x0, q, qt, depth, theta):
@@ -381,7 +406,7 @@ class TestPartitionFunction:
 
 class TestMomentTable:
     def test_symbolic_round_trip(self):
-        table = mo.MomentTable.symbolic(6)
+        table = mo.MomentTable.specialized(6)
         again = mo.MomentTable.from_json_obj(table.to_json_obj())
         assert all(again.moment(n) == table.moment(n) for n in range(1, 7))
 
@@ -395,9 +420,9 @@ class TestMomentTable:
 
     def test_numeric_rows_require_specialization(self):
         with pytest.raises(ValueError):
-            mo.MomentTable.symbolic(3).numeric_rows()
+            mo.MomentTable.specialized(3).numeric_rows()
 
     def test_invariant_first_two(self):
-        table = mo.MomentTable.symbolic(4)
+        table = mo.MomentTable.specialized(4)
         assert table.moment(1) == THETA
         assert table.moment(2) == THETA ** 2

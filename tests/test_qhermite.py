@@ -94,7 +94,7 @@ class TestClosedForm:
         for q in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
             for k in range(13):
                 for m in range(k // 2 + 1):
-                    recur = qh.contraction_coefficient(m, k).evaluate_exact(q, 0, 0)
+                    recur = qh.monomial_to_hermite(k).coefficient(k - 2 * m).evaluate_exact(q, 0, 0)
                     assert qh.c_closed_form(m, k, q) == recur
 
 
