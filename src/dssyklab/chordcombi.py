@@ -2,12 +2,15 @@
 
 `matching_counts` is the one kernel that counts perfect matchings of
 labelled points on a line by their crossings and their chords between
-different labels; `mixed.mixed_moment` and the chord-enumeration oracles
-read it.  Everything else here exists for correctness, not speed:
-partitions and matchings are enumerated explicitly (with deliberate scale
-caps) so the closed-form machinery elsewhere can be checked against direct
-counting.  The chord transfer matrix lives here too, as the oracle for
-`qhermite.rt_moment`, which reads the same moments off the Hermite walk.
+different labels; `mixed.mixed_moment`, the pair-partition polynomial and
+the inhomogeneous-matching oracle read it.  It scans the points once, left
+to right, over the labels of the open chords, and enumerates no matching.
+Everything else here exists for correctness, not speed: partitions and
+matchings are enumerated explicitly (with deliberate scale caps) so the
+kernel and the closed-form machinery elsewhere can be checked against
+direct counting.  The chord transfer matrix lives here too, as an oracle
+for `qhermite.rt_moment`, which reads the same moments off the Hermite
+walk.
 """
 
 from __future__ import annotations
@@ -86,29 +89,34 @@ def matching_counts(labels) -> Counter:
     """Perfect matchings of len(labels) points on a line, counted by statistics.
 
     Maps (crossings, chords joining two different labels) to the number of
-    matchings with those counts; empty for an odd number of points.  The
-    recursion pairs the smallest open point f with each open p and carries
-    the crossing count as `enumerate_pair_partitions` does: the chord (f, p)
-    adds p - f - 1 - i, with i the number of open points inside it.
+    matchings with those counts; empty for an odd number of points.  No
+    matching is visited: one left-to-right scan keeps, for each tuple of
+    labels of the open chords in opening order, the counts of the partial
+    matchings that leave those chords open.  Each point opens a chord, if
+    the open chords still fit into the points after it, or closes the j-th
+    open chord, which crosses the len(open) - 1 - j chords opened after it
+    and still open.  Partial matchings with equal label tuples merge, so
+    the states stay few when labels come in contiguous runs.
     """
     labels = tuple(labels)
     if len(labels) > PAIR_PARTITION_CAP:
         raise ValueError(f"matching_counts supports at most {PAIR_PARTITION_CAP} points")
-    counts: Counter = Counter()
     if len(labels) % 2:
-        return counts
-
-    def recurse(remaining: tuple[int, ...], cr: int, bc: int):
-        if not remaining:
-            counts[cr, bc] += 1
-            return
-        first, rest = remaining[0], remaining[1:]
-        for i, partner in enumerate(rest):
-            recurse(rest[:i] + rest[i + 1:], cr + partner - first - 1 - i,
-                    bc + (labels[first] != labels[partner]))
-
-    recurse(tuple(range(len(labels))), 0, 0)
-    return counts
+        return Counter()
+    states: dict[tuple, dict] = {(): {(0, 0): 1}}
+    for i, label in enumerate(labels):
+        step: dict[tuple, dict] = {}
+        for opened, counts in states.items():
+            moves = [(opened[:j] + opened[j + 1:], len(opened) - 1 - j, other != label)
+                     for j, other in enumerate(opened)]
+            if len(opened) < len(labels) - 1 - i:
+                moves.append((opened + (label,), 0, 0))
+            for key, cr, bc in moves:
+                target = step.setdefault(key, {})
+                for (c, b), count in counts.items():
+                    target[c + cr, b + bc] = target.get((c + cr, b + bc), 0) + count
+        states = step
+    return Counter(states[()])
 
 
 def enumerate_pair_partitions(n: int) -> list[MatchingStats]:
@@ -256,7 +264,13 @@ def transfer_vacuum_moment(k: int, L: int | None = None) -> MultiPoly:
 def pair_partition_polynomial(n: int) -> MultiPoly:
     """Sum of q^cr over all perfect matchings of {1..n}; zero for odd n.
 
-    Oracle for `qhermite.rt_moment`, by explicit enumeration.
+    Oracle for `qhermite.rt_moment`, read off `matching_counts` on n equal
+    labels.  There the scan's state is just the number l of open chords, as
+    in `transfer_vacuum_moment`, and closing one of them adds 0..l-1
+    crossings, one integer count each.  So this oracle pins rt_moment to
+    the crossing count of each chord, which `enumerate_pair_partitions`
+    checks matching by matching in the tests; the transfer matrix pins it
+    to the weight [l]_q of T|l> as one q-integer in the polynomial ring.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

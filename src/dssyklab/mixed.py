@@ -5,7 +5,8 @@ positions splits the x positions into cyclic arcs.  Every perfect matching
 of the x positions is weighted by q per chord crossing and by qt per chord
 whose endpoints lie in different arcs (a chord passing any number of walls
 picks up the weight exactly once).  The matchings are counted by the chord
-kernel `chordcombi.matching_counts`, with each x labelled by its arc.
+kernel `chordcombi.matching_counts`, with each x labelled by its arc; it
+scans the open chords and visits no matching.
 Summed over all words of fixed length, this reconstructs the reduced
 moments and serves as their independent oracle.
 """
@@ -79,8 +80,11 @@ def mixed_moment(w: Word) -> MixedMomentResult:
     q^(chord crossings) * qt^(chords joining different arcs) * theta^(#d),
     counted by `chordcombi.matching_counts` on the arc labels.  Zero (as a
     polynomial) when the number of x letters is odd.  Words with more than
-    ORACLE_POINT_CAP x letters are rejected: the walk visits all
-    (n_x - 1)!! matchings.
+    ORACLE_POINT_CAP x letters are rejected.  The kernel visits no
+    matching, but its states grow with the number of arcs, to one per set
+    of open x letters when each x has its own arc, and the cap keeps
+    every word small enough for `enumerate_pair_partitions` to recount its
+    (n_x - 1)!! matchings one by one.
     """
     arcs = _arc_labels(w.letters)
     if len(arcs) > ORACLE_POINT_CAP:

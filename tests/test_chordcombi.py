@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from dssyklab import chordcombi as cc
+from dssyklab.mixed import _arc_labels
 from dssyklab.qcore import MultiPoly
 from dssyklab.qhermite import monomial_to_hermite
 
@@ -44,19 +45,39 @@ class TestPairPartitions:
             cc.enumerate_pair_partitions(18)
 
 
+def recounted_matchings(labels):
+    """(crossings, cross-label chords) of each enumerated matching, recounted."""
+    expected = Counter()
+    for stats in cc.enumerate_pair_partitions(len(labels)):
+        pairs = stats.partition.pairs()
+        bc = sum(labels[a - 1] != labels[b - 1] for a, b in pairs)
+        expected[cc.crossing_number(pairs), bc] += 1
+    return expected
+
+
 class TestMatchingCounts:
     def test_matches_enumeration_and_recount(self):
-        # random labellings: each matching's crossings and cross-label chords, recounted
         rng = random.Random(11)
-        for n in range(0, 11):
-            for _ in range(4):
-                labels = [rng.randrange(3) for _ in range(n)]
-                expected = Counter()
-                for stats in cc.enumerate_pair_partitions(n):
-                    pairs = stats.partition.pairs()
-                    bc = sum(labels[a - 1] != labels[b - 1] for a, b in pairs)
-                    expected[cc.crossing_number(pairs), bc] += 1
-                assert cc.matching_counts(labels) == expected, labels
+        cases = [[rng.randrange(3) for _ in range(n)] for n in range(0, 11) for _ in range(4)]
+        # cyclic arcs of words that start and end with x: the wrapped arc labels both ends
+        for n_x in range(2, 13):
+            for _ in range(2 if n_x < 11 else 1):
+                inner = ["x"] * (n_x - 2) + ["d"] * rng.randint(1, 4)
+                rng.shuffle(inner)
+                labels = _arc_labels(tuple(["x"] + inner + ["x"]))
+                assert len(labels) == n_x and labels[0] == labels[-1]
+                cases.append(labels)
+        for labels in cases:
+            assert cc.matching_counts(labels) == recounted_matchings(labels), labels
+
+    def test_cap_uniform_and_distinct_labels(self):
+        # crossings do not see labels: both give the 16-point crossing polynomial
+        crossings = cc.transfer_vacuum_moment(16)
+        for labels, bc in (([0] * 16, 0), (list(range(16)), 8)):
+            counts = cc.matching_counts(labels)
+            assert {b for _, b in counts} == {bc}
+            assert MultiPoly({(cr, 0, 0): c for (cr, _), c in counts.items()}) == crossings
+            assert sum(counts.values()) == cc.double_factorial(15)
 
     def test_uniform_labels_give_no_cross_label_chords(self):
         counts = cc.matching_counts("aaaaaa")

@@ -149,7 +149,7 @@ class TestResultInvariants:
 
 class TestWordSumOracle:
     def test_reconstructs_reduced_moments(self):
-        for n in range(1, 9):
+        for n in range(1, mx.WORD_SUM_CAP + 1):
             syk = rt_moment(n // 2) if n % 2 == 0 else MultiPoly.zero()
             assert mx.word_sum_moment(n) - syk == mo.reduced_moment(n)
 
