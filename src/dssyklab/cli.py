@@ -223,12 +223,13 @@ def run_density(args) -> int:
     if not 0.0 <= args.q <= qhermite.Q_NUMERIC_MAX:
         raise ValueError(f"--q must lie in [0, {qhermite.Q_NUMERIC_MAX}]")
     _check_grid(args)
+    if args.kernel_r is None and args.kernel_x is not None:
+        raise ValueError("--kernel-x needs --kernel-r")
     if args.kernel_r is not None:
-        r = args.kernel_r
-        x0 = args.kernel_x
+        x0 = args.kernel_x = 0.0 if args.kernel_x is None else args.kernel_x  # for the metadata
         R = qhermite.support_radius(args.q)
         ys = np.linspace(-R, R, args.grid)
-        values = qhermite.conditional_kernel(x0, ys, r, args.q)
+        values = qhermite.conditional_kernel(x0, ys, args.kernel_r, args.q)
         rows = [f"{_fmt(x0)},{_fmt(y)},{_fmt(v)}" for y, v in zip(ys, values)]
         _write(args, _csv(_metadata_lines(args), "x,y,value", rows))
         return EXIT_OK
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--kernel-r", type=float, default=None,
                    help="emit the conditional kernel at this memory parameter")
-    p.add_argument("--kernel-x", type=float, default=0.0)
+    p.add_argument("--kernel-x", type=float, default=None, help="kernel x (default 0)")
     common(p)
     p.set_defaults(func=run_density)
 

@@ -244,17 +244,27 @@ def hermite_values(n_max: int, x, q: float):
     return values
 
 
-def conditional_kernel(x: float, y, r: float, q: float, truncation: int = 200):
+def conditional_kernel(x: float, y, r: float, q: float):
     """Conditional q-normal kernel p_r(x,y) = sum_n r^n H_n(x) H_n(y) / [n]_q!.
 
-    y may be a scalar or an array; a scalar gives a float.  The x-side
-    factors r^n H_n(x) and [n]_q! run once for the whole grid, and each y
-    lane sums its own terms.  Direct summation with a settling guard: a
-    lane's partial sum must become stationary (three consecutive negligible
-    terms) within the truncation budget, and then it is frozen; a lane that
-    overflows or never settles raises a ConvergenceError naming the first
-    such y in grid order.  p_r(x,.) integrates to one against the
-    q-Gaussian measure.
+    The q-Ornstein-Uhlenbeck transition density (Bozejko, Kuemmerer and
+    Speicher, Comm. Math. Phys. 185 (1997) 129) in closed form, the q-Mehler
+    product (Bressoud, Indiana Univ. Math. J. 29 (1980) 577): with
+    x = 2 cos t/sqrt(1-q), y = 2 cos s/sqrt(1-q) and a_k = r q^k,
+
+        p_r(x,y) = (r^2; q)_inf / prod_k |1 - a_k e^{i(t+s)}|^2 |1 - a_k e^{i(t-s)}|^2,
+
+    summed as a logarithm and exponentiated once.  The factors with
+    a_k > 1/2 are taken one by one, as |1 - a e^{i phi}|^2 =
+    (1-a)^2 + 4a sin^2(phi/2) keeps its digits as a -> 1.  The logarithm of
+    the rest is sum_m b^m (4 cos(mt) cos(ms) - r^m) / (m (1 - q^m)) in
+    b = a_{k0} <= 1/2, stopped once its tail bound
+    5 b^m / (m (1 - q^m) (1 - b)) is below PRODUCT_EPS.  At r = 0 both
+    parts are empty and the value is exactly 1.
+
+    y may be a scalar or an array; a scalar gives a float.  A value beyond
+    the float range raises a ConvergenceError naming the first such y in
+    grid order.  p_r(x,.) integrates to one against the q-Gaussian measure.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("need 0 <= q < 1")
@@ -266,42 +276,29 @@ def conditional_kernel(x: float, y, r: float, q: float, truncation: int = 200):
         raise ValueError("kernel arguments must lie inside the support")
     x, r, q = float(x), float(r), float(q)
     flat = ys.ravel()
-    out = np.empty_like(flat)
-    failure = np.zeros(flat.size, dtype=np.int8)  # 1: overflow, 2: did not settle
-    lanes = np.arange(flat.size)  # the lanes still summing, in grid order
-    yl, total, settled = flat, np.zeros_like(flat), np.zeros(flat.size, dtype=int)
-    hy_prev, hy = np.zeros_like(flat), np.ones_like(flat)  # H_{-1}, H_0 at each y
-    hx_prev, hx = 0.0, 1.0
-    rn = 1.0      # r^n
-    fact = 1.0    # [n]_q!
-    # a lane that overflows leaves inf/nan behind; the failure report names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(truncation + 1):
-            term = rn * hx * hy / fact
-            total += term
-            settled = (settled + 1) * (np.abs(term) <= 1e-14 * np.maximum(1.0, np.abs(total)))
-            finite = np.isfinite(total)
-            keep = finite & (settled < 3)
-            if not keep.all():
-                done = finite & ~keep
-                out[lanes[done]] = total[done]
-                failure[lanes[~finite]] = 1
-                lanes, yl, total, settled, hy, hy_prev = (
-                    a[keep] for a in (lanes, yl, total, settled, hy, hy_prev))
-                if not lanes.size:
-                    break
-            qn = (1.0 - q ** n) / (1.0 - q)          # [n]_q
-            hx, hx_prev = x * hx - qn * hx_prev, hx  # H_{n+1} = x H_n - [n]_q H_{n-1}
-            hy, hy_prev = yl * hy - qn * hy_prev, hy
-            rn *= r
-            fact *= (1.0 - q ** (n + 1)) / (1.0 - q)
-    failure[lanes] = 2
-    failed = np.flatnonzero(failure)
-    if failed.size:
-        i = failed[0]
-        where = f"(x={x}, y={float(flat[i])}, r={r}, q={q})"
-        if failure[i] == 1:
-            raise ConvergenceError(f"kernel sum overflows a float at {where}")
-        raise ConvergenceError(f"kernel sum did not settle within {truncation} terms at {where}")
-    out = out.reshape(ys.shape)
+    u = min(1.0, max(-1.0, x / R))  # cos t
+    v = np.clip(flat / R, -1.0, 1.0)  # cos s
+    t = math.acos(u)
+    s = np.fromiter(map(math.acos, v), float, v.size)
+    sin2_sum = np.fromiter(map(math.sin, (t + s) / 2.0), float, v.size) ** 2
+    sin2_diff = np.fromiter(map(math.sin, (t - s) / 2.0), float, v.size) ** 2
+    log_p, k = np.zeros_like(v), 0
+    while (a := r * q ** k) > 0.5:
+        gap = (1.0 - a) ** 2  # 1 - a and 1 - r are exact, as a, r > 1/2
+        log_p += np.log(((1.0 - r) + r * (1.0 - a))  # 1 - r^2 q^k
+                        / ((gap + 4.0 * a * sin2_sum) * (gap + 4.0 * a * sin2_diff)))
+        k += 1
+    m, b = 1, a
+    tx_prev, tx = 1.0, u  # cos((m-1)t), cos(mt)
+    ty_prev, ty = np.ones_like(v), v
+    while 5.0 * (c := b ** m / (m * (1.0 - q ** m))) / (1.0 - b) >= PRODUCT_EPS:
+        log_p += (4.0 * c * tx) * ty - c * r ** m
+        tx, tx_prev = 2.0 * u * tx - tx_prev, tx
+        ty, ty_prev = 2.0 * v * ty - ty_prev, ty
+        m += 1
+    over = np.flatnonzero(log_p > math.log(np.finfo(float).max))  # where math.exp overflows
+    if over.size:
+        raise ConvergenceError(
+            f"kernel overflows a float at (x={x}, y={float(flat[over[0]])}, r={r}, q={q})")
+    out = np.fromiter(map(math.exp, log_p), float, v.size).reshape(ys.shape)
     return float(out) if out.ndim == 0 else out

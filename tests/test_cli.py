@@ -197,6 +197,14 @@ class TestDensityCommand:
         assert body[0] == "x,y,value"
         assert len(body) == 6
 
+    def test_kernel_x_is_recorded_only_on_kernel_runs(self, capsys):
+        _, plain, _ = run_cli(["density", "--q", "0.5", "--grid", "3", "--deterministic"], capsys)
+        assert "kernel_x" not in plain
+        _, kernel, _ = run_cli(["density", "--q", "0.5", "--grid", "3", "--kernel-r", "0.6",
+                                "--deterministic"], capsys)
+        assert "# kernel_x=0.0" in kernel.splitlines()
+        assert [l.split(",")[0] for l in kernel.splitlines()[-3:]] == ["0"] * 3
+
     def test_q_out_of_range(self, capsys):
         code, _, _ = run_cli(["density", "--q", "1.5"], capsys)
         assert code == 2
@@ -285,6 +293,8 @@ class TestZnCommand:
     pytest.param(["ed", "--N", "8", "--bins", "0"], "--bins must be positive", id="ed-bins-0"),
     pytest.param(["density", "--q", "0.5", "--kernel-r", "0.5", "--kernel-x", "nan"],
                  "inside the support", id="density-kernel-x-nan"),
+    pytest.param(["density", "--q", "0.5", "--kernel-x", "0.7"], "--kernel-x needs --kernel-r",
+                 id="density-kernel-x-without-kernel-r"),
     pytest.param(["ed", "--N", "8", "--seed", "-1"], "seed must satisfy", id="ed-seed-negative"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--seed", str(2 ** 64)],
                  "seed must satisfy", id="compare-seed-2^64"),
@@ -481,13 +491,14 @@ def test_density_freeconv_and_zn_keep_the_exit_code_contract(tmp_path, capsys, a
                    parse_constant=lambda token: pytest.fail(f"{token} in the summary"))
 
 
-def test_kernel_overflow_is_nonconvergence(capsys):
-    # the kernel terms at y = +-20 overflow a float; the settling test then passed on inf
+def test_kernel_where_the_series_overflowed_is_finite(capsys):
+    # the terms of the series at y = +-20 overflow a float, so summing them exited 3;
+    # the product gives the values of the 450-digit decimal sum
     code, out, err = run_cli(KERNEL_OVERFLOW + ["--deterministic"], capsys)
-    assert code == 3
-    # the first y of the grid, -R, is the first lane that overflows
-    assert out == "" and err == ("non-convergence: kernel sum overflows a float at "
-                                 "(x=0.0, y=-19.99999999999999, r=0.9, q=0.99)\n")
+    assert code == 0 and err == ""
+    body = [l for l in out.splitlines() if not l.startswith("#")]
+    assert body == ["x,y,value", "0,-20,2.32424334758e-78", "0,0,2.31885293108",
+                    "0,20,2.32424334758e-78"]
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -505,7 +516,6 @@ def test_oversized_rational_names_the_flag(args, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(KERNEL_OVERFLOW, id="density-kernel"),
     pytest.param(["zn", "--n", "1", "--beta", "1000", "--q", "0.5", "--qtilde", "0.25"], id="zn"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e30", "--samples", "2",
                   "--n-max", "6"], id="compare-1e30"),
