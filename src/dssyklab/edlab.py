@@ -25,7 +25,9 @@ are assembled and diagonalized separately.  For k >= 1 the defect lies
 inside the top-bit-0 block, so the top-bit-1 block is the same with and
 without it and is diagonalized once per sample.  When N/2 is odd an
 antiunitary symmetry maps one block onto the other (`_mirror_sign`), and
-the top-bit-1 spectrum is read off the top-bit-0 one.
+the top-bit-1 spectrum is read off the top-bit-0 one; the top-bit-1 block
+is then never assembled.  A sample holds one copy of each block it
+diagonalizes: the last shift of a block is added to it in place.
 """
 
 from __future__ import annotations
@@ -214,29 +216,42 @@ def _sylvester(n: int) -> np.ndarray:
     return _parity_signs(n)[idx[:, None] & idx]
 
 
-def _hadamard_rows(flat: np.ndarray, n: int) -> np.ndarray:
+def _hadamard_rows(flat: np.ndarray, n: int, half: bool = False) -> np.ndarray:
     """The rows of a flattened G x 2^n array, each times the Sylvester matrix
     H_n = H_a (x) H_b with a = n // 2 high and b = n - a low bits: a row read
     as a 2^a x 2^b matrix V becomes H_a V H_b.  These per-row products are
     small enough that BLAS runs each on one thread, which was faster than
     one (G 2^a) x 2^b product and left the buffers of other BLAS threads
-    untouched (a lower peak RSS)."""
+    untouched (a lower peak RSS).
+
+    With `half`, only the first half of each output row (top bit 0) is
+    computed: the top half of H_a's rows, or at a = 0, where the top bit
+    lies in H_b, the left half of H_b's columns.
+    """
     a, b = n // 2, n - n // 2
     g = flat.size >> n
-    return (_sylvester(a) @ flat.reshape(g, 1 << a, 1 << b) @ _sylvester(b)).reshape(g, 1 << n)
+    left, right = _sylvester(a), _sylvester(b)
+    if half and a:
+        left = left[: 1 << (a - 1)]
+    elif half:
+        right = right[:, : 1 << (b - 1)]
+    return (left @ flat.reshape(g, 1 << a, 1 << b) @ right).reshape(g, -1)
 
 
-def _h_blocks(params: ModelParams, rng: np.random.Generator) -> list[np.ndarray]:
+def _h_blocks(params: ModelParams, rng: np.random.Generator, both: bool = True) -> list[np.ndarray]:
     """One realization of the random p-body Hamiltonian as its two
     chirality blocks: the top-qubit-0 block, then the top-qubit-1 block.
+    With `both` false only the top-qubit-0 block is assembled, from the
+    same coupling draw.
 
     Couplings are i.i.d. normal with variance 1/C(N,p), which normalizes
     the trace of H^2 to one.  The x-mask group of x fills the entries
     (b XOR x, b) with sum_t c_t phase_t (-1)^popcount(z_t & b): the
     Walsh-Hadamard transform of the group's weights spread over z-masks.
     The real and imaginary parts of the weights go through the real
-    transform separately, all groups in one batch.  Each group's row then
-    fills one column-to-row permutation inside both blocks.
+    transform separately, all groups in one batch, and only over the
+    states of the blocks asked for.  Each group's row then fills one
+    column-to-row permutation inside each block.
     """
     N, p = params.N, params.p
     half = params.dim // 2
@@ -246,11 +261,11 @@ def _h_blocks(params: ModelParams, rng: np.random.Generator) -> list[np.ndarray]
     weights = couplings * phases
     spread = np.zeros(len(xs) * params.dim)
     spread[slots] = weights.real
-    real = _hadamard_rows(spread, N // 2)
+    real = _hadamard_rows(spread, N // 2, half=not both)
     spread[slots] = weights.imag
-    imag = _hadamard_rows(spread, N // 2)
+    imag = _hadamard_rows(spread, N // 2, half=not both)
     del spread
-    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2)]
+    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2 if both else 1)]
     idx = np.arange(half)
     for x, re, im in zip(xs, real, imag):
         entries, rows = re + 1j * im, idx ^ x
@@ -390,37 +405,53 @@ def _mirror_sign(N: int, p: int) -> int:
     return (-1) ** (p * (p - 1) // 2)
 
 
-def _block_spectra(blocks: list[np.ndarray], shift: np.ndarray, memo: dict,
-                   sigma: int) -> list[np.ndarray]:
-    """Eigenvalues of each chirality block plus its slice of diag(shift).
+def _block_spectra(params: ModelParams, rng: np.random.Generator,
+                   shifts: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Eigenvalues of each chirality block of one realization plus its slice
+    of diag(shift): [block-0 spectrum, block-1 spectrum] for each shift.
 
-    `memo` maps (block, shift slice) to that block's eigenvalues, so a block
-    whose slice repeats within one sample, such as a defect-free block, is
-    diagonalized once.  With sigma = `_mirror_sign(N, p)` nonzero and block
-    1's slice a constant c, block 1's spectrum is sigma * spec(B0 + sigma c)
-    taken from block 0's entry: the same array when sigma = +1, negated (so
-    descending) when sigma = -1.
+    A (block, slice) pair that repeats, such as a defect-free block, is
+    diagonalized once and its spectrum returned as the same array; the key
+    `(part + 0.0).tobytes()` maps a -0.0 slice onto 0.0.  With sigma =
+    `_mirror_sign(N, p)` nonzero and block 1's slice a constant c, block
+    1's spectrum is sigma * spec(B0 + sigma c) taken from block 0's: the
+    same array when sigma = +1, negated (so descending) when sigma = -1.
+    Block 1 is assembled only when some shift needs it diagonalized.
+
+    Each block is held once.  Its distinct slices are diagonalized in order
+    of first use, each on a shifted copy (a zero slice on the block itself)
+    except the last, which shifts the block in place.
     """
-    def eig(i: int, part: np.ndarray) -> np.ndarray:
-        key = (i, (part + 0.0).tobytes())  # + 0.0 maps -0.0 onto the key of 0.0
-        if key not in memo:
-            block = blocks[i]
+    sigma = _mirror_sign(params.N, params.p)
+    parts: list[dict[bytes, np.ndarray]] = [{}, {}]  # per block: key -> slice
+
+    def key(i: int, part: np.ndarray) -> tuple[int, bytes]:
+        raw = (part + 0.0).tobytes()
+        parts[i].setdefault(raw, part)
+        return i, raw
+
+    plan = []
+    for shift in shifts:
+        low, high = np.split(shift, 2)
+        if sigma and (high == high[0]).all():
+            plan.append((key(0, low), key(0, sigma * high), sigma))
+        else:
+            plan.append((key(0, low), key(1, high), 1))
+    eigs = {}
+    for i, block in enumerate(_h_blocks(params, rng, both=bool(parts[1]))):
+        last = len(parts[i]) - 1
+        for j, (raw, part) in enumerate(parts[i].items()):
+            shifted = block
             if part.any():
-                block = block.copy()
-                block[np.diag_indices_from(block)] += part
-            memo[key] = np.linalg.eigvalsh(block)
-        return memo[key]
-
-    low, high = np.split(shift, 2)
-    if sigma and (high == high[0]).all():
-        mirrored = eig(0, sigma * high)
-        return [eig(0, low), mirrored if sigma > 0 else -mirrored]
-    return [eig(0, low), eig(1, high)]
+                shifted = block if j == last else block.copy()
+                shifted[np.diag_indices_from(shifted)] += part
+            eigs[i, raw] = np.linalg.eigvalsh(shifted)
+    return [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]
 
 
-def _spectrum(blocks: list[np.ndarray], shift: np.ndarray, memo: dict, sigma: int) -> np.ndarray:
-    """Sorted eigenvalues of blockdiag(blocks) + diag(shift); see `_block_spectra`."""
-    return np.sort(np.concatenate(_block_spectra(blocks, shift, memo, sigma)))
+def _spectrum(pair: list[np.ndarray]) -> np.ndarray:
+    """Sorted eigenvalues of the whole matrix from its two block spectra."""
+    return np.sort(np.concatenate(pair))
 
 
 def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
@@ -430,9 +461,8 @@ def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
     stream regardless of how many samples are requested.
     """
     defect = params.theta * _defect_diagonal(params.N, params.k)
-    sigma = _mirror_sign(params.N, params.p)
-    return [SpectrumSample(_spectrum(_h_blocks(params, sample_rng(params.seed, s)), defect, {},
-                                     sigma), params, s)
+    return [SpectrumSample(_spectrum(_block_spectra(params, sample_rng(params.seed, s), [defect])[0]),
+                           params, s)
             for s in range(params.samples)]
 
 
@@ -450,15 +480,12 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
         raise ValueError("paired moments need samples >= 2 for a standard error")
     r = params.r
     defect = params.theta * _defect_diagonal(params.N, params.k)
-    sigma = _mirror_sign(params.N, params.p)
     per_sample = np.zeros((params.samples, max_n))
     # a huge theta overflows the moments to inf/nan; the caller reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(params.samples):
-            blocks = _h_blocks(params, sample_rng(params.seed, s))
-            memo: dict = {}
-            eig_syk = _spectrum(blocks, np.zeros_like(defect), memo, sigma)
-            eig_full = _spectrum(blocks, defect, memo, sigma)
+            eig_syk, eig_full = map(_spectrum, _block_spectra(
+                params, sample_rng(params.seed, s), [np.zeros_like(defect), defect]))
             for n in range(1, max_n + 1):
                 full = np.mean(eig_full ** n)
                 syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
@@ -583,13 +610,10 @@ def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = No
     grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=k, seed=base.seed,
                         samples=base.samples) for k in ks for theta in thetas]
     defects = [params.theta * _defect_diagonal(params.N, params.k) for params in grid]
-    sigma = _mirror_sign(base.N, base.p)
     pooled: list[list[np.ndarray]] = [[] for _ in grid]
     for s in range(base.samples):
-        blocks = _h_blocks(base, sample_rng(base.seed, s))
-        memo: dict = {}
-        for defect, spectra in zip(defects, pooled):
-            low, high = _block_spectra(blocks, defect, memo, sigma)
+        for (low, high), spectra in zip(_block_spectra(base, sample_rng(base.seed, s), defects),
+                                        pooled):
             spectra += [low] if high is low else [low, high]
     rows = []
     for params, spectra in zip(grid, pooled):

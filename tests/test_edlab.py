@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -179,8 +180,13 @@ class TestHadamardAssembly:
     @pytest.mark.parametrize("n", [0, 1, 4, 5])
     def test_hadamard_rows_match_sylvester(self, n):
         rows = np.random.default_rng(n).standard_normal((3, 1 << n))
+        want = rows @ ed._sylvester(n)
         got = ed._hadamard_rows(rows.reshape(-1), n)
-        assert np.abs(got - rows @ ed._sylvester(n)).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-12
+        if n:  # the top-bit-0 half; at n = 1 the top bit lies in H_b
+            got = ed._hadamard_rows(rows.reshape(-1), n, half=True)
+            assert got.shape == (3, 1 << (n - 1))
+            assert np.abs(got - want[:, : 1 << (n - 1)]).max() < 1e-12
 
 
 class TestBlockMirror:
@@ -263,12 +269,12 @@ class TestBlockSpectraOracle:
             oracle = np.linalg.eigvalsh(H + theta * ed.build_dc(N, k))
             assert np.abs(sample.eigenvalues - oracle).max() < 1e-12
 
-    @pytest.mark.parametrize("N", [10, 14])
-    @pytest.mark.parametrize("p", [2, 4, 6])
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k,p,N", [(k, p, N) for N in (2, 6, 10, 14) for p in (2, 4, 6)
+                                       for k in (0, 1, 2) if p <= N and k <= N // 2])
     @pytest.mark.parametrize("theta", [0.0, 3.0])
     def test_mirrored_spectra_match_full_matrix(self, N, p, k, theta):
-        # N/2 odd: block 1's spectrum comes from block 0's
+        # N/2 odd: block 1's spectrum comes from block 0's; N = 2 has a = 0
+        # high Hadamard bits, so the top bit of the half transform is in H_b
         params = ed.ModelParams(N=N, p=p, theta=theta, k=k, seed=23, samples=2)
         for sample in ed.sample_spectra(params):
             H = ed.build_h_syk(params, ed.sample_rng(23, sample.sample_index))
@@ -277,20 +283,29 @@ class TestBlockSpectraOracle:
 
     @pytest.mark.parametrize("N", [10, 14])
     @pytest.mark.parametrize("p", [4, 6])
-    def test_uneven_shift_on_block1_is_diagonalized(self, N, p):
-        # the mirror needs a constant shift on block 1; any other shift is
-        # diagonalized directly
-        params = ed.ModelParams(N=N, p=p, seed=41)
-        blocks = ed._h_blocks(params, ed.sample_rng(41, 0))
-        shift = np.linspace(-1.0, 2.0, params.dim)
-        got = ed._spectrum(blocks, shift, {}, ed._mirror_sign(N, p))
-        H = ed.build_h_syk(params, ed.sample_rng(41, 0))
-        assert np.abs(got - np.linalg.eigvalsh(H + np.diag(shift))).max() < 1e-12
+    def test_uneven_shift_on_block1_is_diagonalized(self, N, p, monkeypatch):
+        # the mirror needs a constant shift on block 1; any other shift has
+        # block 1 assembled and diagonalized directly
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
 
-    @pytest.mark.parametrize("N", [10, 12, 14])
-    @pytest.mark.parametrize("k", [0, 1, 2])
+        def counted(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(ed.np.linalg, "eigvalsh", counted)
+        params = ed.ModelParams(N=N, p=p, seed=41)
+        shift = np.linspace(-1.0, 2.0, params.dim)
+        [pair] = ed._block_spectra(params, ed.sample_rng(41, 0), [shift])
+        assert shapes == [(params.dim // 2, params.dim // 2)] * 2
+        H = ed.build_h_syk(params, ed.sample_rng(41, 0))
+        want = eigvalsh(H + np.diag(shift))
+        assert np.abs(ed._spectrum(pair) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("k,N", [(k, N) for N in (2, 6, 10, 12, 14) for k in (0, 1, 2)
+                                     if k <= N // 2])
     def test_paired_moments_match_full_matrix(self, N, k):
-        params = ed.ModelParams(N=N, p=4, theta=2.5, k=k, seed=17, samples=4)
+        params = ed.ModelParams(N=N, p=min(N, 4), theta=2.5, k=k, seed=17, samples=4)
         means, errs = ed.paired_reduced_moments(params, 6)
         o_means, o_errs = _paired_full_matrix_oracle(params, 6)
         for got, want in zip(means + errs, o_means + o_errs):
@@ -298,7 +313,7 @@ class TestBlockSpectraOracle:
 
     def test_phase_scan_matches_per_point_spectra(self):
         thetas = [0.0, 1.0, 5.0]
-        for N in (12, 14):
+        for N in (6, 12, 14):
             base = ed.ModelParams(N=N, p=4, seed=5, samples=4)
             rows = ed.phase_scan(base, thetas, ks=[0, 2])
             reference = []
@@ -306,7 +321,7 @@ class TestBlockSpectraOracle:
                 for theta in thetas:
                     params = ed.ModelParams(N=N, p=4, theta=theta, k=k, seed=5, samples=4)
                     spectra = [s.eigenvalues for s in ed.sample_spectra(params)]
-                    if N == 14 and (k == 0 or theta == 0.0):
+                    if N // 2 % 2 and (k == 0 or theta == 0.0):
                         # N/2 odd, p = 4: the blocks are isospectral and both
                         # carry the same constant shift, so every level is
                         # exactly doubled; the scan pools each level once
@@ -315,6 +330,77 @@ class TestBlockSpectraOracle:
                     reference.append({"theta": theta, "k": k, "samples": 4,
                                       **ed.spectral_gap_report(np.concatenate(spectra))})
             assert rows == reference
+
+
+def _memo_block_spectra(params, rng, shifts):
+    """`_block_spectra` through a memo that diagonalizes a shifted copy of a
+    block for every (block, slice) it has not seen, with both blocks always
+    assembled.  Oracle for the one-copy, in-place schedule."""
+    blocks = ed._h_blocks(params, rng)
+    sigma = ed._mirror_sign(params.N, params.p)
+    memo = {}
+
+    def eig(i, part):
+        key = (i, (part + 0.0).tobytes())
+        if key not in memo:
+            block = blocks[i]
+            if part.any():
+                block = block.copy()
+                block[np.diag_indices_from(block)] += part
+            memo[key] = np.linalg.eigvalsh(block)
+        return memo[key]
+
+    out = []
+    for shift in shifts:
+        low, high = np.split(shift, 2)
+        if sigma and (high == high[0]).all():
+            mirrored = eig(0, sigma * high)
+            out.append([eig(0, low), mirrored if sigma > 0 else -mirrored])
+        else:
+            out.append([eig(0, low), eig(1, high)])
+    return out
+
+
+class TestOneCopySchedule:
+    @pytest.mark.parametrize("N", [10, 12, 14, 16])
+    @pytest.mark.parametrize("p", [4, 6])  # p = 6 at N/2 odd is sigma = -1, the -0.0 key
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_bit_identical_to_memo_oracle(self, N, p, k, monkeypatch):
+        params = ed.ModelParams(N=N, p=p, theta=2.5, k=k, seed=19, samples=3)
+
+        def run():
+            spectra = [s.eigenvalues for s in ed.sample_spectra(params)]
+            means, errs = ed.paired_reduced_moments(params, 6)
+            rows = ed.phase_scan(params, [0.0, 2.5, 1.0, 2.5], ks=[0, k])
+            return spectra, np.array(means + errs), rows
+
+        got = run()
+        monkeypatch.setattr(ed, "_block_spectra", _memo_block_spectra)
+        want = run()
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("fn", ["sample", "paired"])
+    def test_peak_memory_below_two_blocks(self, fn):
+        # N/2 odd with a constant shift on block 1: only block 0 is held,
+        # once, beside the half-size transform rows
+        params = ed.ModelParams(N=18, p=4, theta=3.0, k=0, seed=5, samples=2)
+
+        def run():
+            if fn == "sample":
+                ed.sample_spectra(params)
+            else:
+                ed.paired_reduced_moments(params, 4)
+
+        run()  # warm-up: term structure and Sylvester matrices are cached
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ((params.dim // 2) ** 2 * 16) < 2
 
 
 class TestSampling:
