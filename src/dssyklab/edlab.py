@@ -238,40 +238,56 @@ def _hadamard_rows(flat: np.ndarray, n: int, half: bool = False) -> np.ndarray:
     return (left @ flat.reshape(g, 1 << a, 1 << b) @ right).reshape(g, -1)
 
 
-def _h_blocks(params: ModelParams, rng: np.random.Generator, both: bool = True) -> list[np.ndarray]:
+def _h_blocks(params: ModelParams, rng: np.random.Generator, blocks: list[np.ndarray]):
     """One realization of the random p-body Hamiltonian as its two
-    chirality blocks: the top-qubit-0 block, then the top-qubit-1 block.
-    With `both` false only the top-qubit-0 block is assembled, from the
-    same coupling draw.
+    chirality blocks, written over `blocks`: the top-qubit-0 block, then,
+    if `blocks` holds two half x half complex arrays, the top-qubit-1
+    block.  With one array only the top-qubit-0 block is assembled, from
+    the same coupling draw.
 
     Couplings are i.i.d. normal with variance 1/C(N,p), which normalizes
     the trace of H^2 to one.  The x-mask group of x fills the entries
     (b XOR x, b) with sum_t c_t phase_t (-1)^popcount(z_t & b): the
     Walsh-Hadamard transform of the group's weights spread over z-masks.
-    The real and imaginary parts of the weights go through the real
-    transform separately, all groups in one batch, and only over the
-    states of the blocks asked for.  Each group's row then fills one
-    column-to-row permutation inside each block.
+    The arrays are zeroed, then the groups are transformed and written a
+    chunk at a time (`_write_groups`), so the transform's scratch stays
+    small beside the blocks.
     """
     N, p = params.N, params.p
-    half = params.dim // 2
     n_terms = math.comb(N, p)
     couplings = rng.standard_normal(n_terms) / math.sqrt(n_terms)
     xs, slots, phases = _term_structure(N, p)
     weights = couplings * phases
+    for block in blocks:
+        block.fill(0)
+    step = max(1, params.dim // 8)  # groups per chunk: a chunk's spread is a quarter block
+    for lo in range(0, len(xs), step):
+        inside = (slots >= lo * params.dim) & (slots < (lo + step) * params.dim)
+        _write_groups(params, blocks, xs[lo:lo + step], slots[inside] - lo * params.dim,
+                      weights[inside])
+
+
+def _write_groups(params: ModelParams, blocks: list[np.ndarray], xs: np.ndarray,
+                  slots: np.ndarray, weights: np.ndarray):
+    """Write the x-mask groups `xs` into `blocks`.  A term's slot is
+    g * 2^(N/2) + z for its group's index g in `xs`, and its weight is
+    c_t phase_t.  The real and imaginary parts of the weights go through
+    the real transform separately, these groups in one batch, and only
+    over the states of the blocks asked for.  Each group's row then fills
+    one column-to-row permutation inside each block.  The scratch arrays
+    are freed on return, before the next chunk allocates its own.
+    """
+    half = params.dim // 2
     spread = np.zeros(len(xs) * params.dim)
     spread[slots] = weights.real
-    real = _hadamard_rows(spread, N // 2, half=not both)
+    real = _hadamard_rows(spread, params.N // 2, half=len(blocks) == 1)
     spread[slots] = weights.imag
-    imag = _hadamard_rows(spread, N // 2, half=not both)
-    del spread
-    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2 if both else 1)]
+    imag = _hadamard_rows(spread, params.N // 2, half=len(blocks) == 1)
     idx = np.arange(half)
     for x, re, im in zip(xs, real, imag):
         entries, rows = re + 1j * im, idx ^ x
         for block, part in zip(blocks, (entries[:half], entries[half:])):
             block[rows, idx] = part
-    return blocks
 
 
 def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
@@ -284,7 +300,7 @@ def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """
     half = params.dim // 2
     H = np.zeros((params.dim, params.dim), dtype=complex)
-    H[:half, :half], H[half:, half:] = _h_blocks(params, rng)
+    _h_blocks(params, rng, [H[:half, :half], H[half:, half:]])
     return H
 
 
@@ -405,22 +421,26 @@ def _mirror_sign(N: int, p: int) -> int:
     return (-1) ** (p * (p - 1) // 2)
 
 
-def _block_spectra(params: ModelParams, rng: np.random.Generator,
-                   shifts: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Eigenvalues of each chirality block of one realization plus its slice
-    of diag(shift): [block-0 spectrum, block-1 spectrum] for each shift.
+def _block_spectra(params: ModelParams, shifts: list[np.ndarray]):
+    """Eigenvalues of each chirality block plus its slice of diag(shift),
+    one sample after another: for sample s, drawn from
+    `sample_rng(params.seed, s)`, yields [block-0 spectrum, block-1
+    spectrum] for each shift.
 
     A (block, slice) pair that repeats, such as a defect-free block, is
-    diagonalized once and its spectrum returned as the same array; the key
-    `(part + 0.0).tobytes()` maps a -0.0 slice onto 0.0.  With sigma =
-    `_mirror_sign(N, p)` nonzero and block 1's slice a constant c, block
-    1's spectrum is sigma * spec(B0 + sigma c) taken from block 0's: the
-    same array when sigma = +1, negated (so descending) when sigma = -1.
-    Block 1 is assembled only when some shift needs it diagonalized.
+    diagonalized once per sample and its spectrum returned as the same
+    array; the key `(part + 0.0).tobytes()` maps a -0.0 slice onto 0.0.
+    With sigma = `_mirror_sign(N, p)` nonzero and block 1's slice a
+    constant c, block 1's spectrum is sigma * spec(B0 + sigma c) taken
+    from block 0's: the same array when sigma = +1, negated (so descending)
+    when sigma = -1.  Block 1 is assembled only when some shift needs it
+    diagonalized.
 
-    Each block is held once.  Its distinct slices are diagonalized in order
-    of first use, each on a shifted copy (a zero slice on the block itself)
-    except the last, which shifts the block in place.
+    Each block is held once, in one buffer that every sample of the call
+    reuses, so a later sample writes into pages that are already mapped.  Its distinct slices are
+    diagonalized in order of first use, each on a shifted copy (a zero
+    slice on the block itself) except the last, which shifts the block in
+    place.
     """
     sigma = _mirror_sign(params.N, params.p)
     parts: list[dict[bytes, np.ndarray]] = [{}, {}]  # per block: key -> slice
@@ -437,16 +457,20 @@ def _block_spectra(params: ModelParams, rng: np.random.Generator,
             plan.append((key(0, low), key(0, sigma * high), sigma))
         else:
             plan.append((key(0, low), key(1, high), 1))
-    eigs = {}
-    for i, block in enumerate(_h_blocks(params, rng, both=bool(parts[1]))):
-        last = len(parts[i]) - 1
-        for j, (raw, part) in enumerate(parts[i].items()):
-            shifted = block
-            if part.any():
-                shifted = block if j == last else block.copy()
-                shifted[np.diag_indices_from(shifted)] += part
-            eigs[i, raw] = np.linalg.eigvalsh(shifted)
-    return [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]
+    half = params.dim // 2
+    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2 if parts[1] else 1)]
+    for s in range(params.samples):
+        _h_blocks(params, sample_rng(params.seed, s), blocks)
+        eigs = {}
+        for i, block in enumerate(blocks):
+            last = len(parts[i]) - 1
+            for j, (raw, part) in enumerate(parts[i].items()):
+                shifted = block
+                if part.any():
+                    shifted = block if j == last else block.copy()
+                    shifted[np.diag_indices_from(shifted)] += part
+                eigs[i, raw] = np.linalg.eigvalsh(shifted)
+        yield [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]
 
 
 def _spectrum(pair: list[np.ndarray]) -> np.ndarray:
@@ -461,9 +485,8 @@ def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
     stream regardless of how many samples are requested.
     """
     defect = params.theta * _defect_diagonal(params.N, params.k)
-    return [SpectrumSample(_spectrum(_block_spectra(params, sample_rng(params.seed, s), [defect])[0]),
-                           params, s)
-            for s in range(params.samples)]
+    return [SpectrumSample(_spectrum(pair), params, s)
+            for s, [pair] in enumerate(_block_spectra(params, [defect]))]
 
 
 def paired_reduced_moments(params: ModelParams, max_n: int):
@@ -483,9 +506,8 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
     per_sample = np.zeros((params.samples, max_n))
     # a huge theta overflows the moments to inf/nan; the caller reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(params.samples):
-            eig_syk, eig_full = map(_spectrum, _block_spectra(
-                params, sample_rng(params.seed, s), [np.zeros_like(defect), defect]))
+        for s, pairs in enumerate(_block_spectra(params, [np.zeros_like(defect), defect])):
+            eig_syk, eig_full = map(_spectrum, pairs)
             for n in range(1, max_n + 1):
                 full = np.mean(eig_full ** n)
                 syk = np.mean(eig_syk ** n) if n % 2 == 0 else 0.0
@@ -611,9 +633,8 @@ def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = No
                         samples=base.samples) for k in ks for theta in thetas]
     defects = [params.theta * _defect_diagonal(params.N, params.k) for params in grid]
     pooled: list[list[np.ndarray]] = [[] for _ in grid]
-    for s in range(base.samples):
-        for (low, high), spectra in zip(_block_spectra(base, sample_rng(base.seed, s), defects),
-                                        pooled):
+    for sample in _block_spectra(base, defects):
+        for (low, high), spectra in zip(sample, pooled):
             spectra += [low] if high is low else [low, high]
     rows = []
     for params, spectra in zip(grid, pooled):

@@ -8,7 +8,8 @@ picks up the weight exactly once).  The matchings are counted by the chord
 kernel `chordcombi.matching_counts`, with each x labelled by its arc; it
 scans the open chords and visits no matching.
 Summed over all words of fixed length, this reconstructs the reduced
-moments and serves as their independent oracle.
+moments and serves as their independent oracle; the sum reads one word of
+each rotation class and weights it by the size of the class.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .qcore import MultiPoly
 from .chordcombi import ORACLE_POINT_CAP, matching_counts
@@ -97,15 +97,45 @@ def mixed_moment(w: Word) -> MixedMomentResult:
 
 @lru_cache(maxsize=None)
 def word_sum_moment(n: int) -> MultiPoly:
-    """Moment of (x + d)^n: the sum of mixed_moment over all 2^n words."""
+    """Moment of (x + d)^n: the sum of mixed_moment over all 2^n words.
+
+    The functional is tracial, so rotated words have equal moments: each
+    rotation class (`_necklaces`) is summed as one representative, its
+    least rotation, times the number of its distinct rotations.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > WORD_SUM_CAP:
         raise ValueError(f"word sum capped at n <= {WORD_SUM_CAP}")
     total = MultiPoly.zero()
-    for letters in product("xd", repeat=n):
-        total = total + mixed_moment(Word(letters)).value
+    for necklace, period in _necklaces(n):
+        word = Word(tuple("dx"[bit] for bit in necklace))
+        total = total + period * mixed_moment(word).value
     return total
+
+
+def _necklaces(n: int):
+    """Each binary necklace of length n once: its least rotation as a tuple
+    of bits and its period, the number of its distinct rotations.
+
+    The Fredricksen-Kessler-Maiorana algorithm runs through the
+    prenecklaces in lexicographic order, each from the last: it raises the
+    last 0 bit, at position i, and repeats the first i bits.  The result
+    is a necklace of period i exactly when i divides n.
+    """
+    bits = [0] * n
+    yield tuple(bits), 1
+    while True:
+        i = n
+        while i and bits[i - 1]:
+            i -= 1
+        if not i:
+            return
+        bits[i - 1] = 1
+        for j in range(i, n):
+            bits[j] = bits[j - i]
+        if n % i == 0:
+            yield tuple(bits), i
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,15 @@ _VACUA: dict[int, MultiPoly] = {}  # m_n from every walk so far
 def reduced_moment(n: int) -> MultiPoly:
     """Exact reduced moment m_n as a polynomial in (q, qt, theta).
 
-    A cache miss walks to n (`walk_vacua`) and keeps m_1 .. m_n, so a table
-    asks for its highest order first and reads the rest from that walk.
+    A cache miss walks to max(n, `ORACLE_MAX_ORDER`) (`walk_vacua`) and keeps
+    every order of that walk, so a sweep in either direction through the
+    oracles' orders walks once, and a table asks for its highest order first
+    and reads the rest from that walk.  A lone low order pays for the walk
+    to 14, about 5 ms once per process.
     """
     _check_order(n, MAX_MOMENT_ORDER)
     if n not in _VACUA:
-        _VACUA.update(enumerate(walk_vacua(n), start=1))
+        _VACUA.update(enumerate(walk_vacua(max(n, ORACLE_MAX_ORDER)), start=1))
     return _VACUA[n]
 
 
@@ -171,14 +174,17 @@ def reduced_moment(n: int) -> MultiPoly:
 # the oracles' pairing rule
 # ---------------------------------------------------------------------------
 
-def _paired_vacuum(degrees) -> MultiPoly:
+@lru_cache(maxsize=None)
+def _paired_vacuum(degrees: tuple[int, ...]) -> MultiPoly:
     """Vacuum expectation of prod_j H_{d_j} weighted by qt^(sum d / 2).
 
     H_{d_j} stands for the d_j chords that interval j leaves open.  They
     pair with the open chords of other intervals, so each of the sum(d)/2
     chords passes a wall and carries one qt (the chord picture of Berkooz
     et al., arXiv:1811.02584).  Zero when sum(d) is odd.  Both oracles
-    weight qt here and nowhere else.
+    weight qt here and nowhere else.  The product commutes, so callers pass
+    the degrees as a sorted tuple and each multiset is paired once per
+    process.
     """
     total = sum(degrees)
     if total % 2:
@@ -210,7 +216,7 @@ def _block_vacuum(comp: tuple[int, ...]) -> MultiPoly:
                for k in comp]
     total = MultiPoly.zero()
     for choice in product(*options):
-        term = _paired_vacuum([d for d, _ in choice])
+        term = _paired_vacuum(tuple(sorted(d for d, _ in choice)))
         if term.is_zero():
             continue
         for _, c in choice:

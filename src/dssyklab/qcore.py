@@ -9,6 +9,7 @@ floating point except the explicit ``evaluate`` helpers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -204,23 +205,51 @@ class MultiPoly:
     # -- specialization and evaluation ----------------------------------
 
     def substitute(self, q=None, qt=None, theta=None) -> "MultiPoly":
-        """Exactly substitute rational values for any subset of the variables."""
-        q, qt, theta = (None if v is None else _canonical(v) for v in (q, qt, theta))
-        out: dict[Exponent, Coefficient] = {}
+        """Exactly substitute rational values for any subset of the variables.
+
+        Every term is scaled to one integer common denominator: the lcm of
+        the coefficients' denominators times each substituted value's
+        denominator to the largest power of its variable.  A term then
+        becomes an integer times integer powers read from a table, the
+        terms of one output exponent sum as integers, and each sum is
+        divided once.  Output terms keep the order in which their exponents
+        first appear.
+        """
+        terms = self._terms
+        scale = math.lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+        den = scale
+        powers = []  # powers[i][e] = num^e vden^(top - e) for variable i's value num/vden
+        for i, value in enumerate((q, qt, theta)):
+            if value is None:
+                powers.append(None)
+                continue
+            value = _canonical(value)
+            num, vden = value.numerator, value.denominator
+            top = max((exp[i] for exp in terms), default=0)
+            powers.append([num ** e * vden ** (top - e) for e in range(top + 1)])
+            den *= vden ** top
+        pq, pqt, ptheta = powers
+        out: dict[Exponent, int] = {}
         get = out.get
-        for (a, b, c), factor in self._terms.items():
-            if q is not None:
-                factor *= q ** a
+        for (a, b, c), factor in terms.items():
+            if type(factor) is int:
+                factor *= scale
+            else:
+                factor = factor.numerator * (scale // factor.denominator)
+            if pq is not None:
+                factor *= pq[a]
                 a = 0
-            if qt is not None:
-                factor *= qt ** b
+            if pqt is not None:
+                factor *= pqt[b]
                 b = 0
-            if theta is not None:
-                factor *= theta ** c
+            if ptheta is not None:
+                factor *= ptheta[c]
                 c = 0
             exp = (a, b, c)
             out[exp] = get(exp, 0) + factor
-        return _wrap(out)
+        if den == 1:
+            return _wrap(out)
+        return _wrap({exp: Fraction(total, den) for exp, total in out.items()})
 
     def evaluate(self, q=None, qt=None, theta=None) -> float:
         """Numeric evaluation (floats); use substitute() for the exact path.

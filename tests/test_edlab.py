@@ -141,6 +141,14 @@ class TestChiralityBlocks:
         assert all(x & top == 0 for x in xs)
 
 
+def _fresh_blocks(params, rng):
+    """Both chirality blocks of one realization, in newly allocated arrays."""
+    half = params.dim // 2
+    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2)]
+    ed._h_blocks(params, rng, blocks)
+    return blocks
+
+
 def _sign_matrix_blocks(params, rng):
     """The chirality blocks summed one x-mask group at a time: each group's
     terms expanded into a dense +-1 sign matrix over basis states and summed
@@ -172,7 +180,7 @@ class TestHadamardAssembly:
     @pytest.mark.parametrize("p", [2, 4, 6])
     def test_matches_sign_matrix_assembly(self, N, p):
         params = ed.ModelParams(N=N, p=p, seed=29)
-        got = ed._h_blocks(params, ed.sample_rng(29, 0))
+        got = _fresh_blocks(params, ed.sample_rng(29, 0))
         want = _sign_matrix_blocks(params, ed.sample_rng(29, 0))
         for block, oracle in zip(got, want):
             assert np.abs(block - oracle).max() < 1e-14
@@ -210,7 +218,7 @@ class TestBlockMirror:
     @pytest.mark.parametrize("N,p", [(N, p) for N in (2, 6, 10, 14) for p in (2, 4, 6) if p <= N])
     def test_conjugation_maps_block0_onto_block1(self, N, p):
         params = ed.ModelParams(N=N, p=p, seed=31)
-        b0, b1 = ed._h_blocks(params, ed.sample_rng(31, 0))
+        b0, b1 = _fresh_blocks(params, ed.sample_rng(31, 0))
         half = params.dim // 2
         S10 = self._s_matrix(N)[half:, :half]  # S flips the top qubit
         sigma = (-1) ** (p * (p - 1) // 2)
@@ -296,7 +304,7 @@ class TestBlockSpectraOracle:
         monkeypatch.setattr(ed.np.linalg, "eigvalsh", counted)
         params = ed.ModelParams(N=N, p=p, seed=41)
         shift = np.linspace(-1.0, 2.0, params.dim)
-        [pair] = ed._block_spectra(params, ed.sample_rng(41, 0), [shift])
+        [[pair]] = ed._block_spectra(params, [shift])
         assert shapes == [(params.dim // 2, params.dim // 2)] * 2
         H = ed.build_h_syk(params, ed.sample_rng(41, 0))
         want = eigvalsh(H + np.diag(shift))
@@ -332,33 +340,35 @@ class TestBlockSpectraOracle:
             assert rows == reference
 
 
-def _memo_block_spectra(params, rng, shifts):
-    """`_block_spectra` through a memo that diagonalizes a shifted copy of a
-    block for every (block, slice) it has not seen, with both blocks always
-    assembled.  Oracle for the one-copy, in-place schedule."""
-    blocks = ed._h_blocks(params, rng)
+def _memo_block_spectra(params, shifts):
+    """`_block_spectra` through a memo that, for each sample, assembles both
+    blocks in new arrays and diagonalizes a shifted copy of a block for
+    every (block, slice) it has not seen.  Oracle for the one-copy,
+    in-place schedule on buffers that the samples reuse."""
     sigma = ed._mirror_sign(params.N, params.p)
-    memo = {}
+    for s in range(params.samples):
+        blocks = _fresh_blocks(params, ed.sample_rng(params.seed, s))
+        memo = {}
 
-    def eig(i, part):
-        key = (i, (part + 0.0).tobytes())
-        if key not in memo:
-            block = blocks[i]
-            if part.any():
-                block = block.copy()
-                block[np.diag_indices_from(block)] += part
-            memo[key] = np.linalg.eigvalsh(block)
-        return memo[key]
+        def eig(i, part):
+            key = (i, (part + 0.0).tobytes())
+            if key not in memo:
+                block = blocks[i]
+                if part.any():
+                    block = block.copy()
+                    block[np.diag_indices_from(block)] += part
+                memo[key] = np.linalg.eigvalsh(block)
+            return memo[key]
 
-    out = []
-    for shift in shifts:
-        low, high = np.split(shift, 2)
-        if sigma and (high == high[0]).all():
-            mirrored = eig(0, sigma * high)
-            out.append([eig(0, low), mirrored if sigma > 0 else -mirrored])
-        else:
-            out.append([eig(0, low), eig(1, high)])
-    return out
+        out = []
+        for shift in shifts:
+            low, high = np.split(shift, 2)
+            if sigma and (high == high[0]).all():
+                mirrored = eig(0, sigma * high)
+                out.append([eig(0, low), mirrored if sigma > 0 else -mirrored])
+            else:
+                out.append([eig(0, low), eig(1, high)])
+        yield out
 
 
 class TestOneCopySchedule:

@@ -157,6 +157,27 @@ class TestWordSumOracle:
         with pytest.raises(ValueError):
             mx.word_sum_moment(11)
 
+    def test_rotation_classes_equal_the_sum_over_every_word(self):
+        from itertools import product
+        for n in range(1, 9):
+            total = MultiPoly.zero()
+            for letters in product("xd", repeat=n):
+                total = total + mx.mixed_moment(mx.Word(letters)).value
+            assert mx.word_sum_moment(n) == total, f"n={n}"
+
+    def test_one_mixed_moment_per_rotation_class(self, monkeypatch):
+        # 108 binary necklaces of length 10, where there are 2^10 words
+        calls = []
+        mixed_moment = mx.mixed_moment
+        monkeypatch.setattr(mx, "mixed_moment", lambda w: calls.append(w) or mixed_moment(w))
+        mx.word_sum_moment.cache_clear()
+        try:
+            mx.word_sum_moment(10)
+        finally:
+            mx.word_sum_moment.cache_clear()
+        assert len(calls) == 108
+        assert len({min(w.rotated(s).letters for s in range(10)) for w in calls}) == 108
+
 
 class TestFreeSide:
     def test_noncrossing_counts_are_catalan(self):

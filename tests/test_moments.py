@@ -147,7 +147,18 @@ class TestChordWalk:
         monkeypatch.setattr(mo, "walk_vacua", lambda n: calls.append(n) or walk(n))
         monkeypatch.setattr(mo, "_VACUA", {})
         mo.MomentTable.specialized(9, q=Fraction(1, 2))
-        assert calls == [9]
+        assert calls == [14]  # a low order walks to the oracles' top order
+
+    def test_one_walk_for_an_ascending_sweep(self, monkeypatch):
+        calls = []
+        walk = mo.walk_vacua
+        monkeypatch.setattr(mo, "walk_vacua", lambda n: calls.append(n) or walk(n))
+        monkeypatch.setattr(mo, "_VACUA", {})
+        for n in range(1, mo.ORACLE_MAX_ORDER + 1):
+            mo.reduced_moment(n)
+        assert calls == [14]
+        mo.reduced_moment(15)  # above the oracles' orders the walk goes to n
+        assert calls == [14, 15]
 
 
 class TestPairedVacuum:
@@ -156,6 +167,19 @@ class TestPairedVacuum:
         assert mo._paired_vacuum((1, 1)) == QT
         assert mo._paired_vacuum((2, 2)) == QT ** 2 * (1 + Q)
         assert mo._paired_vacuum((1, 2)).is_zero()
+
+    def test_each_degree_multiset_paired_once(self, monkeypatch):
+        # reduced_moment_gf(1..14) asks for 1025 pairings of 135 multisets
+        monkeypatch.setattr(mo, "_B_POWERS", [[]])
+        mo.reduced_moment_gf.cache_clear()
+        mo._paired_vacuum.cache_clear()
+        try:
+            for n in range(1, 15):
+                mo.reduced_moment_gf(n)
+            info = mo._paired_vacuum.cache_info()
+            assert (info.misses, info.hits) == (135, 1025 - 135)
+        finally:
+            mo.reduced_moment_gf.cache_clear()
 
 
 class TestCompositionOracle:

@@ -243,6 +243,23 @@ def test_substitute_partial():
     assert p.substitute(q=Fraction(1, 2), qt=0, theta=2) == MultiPoly.constant(2)
 
 
+@pytest.mark.parametrize("values", [
+    (Fraction(1, 2), Fraction(1, 4), 3),
+    (Fraction(-9, 455), Fraction(3, 5), None),  # the (N, p, k) = (16, 4, 2) weights
+    (Fraction(-9, 455), Fraction(3, 5), 5),
+    (None, 0, None),
+    (None, 1, None),
+])
+def test_substitute_keeps_values_and_term_order_of_the_per_term_path(values):
+    # the float `evaluate` sums in term order, so `compare` output depends on it
+    from dssyklab import moments
+    polys = [moments.reduced_moment(n) for n in range(1, 15)]
+    polys += [moments.full_moment(n, Fraction(1, 3)) for n in range(1, 15)]  # Fraction coefficients
+    for p in polys:
+        want = _ref_substitute(p.terms, values)
+        assert list(p.substitute(*values).terms.items()) == list(want.items())
+
+
 def test_evaluate_requires_every_variable_present():
     p = MultiPoly.monomial(q_pow=1, theta_pow=1)
     with pytest.raises(ValueError, match="theta"):
