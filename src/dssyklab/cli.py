@@ -285,17 +285,7 @@ def run_zn(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dssyklab",
-                                     description="moment laboratory for the defect-perturbed model")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="output path ('-' or omit for stdout)")
-        p.add_argument("--deterministic", action="store_true",
-                       help="suppress the timestamp metadata line")
-
-    p = sub.add_parser("moments", help="exact or specialized moment table")
+def _moments_args(p):
     p.add_argument("--n", type=int, required=True, help="highest moment order")
     p.add_argument("--symbolic", action="store_true", help="force fully symbolic output")
     p.add_argument("--q", type=str, default=None, help="rational q, e.g. 1/3")
@@ -304,15 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    common(p)
-    p.set_defaults(func=run_moments)
 
-    p = sub.add_parser("mixed", help="mixed moment of a word over {x,d}")
+
+def _mixed_args(p):
     p.add_argument("--word", type=str, required=True)
-    common(p)
-    p.set_defaults(func=run_mixed)
 
-    p = sub.add_parser("ed", help="sample spectra (or a phase scan) at finite N")
+
+def _ed_args(p):
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--theta", type=float, default=0.0)
@@ -323,10 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=80)
     p.add_argument("--phase-thetas", type=str, default=None,
                    help="comma list of theta values: emit a gap report instead of spectra")
-    common(p)
-    p.set_defaults(func=run_ed)
 
-    p = sub.add_parser("compare", help="analytic vs empirical reduced moments")
+
+def _compare_args(p):
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=int, default=4)
     p.add_argument("--k", type=int, required=True)
@@ -334,47 +321,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=run_compare)
 
-    p = sub.add_parser("density", help="q-Gaussian density (or conditional kernel) samples")
+
+def _density_args(p):
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--kernel-r", type=float, default=None,
                    help="emit the conditional kernel at this memory parameter")
     p.add_argument("--kernel-x", type=float, default=None, help="kernel x (default 0)")
-    common(p)
-    p.set_defaults(func=run_density)
 
-    p = sub.add_parser("freeconv", help="two-atom measure (+) semicircle density")
+
+def _freeconv_args(p):
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--grid", type=int, default=2000)
     p.add_argument("--summary", type=str, default=None, help="JSON summary path")
-    common(p)
-    p.set_defaults(func=run_freeconv)
 
-    p = sub.add_parser("qtilde", help="exact finite-size wall weight")
+
+def _qtilde_args(p):
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=run_qtilde)
 
-    p = sub.add_parser("zn", help="n-boundary partition function")
+
+def _zn_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--qtilde", type=float, required=True)
-    common(p)
-    p.set_defaults(func=run_zn)
 
+
+def _common_args(p):
+    p.add_argument("--out", default=None, help="output path ('-' or omit for stdout)")
+    p.add_argument("--deterministic", action="store_true",
+                   help="suppress the timestamp metadata line")
+
+
+def _subcommands():
+    """(name, help, argument adder, runner) for each subcommand, in help
+    order.  Built per call, so a runner rebound on this module after import
+    (a tracing wrapper, say) is the one the parser dispatches to."""
+    return (
+        ("moments", "exact or specialized moment table", _moments_args, run_moments),
+        ("mixed", "mixed moment of a word over {x,d}", _mixed_args, run_mixed),
+        ("ed", "sample spectra (or a phase scan) at finite N", _ed_args, run_ed),
+        ("compare", "analytic vs empirical reduced moments", _compare_args, run_compare),
+        ("density", "q-Gaussian density (or conditional kernel) samples", _density_args,
+         run_density),
+        ("freeconv", "two-atom measure (+) semicircle density", _freeconv_args, run_freeconv),
+        ("qtilde", "exact finite-size wall weight", _qtilde_args, run_qtilde),
+        ("zn", "n-boundary partition function", _zn_args, run_zn),
+    )
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered with its
+    name and help, but only those whose name is a token of `argv` (all of
+    them when `argv` is None) get their arguments: argparse hands the rest
+    of the command line to the subparser named by a token, so no other
+    subparser is ever parsed or printed."""
+    parser = argparse.ArgumentParser(prog="dssyklab",
+                                     description="moment laboratory for the defect-perturbed model")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    tokens = None if argv is None else set(argv)
+    for name, text, add_args, runner in _subcommands():
+        p = sub.add_parser(name, help=text)
+        if tokens is None or name in tokens:
+            add_args(p)
+            _common_args(p)
+            p.set_defaults(func=runner)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ConvergenceError as exc:

@@ -440,7 +440,8 @@ def _block_spectra(params: ModelParams, shifts: list[np.ndarray]):
     reuses, so a later sample writes into pages that are already mapped.  Its distinct slices are
     diagonalized in order of first use, each on a shifted copy (a zero
     slice on the block itself) except the last, which shifts the block in
-    place.
+    place.  The copies share one more buffer across the blocks and samples
+    of the call, allocated only when some copy is needed.
     """
     sigma = _mirror_sign(params.N, params.p)
     parts: list[dict[bytes, np.ndarray]] = [{}, {}]  # per block: key -> slice
@@ -459,6 +460,7 @@ def _block_spectra(params: ModelParams, shifts: list[np.ndarray]):
             plan.append((key(0, low), key(1, high), 1))
     half = params.dim // 2
     blocks = [np.zeros((half, half), dtype=complex) for _ in range(2 if parts[1] else 1)]
+    scratch = None  # the one buffer for shifted copies, made at first need
     for s in range(params.samples):
         _h_blocks(params, sample_rng(params.seed, s), blocks)
         eigs = {}
@@ -467,7 +469,11 @@ def _block_spectra(params: ModelParams, shifts: list[np.ndarray]):
             for j, (raw, part) in enumerate(parts[i].items()):
                 shifted = block
                 if part.any():
-                    shifted = block if j == last else block.copy()
+                    if j != last:
+                        if scratch is None:
+                            scratch = np.empty_like(block)
+                        shifted = scratch
+                        np.copyto(shifted, block)
                     shifted[np.diag_indices_from(shifted)] += part
                 eigs[i, raw] = np.linalg.eigvalsh(shifted)
         yield [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]

@@ -411,14 +411,34 @@ def _b_levels(q: float, qt: float, depth: int) -> tuple[tuple[int, float, float]
                  for j in range(depth, -1, -1))
 
 
-def _b_fraction_once(z: float, x0: float, levels, theta: float) -> float:
-    g = 0.0
-    for j, sq_qj, off in levels:
-        denom = 1.0 - sq_qj * x0 * z - off * z * z * g
+def _b_fractions(z: float, x0: float, levels, theta: float) -> tuple[float, float]:
+    """B from the full level table and from the table cut five levels
+    shorter, in one pass: the five deepest levels run alone, then both
+    fractions step through the levels they share.  Each step evaluates
+    `1.0 - sq_qj * x0 * z - off * z * z * g` left to right, as a pass of
+    its own would.  A pole of the full table is raised as it is met; one of
+    the cut table only after the full table has passed all its levels."""
+    deep = 0.0
+    for j, sq_qj, off in levels[:5]:
+        denom = 1.0 - sq_qj * x0 * z - off * z * z * deep
         if denom == 0.0:
             raise ConvergenceError(f"continued fraction hit a pole at level {j}")
-        g = 1.0 / denom
-    return theta * z * g
+        deep = 1.0 / denom
+    shallow, pole = 0.0, None
+    for j, sq_qj, off in levels[5:]:
+        diag, weight = 1.0 - sq_qj * x0 * z, off * z * z
+        denom = diag - weight * deep
+        if denom == 0.0:
+            raise ConvergenceError(f"continued fraction hit a pole at level {j}")
+        deep = 1.0 / denom
+        denom = diag - weight * shallow
+        if denom != 0.0:
+            shallow = 1.0 / denom
+        elif pole is None:
+            pole = j
+    if pole is not None:
+        raise ConvergenceError(f"continued fraction hit a pole at level {pole}")
+    return theta * z * deep, theta * z * shallow
 
 
 def b_continued_fraction(z: float, x0: float, q: float, qt: float,
@@ -428,7 +448,8 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float,
     Level j has diagonal sqrt(qt) q^j x0 and off-diagonal weight
     (1 - qt q^j)[j+1]_q; the level table is cached per (q, qt, depth).
     Convergence is checked by comparing the full depth with the same table
-    cut five levels shorter.  theta enters as an overall linear factor.
+    cut five levels shorter; one pass over the levels evaluates both
+    (`_b_fractions`).  theta enters as an overall linear factor.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("need 0 <= q < 1")
@@ -436,9 +457,7 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float,
         raise ValueError("need 0 <= qt <= 1")
     if depth < 20:
         raise ValueError("depth must be at least 20")
-    levels = _b_levels(float(q), float(qt), depth)
-    deep = _b_fraction_once(z, x0, levels, theta)
-    shallow = _b_fraction_once(z, x0, levels[5:], theta)
+    deep, shallow = _b_fractions(z, x0, _b_levels(float(q), float(qt), depth), theta)
     if abs(deep - shallow) > 1e-12 * max(1.0, abs(deep)):
         raise ConvergenceError(
             f"continued fraction not settled at depth {depth}: |delta|={abs(deep - shallow):.3e}")

@@ -162,11 +162,22 @@ def _theta_weight(theta: np.ndarray, q: float, K: int) -> np.ndarray:
     return w
 
 
+# The 8-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(8), which is not imported for it.
+_GL8_NODES = (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+              -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+              0.7966664774136267, 0.9602898564975362)
+_GL8_WEIGHTS = (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                0.22238103445337443, 0.10122853629037706)
+
+
 class QGaussianQuadrature:
     """Fixed quadrature rule for integrals against the q-Gaussian measure.
 
     Uses the substitution x = 2 cos(theta)/sqrt(1-q) and composite
-    Gauss-Legendre panels of 8 points on theta in [0, pi]; the substitution
+    Gauss-Legendre panels of 8 points on theta in [0, pi], each the constant
+    rule `_GL8_NODES`, `_GL8_WEIGHTS`; the substitution
     removes the square-root endpoint singularities of the density.  The
     density's infinite product is truncated at default_truncation(q)
     factors.  Weights are renormalized so they sum to one.  Immutable after
@@ -177,16 +188,12 @@ class QGaussianQuadrature:
         if not 0.0 <= q <= Q_NUMERIC_MAX:
             raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
         self.q = float(q)
-        base_x, base_w = np.polynomial.legendre.leggauss(8)
         edges = np.linspace(0.0, math.pi, panels + 1)
-        thetas = []
-        weights = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            thetas.append(0.5 * (a + b) + half * base_x)
-            weights.append(half * base_w)
-        theta = np.concatenate(thetas)
-        wtheta = np.concatenate(weights) * _theta_weight(theta, self.q, default_truncation(self.q))
+        a, b = edges[:-1, None], edges[1:, None]  # one row per panel
+        half = 0.5 * (b - a)
+        theta = (0.5 * (a + b) + half * np.array(_GL8_NODES)).ravel()
+        wtheta = ((half * np.array(_GL8_WEIGHTS)).ravel()
+                  * _theta_weight(theta, self.q, default_truncation(self.q)))
         self._raw_mass = float(np.sum(wtheta))
         self.nodes = 2.0 * np.cos(theta) / math.sqrt(1.0 - self.q)
         self.weights = wtheta / self._raw_mass

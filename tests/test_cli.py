@@ -560,3 +560,55 @@ def test_timestamp_suppression(capsys):
     assert "# timestamp=" in with_ts
     _, without_ts, _ = run_cli(["density", "--q", "0", "--grid", "3", "--deterministic"], capsys)
     assert "# timestamp=" not in without_ts
+
+
+# ---------------------------------------------------------------------------
+# the parser builds only the invoked subcommand's arguments; the full parser,
+# every subcommand named, is its oracle
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = [name for name, *_ in cli._subcommands()]
+VALID_ARGV = {
+    "moments": ["moments", "--n", "6", "--N", "26", "--p", "4", "--k", "2", "--theta", "5"],
+    "mixed": ["mixed", "--word", "xdxd", "--deterministic"],
+    "ed": ["ed", "--N", "16", "--k", "2", "--samples", "10", "--phase-thetas", "1,2,3,5"],
+    "compare": ["compare", "--N", "16", "--k", "2", "--theta", "5", "--n-max", "4",
+                "--out", "cmp.csv"],
+    "density": ["density", "--q", "0.5", "--grid", "400", "--kernel-r", "0.6"],
+    "freeconv": ["freeconv", "--r", "0.25", "--theta", "3", "--summary", "s.json"],
+    "qtilde": ["qtilde", "--N", "26", "--p", "4", "--k", "2"],
+    "zn": ["zn", "--n", "2", "--beta", "1", "--q", "0.5", "--qtilde", "0.25"],
+}
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS]
+                         + list(VALID_ARGV.values()) + [
+    ["zn", "--n", "1", "--beta", "1", "--q", "0.5", "--qtilde", "0.25", "--bogus"],  # unknown flag
+    ["zn", "--n", "1", "--beta", "1", "--q", "0.5"],  # missing required flag
+    ["mom", "--n", "3"],  # abbreviated subcommand
+    ["qtilde", "--N", "26", "--p", "4", "--k", "2", "stray"],  # stray positional
+    ["mixed", "--word", "zn"],  # another subcommand's name as a value
+    [],
+])
+def test_lazy_parser_matches_the_full_parser(argv, capsys):
+    lazy = _parse(cli.build_parser(argv), argv, capsys)
+    full = _parse(cli.build_parser(SUBCOMMANDS), argv, capsys)
+    assert lazy == full
+    assert full[1] or full[2] or full[0].subcommand == argv[0]
+
+
+def test_parser_builds_only_the_invoked_subcommand():
+    parser = cli.build_parser(VALID_ARGV["zn"])
+    [subparsers] = parser._subparsers._group_actions
+    assert list(subparsers.choices) == SUBCOMMANDS
+    built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
+    assert built == {"zn"}

@@ -323,6 +323,30 @@ class TestContinuedFraction:
         with pytest.raises(ConvergenceError, match="hit a pole at level 60"):
             mo.b_continued_fraction(1.0, 2.0 ** 60, 0.5, 1.0)
 
+    def test_pole_of_the_cut_table_only(self):
+        # level 55 at x0 = 2^55 is the first level of the table cut five
+        # levels shorter: its denom is 1 - 1 = 0, where the full table has
+        # carried a nonzero g down and has no pole
+        deep = _b_fraction_per_level(1.0, 2.0 ** 55, 0.5, 1.0, 60, 1.0)
+        assert deep != 0.0 and abs(deep) < 1e-16
+        with pytest.raises(ConvergenceError, match="hit a pole at level 55"):
+            mo.b_continued_fraction(1.0, 2.0 ** 55, 0.5, 1.0)
+
+    def test_pole_of_the_full_table_is_raised_first(self):
+        # a made-up table at z = x0 = 1: the cut table's first level (55) is
+        # a pole, and so is the full table's next level (54); one pass per
+        # table would meet the full table's pole first
+        levels = ((60, 0.0, 0.0), (59, 0.0, 0.0), (58, 0.0, 0.0), (57, 0.0, 0.0),
+                  (56, 0.5, 0.0), (55, 1.0, 0.25), (54, 0.5, -0.25), (53, 0.0, 0.0))
+        with pytest.raises(ConvergenceError, match="hit a pole at level 54"):
+            mo._b_fractions(1.0, 1.0, levels, 1.0)
+
+    @pytest.mark.parametrize("x0", [2.0 ** 60, 2.0 ** 55])
+    def test_poles_match_per_level_oracle(self, x0):
+        outcome = _outcome(mo.b_continued_fraction, 1.0, x0, 0.5, 1.0)
+        assert outcome == _outcome(_b_continued_fraction_per_level, 1.0, x0, 0.5, 1.0)
+        assert "hit a pole" in outcome
+
     def test_rejected_call_leaves_level_cache_alone(self):
         mo.b_continued_fraction(0.05, 0.3, 0.5, 0.25)
         before = mo._b_levels.cache_info()

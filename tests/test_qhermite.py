@@ -1,5 +1,8 @@
 import decimal
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -189,6 +192,41 @@ class TestQuadratureAndDensity:
             assert np.sum(quad.weights) == pytest.approx(1.0, abs=1e-12)
             assert np.all(quad.weights > 0)
             assert np.max(np.abs(quad.nodes)) <= qh.support_radius(q) + 1e-12
+
+    def test_gl8_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(np.array(qh._GL8_NODES), nodes)
+        assert np.array_equal(np.array(qh._GL8_WEIGHTS), weights)
+
+    @pytest.mark.parametrize("q,panels", [(0.0, 64), (0.5, 128), (0.9, 512)])
+    def test_panels_match_the_per_panel_rule(self, q, panels):
+        # the rule built panel by panel from leggauss(8), as the oracle
+        base_x, base_w = np.polynomial.legendre.leggauss(8)
+        edges = np.linspace(0.0, math.pi, panels + 1)
+        theta = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * base_x
+                                for a, b in zip(edges[:-1], edges[1:])])
+        wtheta = np.concatenate([0.5 * (b - a) * base_w for a, b in zip(edges[:-1], edges[1:])])
+        wtheta = wtheta * qh._theta_weight(theta, q, qh.default_truncation(q))
+        quad = qh.QGaussianQuadrature(q, panels=panels)
+        assert quad._raw_mass == float(np.sum(wtheta))
+        assert np.array_equal(quad.nodes, 2.0 * np.cos(theta) / math.sqrt(1.0 - q))
+        assert np.array_equal(quad.weights, wtheta / quad._raw_mass)
+
+    @pytest.mark.parametrize("argv", [
+        ["zn", "--n", "2", "--beta", "1", "--q", "0.5", "--qtilde", "0.25"],
+        ["density", "--q", "0.5", "--grid", "20"],
+    ])
+    def test_cold_cli_call_leaves_numpy_polynomial_unimported(self, argv):
+        src = os.path.dirname(os.path.dirname(qh.__file__))
+        script = ("import contextlib, io, sys\n"
+                  "from dssyklab import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = cli.main({argv!r} + ['--deterministic'])\n"
+                  "print(code, 'numpy.polynomial' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
 
     def test_fourth_moment_q_half(self):
         assert qh.quadrature(0.5).moment(4) == pytest.approx(2.5, abs=1e-8)
