@@ -482,15 +482,19 @@ def b_series(z: float, x0: float, q: float, qt: float, order: int = 12,
 
 
 def coherent_state_factor(x, q: float, z: float):
-    """q-deformed coherent state product Gamma_q(x, z), truncated at the
-    standard product tolerance."""
-    x = np.asarray(x, dtype=float)
-    K = qhermite.default_truncation(q)
-    out = np.ones_like(x)
-    for k in range(K):
-        qk = q ** k
-        out /= 1.0 - (1.0 - q) * qk * z * x + (1.0 - q) * qk * qk * z * z
-    return out
+    """q-deformed coherent state product Gamma_q(x, z) = prod_k 1 / |1 - a q^k e^{it}|^2,
+    with a = sqrt(1-q) z and x = 2 cos t/sqrt(1-q), as an array shaped like x.
+
+    Summed as a logarithm by `qhermite._log_q_product`, so a ValueError
+    names the first x outside the support, or a z with a outside [0, 1).
+    """
+    qhermite.check_numeric_q(q)
+    a = math.sqrt(1.0 - q) * z
+    if not 0.0 <= a < 1.0:
+        raise ValueError(f"need 0 <= sqrt(1-q) z < 1, got z={z}")
+    xs = np.asarray(x, dtype=float)
+    cos_t = qhermite._support_cos(xs, q)
+    return np.exp(-qhermite._log_q_product(a, q, cos_t, (1.0 - cos_t) / 2.0)).reshape(xs.shape)
 
 
 def z_n(n: int, beta: float, q: float, qt: float) -> float:
@@ -504,8 +508,7 @@ def z_n(n: int, beta: float, q: float, qt: float) -> float:
         raise ValueError("n must be positive")
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    if not 0.0 <= q <= qhermite.Q_NUMERIC_MAX:
-        raise ValueError(f"numeric q must lie in [0, {qhermite.Q_NUMERIC_MAX}]")
+    qhermite.check_numeric_q(q)
     if not 0.0 <= qt < 1.0:
         raise ValueError("need 0 <= qt < 1")
 

@@ -141,25 +141,53 @@ def rt_moment(k: int) -> MultiPoly:
 # numeric layer: the q-Gaussian measure and its quadrature
 # ---------------------------------------------------------------------------
 
-def default_truncation(q: float) -> int:
-    """Smallest K with q^K below the product tolerance (1 for q = 0)."""
-    if q <= 0.0:
-        return 1
-    return max(1, math.ceil(math.log(PRODUCT_EPS) / math.log(q)))
-
-
 def support_radius(q: float) -> float:
     return 2.0 / math.sqrt(1.0 - q)
 
 
-def _theta_weight(theta: np.ndarray, q: float, K: int) -> np.ndarray:
-    """Un-normalized quadrature weight in theta: (2/pi) sin^2(t) * product."""
-    w = (2.0 / math.pi) * np.sin(theta) ** 2
-    cos2t = np.cos(2.0 * theta)
-    for k in range(1, K + 1):
-        qk = q ** k
-        w *= (1.0 - qk) * (1.0 - 2.0 * qk * cos2t + qk * qk)
-    return w
+def check_numeric_q(q: float) -> None:
+    """Reject a q outside [0, Q_NUMERIC_MAX] (NaN too) for the float layer."""
+    if not 0.0 <= q <= Q_NUMERIC_MAX:
+        raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
+
+
+def _support_cos(xs: np.ndarray, q: float) -> np.ndarray:
+    """cos t of x = 2 cos t/sqrt(1-q), flat; names the first x outside the support (or NaN)."""
+    R = support_radius(q)
+    outside = np.flatnonzero(~(np.abs(xs) <= R * (1 + 1e-12)))
+    if outside.size:
+        raise ValueError(f"x={float(xs.flat[outside[0]])} outside the support [-{R}, {R}]")
+    return np.clip(xs.ravel() * math.sqrt(1.0 - q) / 2.0, -1.0, 1.0)
+
+
+def _log_q_product(a: float, q: float, cos_phi, sin2_half_phi):
+    """sum_{k>=0} log|1 - a q^k e^{i phi}|^2 for 0 <= a < 1 and 0 <= q < 1.
+
+    cos_phi and sin2_half_phi = sin^2(phi/2) are floats or arrays of one
+    shape.  The factors with b = a q^k > 1/2 are taken one by one, as
+    |1 - b e^{i phi}|^2 = (1-b)^2 + 4b sin^2(phi/2) keeps its digits as
+    b -> 1.  The rest is -2 sum_m b^m cos(m phi) / (m (1 - q^m)) in the first
+    b <= 1/2, with cos(m phi) by the Chebyshev recurrence, stopped once its
+    tail bound 2 b^m / (m (1 - q^m) (1 - b)) is below PRODUCT_EPS.  At
+    phi = 0 the sum is 2 log (a; q)_inf.
+    """
+    total, k = 0.0 * cos_phi, 0  # a float, or a fresh array
+    while (b := a * q ** k) > 0.5:
+        total += np.log((1.0 - b) ** 2 + 4.0 * b * sin2_half_phi)  # 1 - b is exact
+        k += 1
+    m, cos_prev, cos_m, two_cos = 1, 1.0, cos_phi, 2.0 * cos_phi  # cos((m-1) phi), cos(m phi)
+    while 2.0 * (c := b ** m / (m * (1.0 - q ** m))) / (1.0 - b) >= PRODUCT_EPS:
+        total -= 2.0 * c * cos_m
+        cos_m, cos_prev = two_cos * cos_m - cos_prev, cos_m
+        m += 1
+    return total
+
+
+def _theta_weight(theta: np.ndarray, q: float) -> np.ndarray:
+    """Quadrature weight in theta: (2/pi) sin^2(t) (q; q)_inf prod_{k>=1} |1 - q^k e^{2it}|^2."""
+    sin2 = np.sin(theta) ** 2
+    log_prod = 0.5 * _log_q_product(q, q, 1.0, 0.0) + _log_q_product(q, q, 1.0 - 2.0 * sin2, sin2)
+    return (2.0 / math.pi) * sin2 * np.exp(log_prod)
 
 
 # The 8-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
@@ -179,24 +207,21 @@ class QGaussianQuadrature:
     Gauss-Legendre panels of 8 points on theta in [0, pi], each the constant
     rule `_GL8_NODES`, `_GL8_WEIGHTS`; the substitution
     removes the square-root endpoint singularities of the density.  The
-    density's infinite product is truncated at default_truncation(q)
-    factors.  Weights are renormalized so they sum to one.  Immutable after
-    construction.
+    weight carries the density's infinite product through `_log_q_product`,
+    so the rule has mass one up to its quadrature error; the weights are
+    renormalized by their sum all the same.  Immutable after construction.
     """
 
     def __init__(self, q: float, panels: int = 64):
-        if not 0.0 <= q <= Q_NUMERIC_MAX:
-            raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
+        check_numeric_q(q)
         self.q = float(q)
         edges = np.linspace(0.0, math.pi, panels + 1)
         a, b = edges[:-1, None], edges[1:, None]  # one row per panel
         half = 0.5 * (b - a)
         theta = (0.5 * (a + b) + half * np.array(_GL8_NODES)).ravel()
-        wtheta = ((half * np.array(_GL8_WEIGHTS)).ravel()
-                  * _theta_weight(theta, self.q, default_truncation(self.q)))
-        self._raw_mass = float(np.sum(wtheta))
+        wtheta = (half * np.array(_GL8_WEIGHTS)).ravel() * _theta_weight(theta, self.q)
         self.nodes = 2.0 * np.cos(theta) / math.sqrt(1.0 - self.q)
-        self.weights = wtheta / self._raw_mass
+        self.weights = wtheta / np.sum(wtheta)
         if np.any(self.weights <= 0):
             raise ValueError("quadrature produced non-positive weights")
 
@@ -204,37 +229,24 @@ class QGaussianQuadrature:
         return float(np.sum(self.weights * self.nodes ** n))
 
 
-@lru_cache(maxsize=32)
-def quadrature(q: float) -> QGaussianQuadrature:
-    return QGaussianQuadrature(q)
-
-
 def nu_q_density(x, q: float):
     """Density of the q-Gaussian measure at x for 0 <= q <= 0.99.
 
-    x may be a scalar or an array; a scalar gives a float.  The infinite
-    product is truncated at default_truncation(q) factors, each applied to
-    the whole grid at once, and the result is renormalized by the
-    quadrature mass so the measure integrates to one.  At q = 0 this
+    With x = 2 cos t/sqrt(1-q) it is sqrt(1-q)/pi sin t (q; q)_inf
+    prod_{k>=1} |1 - q^k e^{2it}|^2, of mass exactly one, the product summed
+    as a logarithm by `_log_q_product` over the whole grid at once.  x may
+    be a scalar or an array; a scalar gives a float.  At q = 0 this
     collapses to the semicircle sqrt(4 - x^2)/(2 pi).
     """
-    if not 0.0 <= q <= Q_NUMERIC_MAX:
-        raise ValueError(f"numeric q must lie in [0, {Q_NUMERIC_MAX}]")
+    check_numeric_q(q)
     xs = np.asarray(x, dtype=float)
-    R = support_radius(q)
-    outside = np.flatnonzero(~(np.abs(xs) <= R * (1 + 1e-12)))  # NaN is outside too
-    if outside.size:
-        raise ValueError(f"x={float(xs.flat[outside[0]])} outside the support [-{R}, {R}]")
-    mass = quadrature(q)._raw_mass
-    arg = np.clip(xs.ravel() * math.sqrt(1.0 - q) / 2.0, -1.0, 1.0)
-    # math, not numpy: numpy's acos/sin/cos differ from libm in the last bit
+    arg = _support_cos(xs, q)
+    # math, not numpy: numpy's acos/sin differ from libm in the last bit
     theta = np.fromiter(map(math.acos, arg), float, arg.size)
-    dens = (math.sqrt(1.0 - q) / math.pi) * np.fromiter(map(math.sin, theta), float, arg.size)
-    cos2t = np.fromiter((math.cos(2.0 * t) for t in theta), float, arg.size)
-    for k in range(1, default_truncation(q) + 1):
-        qk = q ** k
-        dens *= (1.0 - qk) * (1.0 - 2.0 * qk * cos2t + qk * qk)
-    dens = (dens / mass).reshape(xs.shape)
+    sin_t = np.fromiter(map(math.sin, theta), float, arg.size)
+    sin2 = sin_t ** 2
+    log_prod = 0.5 * _log_q_product(q, q, 1.0, 0.0) + _log_q_product(q, q, 1.0 - 2.0 * sin2, sin2)
+    dens = ((math.sqrt(1.0 - q) / math.pi) * sin_t * np.exp(log_prod)).reshape(xs.shape)
     return float(dens) if dens.ndim == 0 else dens
 
 
@@ -261,20 +273,17 @@ def conditional_kernel(x: float, y, r: float, q: float):
 
         p_r(x,y) = (r^2; q)_inf / prod_k |1 - a_k e^{i(t+s)}|^2 |1 - a_k e^{i(t-s)}|^2,
 
-    summed as a logarithm and exponentiated once.  The factors with
-    a_k > 1/2 are taken one by one, as |1 - a e^{i phi}|^2 =
-    (1-a)^2 + 4a sin^2(phi/2) keeps its digits as a -> 1.  The logarithm of
-    the rest is sum_m b^m (4 cos(mt) cos(ms) - r^m) / (m (1 - q^m)) in
-    b = a_{k0} <= 1/2, stopped once its tail bound
-    5 b^m / (m (1 - q^m) (1 - b)) is below PRODUCT_EPS.  At r = 0 both
-    parts are empty and the value is exactly 1.
+    summed as a logarithm by `_log_q_product` and exponentiated once, with
+    the factor 1 - r^2 of (r^2; q)_inf taken as (1-r)(1+r) so that it keeps
+    its digits as r -> 1.  At r = 0 every factor is 1 and the value is
+    exactly 1.
 
-    y may be a scalar or an array; a scalar gives a float.  A value beyond
-    the float range raises a ConvergenceError naming the first such y in
-    grid order.  p_r(x,.) integrates to one against the q-Gaussian measure.
+    y may be a scalar or an array; a scalar gives a float.  q is capped at
+    Q_NUMERIC_MAX, where the largest value, at x = y = R and r -> 1, is below
+    e^593 and so within the float range.  p_r(x,.) integrates to one against
+    the q-Gaussian measure.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("need 0 <= q < 1")
+    check_numeric_q(q)
     if not 0.0 <= r < 1.0:
         raise ValueError("need 0 <= r < 1")
     ys = np.asarray(y, dtype=float)
@@ -282,30 +291,11 @@ def conditional_kernel(x: float, y, r: float, q: float):
     if not (abs(x) <= R * (1 + 1e-12) and np.all(np.abs(ys) <= R * (1 + 1e-12))):  # NaN fails too
         raise ValueError("kernel arguments must lie inside the support")
     x, r, q = float(x), float(r), float(q)
-    flat = ys.ravel()
-    u = min(1.0, max(-1.0, x / R))  # cos t
-    v = np.clip(flat / R, -1.0, 1.0)  # cos s
-    t = math.acos(u)
-    s = np.fromiter(map(math.acos, v), float, v.size)
-    sin2_sum = np.fromiter(map(math.sin, (t + s) / 2.0), float, v.size) ** 2
-    sin2_diff = np.fromiter(map(math.sin, (t - s) / 2.0), float, v.size) ** 2
-    log_p, k = np.zeros_like(v), 0
-    while (a := r * q ** k) > 0.5:
-        gap = (1.0 - a) ** 2  # 1 - a and 1 - r are exact, as a, r > 1/2
-        log_p += np.log(((1.0 - r) + r * (1.0 - a))  # 1 - r^2 q^k
-                        / ((gap + 4.0 * a * sin2_sum) * (gap + 4.0 * a * sin2_diff)))
-        k += 1
-    m, b = 1, a
-    tx_prev, tx = 1.0, u  # cos((m-1)t), cos(mt)
-    ty_prev, ty = np.ones_like(v), v
-    while 5.0 * (c := b ** m / (m * (1.0 - q ** m))) / (1.0 - b) >= PRODUCT_EPS:
-        log_p += (4.0 * c * tx) * ty - c * r ** m
-        tx, tx_prev = 2.0 * u * tx - tx_prev, tx
-        ty, ty_prev = 2.0 * v * ty - ty_prev, ty
-        m += 1
-    over = np.flatnonzero(log_p > math.log(np.finfo(float).max))  # where math.exp overflows
-    if over.size:
-        raise ConvergenceError(
-            f"kernel overflows a float at (x={x}, y={float(flat[over[0]])}, r={r}, q={q})")
-    out = np.fromiter(map(math.exp, log_p), float, v.size).reshape(ys.shape)
+    t = math.acos(min(1.0, max(-1.0, x / R)))
+    s = np.fromiter(map(math.acos, np.clip(ys.ravel() / R, -1.0, 1.0)), float, ys.size)
+    half = np.concatenate([t + s, t - s]) / 2.0  # one row for t + s, one for t - s
+    sin2 = np.fromiter(map(math.sin, half), float, half.size).reshape(2, -1) ** 2
+    log_p = (math.log((1.0 - r) * (1.0 + r)) + 0.5 * _log_q_product(r * r * q, q, 1.0, 0.0)
+             - _log_q_product(r, q, 1.0 - 2.0 * sin2, sin2).sum(axis=0))
+    out = np.fromiter(map(math.exp, log_p), float, ys.size).reshape(ys.shape)
     return float(out) if out.ndim == 0 else out

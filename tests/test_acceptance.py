@@ -105,13 +105,13 @@ def test_criterion_6_kernel_quadrature_suite():
     """Measure normalization and moments to 1e-7; kernel eigenrelation to
     1e-6; continued fraction versus series to 1e-9."""
     for q in (0.0, 0.5, 0.9):
-        quad = qh.quadrature(q)
+        quad = qh.QGaussianQuadrature(q)
         assert np.sum(quad.weights) == pytest.approx(1.0, abs=1e-12)
         for k in (1, 2, 3):
             rt = float(qh.rt_moment(k).evaluate(q=q))
             assert quad.moment(2 * k) == pytest.approx(rt, abs=1e-7), (q, k)
     q, r, x0 = 0.5, 0.6, 0.7
-    quad = qh.quadrature(q)
+    quad = qh.QGaussianQuadrature(q)
     kernel_vals = qh.conditional_kernel(x0, quad.nodes, r, q)
     assert float(np.sum(quad.weights * kernel_vals)) == pytest.approx(1.0, abs=1e-8)
     h2 = qh.hermite_values(2, quad.nodes, q)[2]

@@ -451,6 +451,26 @@ class TestPartitionFunction:
         with pytest.raises(ValueError):
             mo.z_n(1, 1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("q,z", [(0.0, 0.5), (0.5, 0.25), (0.9, 0.9), (0.99, 0.99)])
+    def test_coherent_state_factor_matches_its_product(self, q, z):
+        xs = np.linspace(-qh.support_radius(q), qh.support_radius(q), 41)
+        K = 1 if q == 0.0 else math.ceil(math.log(1e-18) / math.log(q))
+        want = [1.0 / math.prod(1.0 - (1.0 - q) * q ** k * z * x + (1.0 - q) * q ** (2 * k) * z * z
+                                for k in range(K + 1)) for x in xs]
+        assert mo.coherent_state_factor(xs, q, z) == pytest.approx(want, rel=1e-12)
+
+    def test_coherent_state_factor_rejects_x_outside_the_support(self):
+        with pytest.raises(ValueError, match="x=-3.0 outside the support"):
+            mo.coherent_state_factor(np.array([0.0, -3.0, 3.0]), 0.0, 0.5)
+        with pytest.raises(ValueError, match="x=nan outside the support"):
+            mo.coherent_state_factor(math.nan, 0.5, 0.25)
+
+    def test_coherent_state_factor_rejects_z_out_of_range(self):
+        # the product needs 0 <= sqrt(1-q) z < 1
+        for q, z in ((0.5, 1.5), (0.0, 1.0), (0.5, -0.1), (0.5, math.nan)):
+            with pytest.raises(ValueError, match=r"need 0 <= sqrt\(1-q\) z < 1"):
+                mo.coherent_state_factor(0.0, q, z)
+
 
 class TestMomentTable:
     def test_symbolic_round_trip(self):

@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import math
 import os
@@ -188,7 +189,7 @@ class TestQuadratureAndDensity:
 
     def test_weights_normalized(self):
         for q in (0.0, 0.5, 0.9):
-            quad = qh.quadrature(q)
+            quad = qh.QGaussianQuadrature(q)
             assert np.sum(quad.weights) == pytest.approx(1.0, abs=1e-12)
             assert np.all(quad.weights > 0)
             assert np.max(np.abs(quad.nodes)) <= qh.support_radius(q) + 1e-12
@@ -206,11 +207,20 @@ class TestQuadratureAndDensity:
         theta = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * base_x
                                 for a, b in zip(edges[:-1], edges[1:])])
         wtheta = np.concatenate([0.5 * (b - a) * base_w for a, b in zip(edges[:-1], edges[1:])])
-        wtheta = wtheta * qh._theta_weight(theta, q, qh.default_truncation(q))
+        wtheta = wtheta * qh._theta_weight(theta, q)
         quad = qh.QGaussianQuadrature(q, panels=panels)
-        assert quad._raw_mass == float(np.sum(wtheta))
         assert np.array_equal(quad.nodes, 2.0 * np.cos(theta) / math.sqrt(1.0 - q))
-        assert np.array_equal(quad.weights, wtheta / quad._raw_mass)
+        assert np.array_equal(quad.weights, wtheta / np.sum(wtheta))
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_unnormalized_weights_have_mass_one(self, q):
+        # the weight carries (q; q)_inf, so nu_q has mass one in closed form
+        # and the 64-panel rule reaches it before renormalizing
+        edges = np.linspace(0.0, math.pi, 65)
+        a, b = edges[:-1, None], edges[1:, None]
+        theta = (0.5 * (a + b) + 0.5 * (b - a) * np.array(qh._GL8_NODES)).ravel()
+        wtheta = (0.5 * (b - a) * np.array(qh._GL8_WEIGHTS)).ravel() * qh._theta_weight(theta, q)
+        assert abs(float(np.sum(wtheta)) - 1.0) <= 2e-13
 
     @pytest.mark.parametrize("argv", [
         ["zn", "--n", "2", "--beta", "1", "--q", "0.5", "--qtilde", "0.25"],
@@ -229,11 +239,11 @@ class TestQuadratureAndDensity:
         assert done.stdout.split() == ["0", "False"], done.stderr
 
     def test_fourth_moment_q_half(self):
-        assert qh.quadrature(0.5).moment(4) == pytest.approx(2.5, abs=1e-8)
+        assert qh.QGaussianQuadrature(0.5).moment(4) == pytest.approx(2.5, abs=1e-8)
 
     def test_moments_match_rt(self):
         for q in (0.0, 0.5, 0.9):
-            quad = qh.quadrature(q)
+            quad = qh.QGaussianQuadrature(q)
             for k in (1, 2, 3):
                 rt = float(qh.rt_moment(k).evaluate(q=q))
                 assert quad.moment(2 * k) == pytest.approx(rt, abs=1e-7)
@@ -250,7 +260,7 @@ class TestQuadratureAndDensity:
 
     def test_orthogonality(self):
         for q in (0.0, 0.3, 0.7):
-            quad = qh.quadrature(q)
+            quad = qh.QGaussianQuadrature(q)
             H = qh.hermite_values(8, quad.nodes, q)
             for m in range(9):
                 for n in range(9):
@@ -260,6 +270,25 @@ class TestQuadratureAndDensity:
                     else:
                         target = 0.0
                     assert val == pytest.approx(target, abs=1e-8)
+
+
+def _log_q_product_oracle(a, q, phi):
+    """sum_k log|1 - a q^k e^{i phi}|^2 factor by factor, out to q^K < 1e-18."""
+    K = 1 if q == 0.0 else math.ceil(math.log(1e-18) / math.log(q))
+    return math.fsum(math.log(abs(1.0 - a * q ** k * cmath.exp(1j * phi)) ** 2)
+                     for k in range(K + 1))
+
+
+# a = 0.5 + 1e-9 takes one factor just above the split at 1/2 one by one
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 0.5 + 1e-9, 0.9, 0.891])
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99])
+def test_log_q_product_matches_factor_by_factor_sum(a, q):
+    phis = np.concatenate([[0.0, 1e-6, 1e-3], np.linspace(0.1, math.pi, 12)])
+    values = qh._log_q_product(a, q, np.cos(phis), np.sin(phis / 2.0) ** 2)
+    for phi, value in zip(phis, values):
+        want = _log_q_product_oracle(a, q, phi)
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), phi
+    assert float(qh._log_q_product(a, q, 1.0, 0.0)) == values[0]  # a scalar phi
 
 
 # (q, r, x0) where the 64-panel rule integrates the kernel to 1e-11 or better
@@ -272,13 +301,13 @@ class TestConditionalKernel:
 
     def test_normalization(self):
         for q, r, x0 in KERNEL_QUADRATURE_CASES:
-            quad = qh.quadrature(q)
+            quad = qh.QGaussianQuadrature(q)
             total = float(np.sum(quad.weights * qh.conditional_kernel(x0, quad.nodes, r, q)))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_hermite_eigenrelation(self):
         for q, r, x0 in KERNEL_QUADRATURE_CASES:
-            quad = qh.quadrature(q)
+            quad = qh.QGaussianQuadrature(q)
             h2 = qh.hermite_values(2, quad.nodes, q)[2]
             val = float(np.sum(quad.weights * h2 * qh.conditional_kernel(x0, quad.nodes, r, q)))
             target = r ** 2 * float(qh.hermite_values(2, np.array(x0), q)[2])
@@ -303,17 +332,35 @@ class TestConditionalKernel:
         with pytest.raises(ValueError, match="inside the support"):
             qh.conditional_kernel(0.0, np.array([0.0, np.nan]), 0.5, 0.5)
 
-    def test_first_failing_lane_in_grid_order_is_named(self):
-        # at q = 0.999 and x = R the kernel passes the float range for y near R:
-        # at y = R it is about e^4105, at y = 0.9 R it is smaller but still beyond,
-        # and y = 0.9 R comes first in the grid
-        R = qh.support_radius(0.999)
-        with pytest.raises(qh.ConvergenceError,
-                           match=rf"overflows a float at \(x={R}, y={0.9 * R}, r=0.9, q=0.999\)"):
-            qh.conditional_kernel(R, np.array([0.0, 0.9 * R, R]), 0.9, 0.999)
-        with pytest.raises(qh.ConvergenceError, match=rf"at \(x={R}, y={R}, "):
-            qh.conditional_kernel(R, np.array([R, 0.9 * R, 0.0]), 0.9, 0.999)
-        assert qh.conditional_kernel(R, 0.5 * R, 0.9, 0.999) > 0.0
+    def test_q_above_the_numeric_cap_is_rejected(self):
+        # its cost grows like 1/(1 - q), and near q = 1 it passes the float range
+        with pytest.raises(ValueError, match=r"numeric q must lie in \[0, 0.99\]"):
+            qh.conditional_kernel(0.0, 0.0, 0.9, 0.995)
+        with pytest.raises(ValueError, match="numeric q must lie"):
+            qh.conditional_kernel(0.0, 0.0, 0.5, math.nan)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("r", [0.999999, 1.0 - 2.0 ** -40])
+    def test_centre_value_keeps_its_digits_as_r_nears_1(self, r, q):
+        # at x = y = 0, t + s = pi and t - s = 0, so p_r(0, 0) is the rational
+        # product prod_k (1 - r^2 q^k) / (1 - r^2 q^2k)^2, here in 60 digits;
+        # 1 - r^2 rounded from r * r would cost about 1e-16 / (1 - r^2) of it
+        D = decimal.Decimal
+        with decimal.localcontext(decimal.Context(prec=60)):
+            rr, qk, total = D(r) * D(r), D(1), D(1)  # qk = q^k
+            while qk > D("1e-40"):
+                total *= (1 - rr * qk) / (1 - rr * qk * qk) ** 2
+                qk *= D(q)
+            want = float(total)
+        assert qh.conditional_kernel(0.0, 0.0, r, q) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_largest_value_under_the_cap_is_finite(self):
+        # x = y = R, r just below 1, q = 0.99: log p is about 592.25, below
+        # log(float max) = 709.78, so no kernel value under the cap overflows
+        R = qh.support_radius(0.99)
+        value = qh.conditional_kernel(R, R, math.nextafter(1.0, 0.0), 0.99)
+        assert math.isfinite(value)
+        assert math.log(value) == pytest.approx(592.25, abs=0.01)
 
 
 def _decimal_kernel(x, y, r, q, terms):
@@ -361,7 +408,11 @@ def test_kernel_matches_decimal_sum(x, y, r, q, terms):
 # ---------------------------------------------------------------------------
 
 def _density_per_point(x, q):
-    """The per-point density loop that `nu_q_density` replaced; its oracle."""
+    """The per-point density as a plain product of its factors; its oracle.
+
+    prod_{k=1..K} (1 - q^k) (1 - 2 q^k cos 2t + q^2k), with K the first
+    power where q^K < 1e-16.
+    """
     R = qh.support_radius(q)
     if abs(x) > R * (1 + 1e-12):
         raise ValueError(f"x={x} outside the support [-{R}, {R}]")
@@ -369,10 +420,11 @@ def _density_per_point(x, q):
     theta = math.acos(arg)
     dens = (math.sqrt(1.0 - q) / math.pi) * math.sin(theta)
     cos2t = math.cos(2.0 * theta)
-    for k in range(1, qh.default_truncation(q) + 1):
+    K = 1 if q == 0.0 else math.ceil(math.log(1e-16) / math.log(q))
+    for k in range(1, K + 1):
         qk = q ** k
         dens *= (1.0 - qk) * (1.0 - 2.0 * qk * cos2t + qk * qk)
-    return dens / qh.quadrature(q)._raw_mass
+    return dens
 
 
 def _kernel_direct_sum(x, ys, r, q, terms=300):
@@ -400,16 +452,16 @@ def _kernel_direct_sum(x, ys, r, q, terms=300):
 
 
 class TestGridKernelsMatchPerPointOracles:
-    """The density keeps each point's float operation order, so it equals
-    the per-point loop bit for bit; the kernel is checked against the direct
-    sum of its series."""
+    """The density is checked against the plain product of its factors at
+    each point, the kernel against the direct sum of its series."""
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 0.9, 0.99])
     def test_density(self, q):
         R = qh.support_radius(q)
         xs = np.linspace(-R, R, 2000)
         values = qh.nu_q_density(xs, q)
-        assert values.tolist() == [_density_per_point(x, q) for x in xs]
+        oracle = np.array([_density_per_point(x, q) for x in xs])
+        assert np.all(np.abs(values - oracle) <= 1e-12 * np.abs(oracle))
         assert qh.nu_q_density(xs[123], q) == values[123]
 
     @pytest.mark.parametrize("q,r,x0", [(0.0, 0.3, 0.0), (0.5, 0.6, 0.7), (0.9, 0.8, -1.0)])
