@@ -241,9 +241,9 @@ def _hadamard_rows(flat: np.ndarray, n: int, half: bool = False) -> np.ndarray:
 def _h_blocks(params: ModelParams, rng: np.random.Generator, blocks: list[np.ndarray]):
     """One realization of the random p-body Hamiltonian as its two
     chirality blocks, written over `blocks`: the top-qubit-0 block, then,
-    if `blocks` holds two half x half complex arrays, the top-qubit-1
-    block.  With one array only the top-qubit-0 block is assembled, from
-    the same coupling draw.
+    if `blocks` holds two half x half C-contiguous complex arrays, the
+    top-qubit-1 block.  With one array only the top-qubit-0 block is
+    assembled, from the same coupling draw.
 
     Couplings are i.i.d. normal with variance 1/C(N,p), which normalizes
     the trace of H^2 to one.  The x-mask group of x fills the entries
@@ -259,6 +259,8 @@ def _h_blocks(params: ModelParams, rng: np.random.Generator, blocks: list[np.nda
     xs, slots, phases = _term_structure(N, p)
     weights = couplings * phases
     for block in blocks:
+        if not block.flags.c_contiguous:  # the writes go through a flat view
+            raise ValueError("chirality blocks must be C-contiguous")
         block.fill(0)
     step = max(1, params.dim // 8)  # groups per chunk: a chunk's spread is a quarter block
     for lo in range(0, len(xs), step):
@@ -273,9 +275,12 @@ def _write_groups(params: ModelParams, blocks: list[np.ndarray], xs: np.ndarray,
     g * 2^(N/2) + z for its group's index g in `xs`, and its weight is
     c_t phase_t.  The real and imaginary parts of the weights go through
     the real transform separately, these groups in one batch, and only
-    over the states of the blocks asked for.  Each group's row then fills
-    one column-to-row permutation inside each block.  The scratch arrays
-    are freed on return, before the next chunk allocates its own.
+    over the states of the blocks asked for.  Group x's row W_x fills the
+    entries (b XOR x, b) of each block; as the blocks are Hermitian entry
+    for entry, it is written along rows instead, block[b, b XOR x] =
+    conj(W_x[b]), in one indexed assignment per block for all the groups.
+    The scratch arrays are freed on return, before the next chunk
+    allocates its own.
     """
     half = params.dim // 2
     spread = np.zeros(len(xs) * params.dim)
@@ -283,11 +288,18 @@ def _write_groups(params: ModelParams, blocks: list[np.ndarray], xs: np.ndarray,
     real = _hadamard_rows(spread, params.N // 2, half=len(blocks) == 1)
     spread[slots] = weights.imag
     imag = _hadamard_rows(spread, params.N // 2, half=len(blocks) == 1)
-    idx = np.arange(half)
-    for x, re, im in zip(xs, real, imag):
-        entries, rows = re + 1j * im, idx ^ x
-        for block, part in zip(blocks, (entries[:half], entries[half:])):
-            block[rows, idx] = part
+    del spread
+    parts = []
+    for lo in (0, half)[:len(blocks)]:
+        # re - 1j im, formed in place: conj(re + 1j im), with its zeros signed alike
+        part = np.multiply(1j, imag[:, lo:lo + half].T)
+        parts.append(np.subtract(real[:, lo:lo + half].T, part, out=part))
+    del real, imag
+    rows = np.arange(half)[:, None]
+    flat = rows ^ xs  # entry (b, b XOR x) of a block sits at b half + (b XOR x)
+    flat += rows * half
+    for block, part in zip(blocks, parts):
+        block.reshape(-1)[flat] = part
 
 
 def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
@@ -299,8 +311,10 @@ def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     term by term from `majorana`.
     """
     half = params.dim // 2
+    blocks = [np.empty((half, half), dtype=complex) for _ in range(2)]
+    _h_blocks(params, rng, blocks)
     H = np.zeros((params.dim, params.dim), dtype=complex)
-    _h_blocks(params, rng, [H[:half, :half], H[half:, half:]])
+    H[:half, :half], H[half:, half:] = blocks
     return H
 
 

@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from . import qhermite
-from .qcore import MultiPoly
+from .qcore import PACKED_WIDTH, MultiPoly, pack, unpack
 from .qhermite import ConvergenceError, linearization, monomial_to_hermite, rt_moment
 
 MAX_MOMENT_ORDER = 30
@@ -254,9 +254,22 @@ def reduced_moment_compositions(n: int) -> MultiPoly:
 
 # _B_POWERS[p][m] is [z^p] B^m / theta^m for m = 1..p: a map from sorted
 # tuples of nonzero Hermite degrees (the product left unexpanded) to its
-# weight, a polynomial in q.  Entry [0] of each column is unused.  Columns
+# weight, a polynomial in q packed at `PACKED_WIDTH` bits a digit, with the
+# weight's value at q = 1.  Entry [0] of each column is unused.  Columns
 # are appended in order of p, so each is built once per process.
 _B_POWERS: list[list[dict]] = [[]]
+
+
+def _check_digits(ones: int, what: str):
+    """Raise unless a packed sum whose value at q = 1 is `ones` keeps its digits.
+
+    Every weight has nonnegative coefficients, so none of its digits, and
+    no digit of a partial sum or product that formed it, exceeds its value
+    at q = 1.
+    """
+    if ones >> PACKED_WIDTH:
+        raise ValueError(f"generating-function oracle outgrows {PACKED_WIDTH}-bit digits: "
+                         f"{what} sums to {ones} at q = 1")
 
 
 def _b_power_column(p: int) -> list[dict]:
@@ -264,21 +277,24 @@ def _b_power_column(p: int) -> list[dict]:
 
     [z^p] B = theta x^(p-1) = theta sum_d c_d H_d, with an H_0 factor left
     out of the key, and for m >= 2 the Cauchy product
-    [z^p] B^m = sum_i [z^i] B [z^(p-i)] B^(m-1).
+    [z^p] B^m = sum_i [z^i] B [z^(p-i)] B^(m-1), one integer product of
+    packed weights per pair of entries.
     """
-    column = [{}, {(d,) if d else (): c
+    column = [{}, {(d,) if d else (): (pack(c, PACKED_WIDTH), sum(c.terms.values()))
                    for d, c in enumerate(monomial_to_hermite(p - 1).coeffs) if not c.is_zero()}]
     for m in range(2, p + 1):
         bucket = {}
         for i in range(1, p - m + 2):
             lower = _B_POWERS[p - i][m - 1]
-            for key1, c1 in _B_POWERS[i][1].items():
-                for key2, c2 in lower.items():
-                    key = tuple(sorted(key1 + key2))
-                    term = c1 * c2
+            for key1, (w1, s1) in _B_POWERS[i][1].items():
+                for key2, (w2, s2) in lower.items():
+                    key = tuple(sorted(key1 + key2)) if key1 else key2
                     acc = bucket.get(key)
-                    bucket[key] = term if acc is None else acc + term
+                    bucket[key] = ((w1 * w2, s1 * s2) if acc is None
+                                   else (acc[0] + w1 * w2, acc[1] + s1 * s2))
         column.append(bucket)
+    for m, bucket in enumerate(column[1:], start=1):
+        _check_digits(max(s for _, s in bucket.values()), f"[z^{p}] B^{m}")
     return column
 
 
@@ -289,20 +305,31 @@ def reduced_moment_gf(n: int) -> MultiPoly:
 
     The columns [z^p] B^m keep every Hermite product unexpanded; each
     deferred product is paired by `_paired_vacuum`, and [z^n] B^m carries
-    theta^m.
+    theta^m.  The pairing sum runs on packed weights, one sum for each qt
+    power, unpacked once.
 
     Oracle for `reduced_moment`.
     """
     _check_order(n, ORACLE_MAX_ORDER)
     while len(_B_POWERS) <= n:
         _B_POWERS.append(_b_power_column(len(_B_POWERS)))
-    total = MultiPoly.zero()
+    terms = {}
     for m in range(1, n + 1):
-        acc = MultiPoly.zero()
-        for key, coeff in _B_POWERS[n][m].items():
-            acc = acc + coeff * _paired_vacuum(key)
-        total = total + MultiPoly.monomial(theta_pow=m, coeff=Fraction(n, m)) * acc
-    return total
+        sums = {}  # qt power -> (packed sum, its value at q = 1)
+        for key, (weight, ones) in _B_POWERS[n][m].items():
+            paired = _paired_vacuum(key)
+            if paired.is_zero():
+                continue
+            half = sum(key) // 2
+            acc, acc_ones = sums.get(half, (0, 0))
+            sums[half] = (acc + weight * pack(paired, PACKED_WIDTH, qt_pow=half),
+                          acc_ones + ones * sum(paired.terms.values()))
+        for half, (acc, ones) in sums.items():
+            _check_digits(ones, f"the qt^{half} theta^{m} part of m_{n}")
+            for (a, _, _), c in unpack(acc, PACKED_WIDTH).terms.items():
+                whole, rest = divmod(n * c, m)
+                terms[(a, half, m)] = Fraction(n * c, m) if rest else whole
+    return MultiPoly(terms)
 
 
 # ---------------------------------------------------------------------------

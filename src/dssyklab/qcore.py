@@ -342,6 +342,49 @@ class HermiteExpansion:
 
 
 # ---------------------------------------------------------------------------
+# packed polynomials in q (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+PACKED_WIDTH = 64  # the narrowest digit, in bits
+
+
+def pack(poly: MultiPoly, width: int, qt_pow: int = 0) -> int:
+    """A polynomial in q with nonnegative int coefficients, read at q = 2^width.
+
+    Each coefficient becomes one width-bit digit, so one integer product of
+    two packed polynomials is their polynomial product (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44 (2009)), exact as long
+    as no coefficient of the product reaches 2^width: callers bound the
+    coefficients first.  Every term must carry qt^qt_pow, which is dropped,
+    and no theta; a term with another qt or theta power, a negative or
+    non-integral coefficient, or one of width bits or more, is a ValueError.
+    """
+    value = 0
+    for (a, b, c), coeff in poly._terms.items():
+        if b != qt_pow or c:
+            raise ValueError(f"cannot pack q^{a} qt^{b} theta^{c}: only qt^{qt_pow} "
+                             f"times powers of q pack")
+        if type(coeff) is not int or coeff < 0 or coeff >> width:
+            raise ValueError(f"cannot pack the coefficient {coeff} of q^{a} "
+                             f"into a {width}-bit digit")
+        value |= coeff << (a * width)
+    return value
+
+
+def unpack(value: int, width: int) -> MultiPoly:
+    """The polynomial in q whose coefficients are the width-bit digits of value."""
+    mask = (1 << width) - 1
+    terms = {}
+    for a in range((value.bit_length() + width - 1) // width):
+        digit = (value >> (a * width)) & mask
+        if digit:
+            terms[(a, 0, 0)] = digit
+    result = MultiPoly.__new__(MultiPoly)
+    result._terms = terms
+    return result
+
+
+# ---------------------------------------------------------------------------
 # q-deformed integers, factorials, binomials
 # ---------------------------------------------------------------------------
 

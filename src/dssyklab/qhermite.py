@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import HermiteExpansion, MultiPoly, q_binomial, q_factorial, q_integer
+from .qcore import (PACKED_WIDTH, HermiteExpansion, MultiPoly, pack, q_binomial, q_factorial,
+                    q_integer, unpack)
 
 Q_NUMERIC_MAX = 0.99
 PRODUCT_EPS = 1e-16
@@ -52,15 +53,18 @@ def hermite_in_x(n: int) -> list[MultiPoly]:
     return cur
 
 
+@lru_cache(maxsize=None)
 def monomial_to_hermite(k: int) -> HermiteExpansion:
     """Expansion x^k = sum_m c_{m,k} H_{k-2m}: the walk over k factors H_1 = x.
 
     Each step is x H_j = H_{j+1} + [j]_q H_{j-1}, so all coefficients come
-    out as exact polynomials in q with no division.
+    out as exact polynomials in q with no division.  Memoized, so each
+    power is unpacked from the walk once per process.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
-    return _hermite_walk((1,) * k)
+    width, coeffs = _hermite_walk((1,) * k)
+    return HermiteExpansion(unpack(c, width) for c in coeffs)
 
 
 def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
@@ -86,32 +90,57 @@ def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _rogers_weight(m: int, n: int, k: int) -> MultiPoly:
-    """[m k]_q [n k]_q [k]_q!: the H_{m+n-2k} coefficient of H_m H_n."""
-    return q_binomial(m, k) * q_binomial(n, k) * q_factorial(k)
+def _digit_width(total: int) -> int:
+    """The digit width of the walk's products of total degree `total`.
+
+    At q = 1 the H_j coefficient of H_{n_1} ... H_{n_l}, with sum n_i =
+    total, counts the partial matchings of the total points that leave j of
+    them unmatched, and so does not exceed the involution number T(total),
+    T(d) = T(d-1) + (d-1) T(d-2); every coefficient is a polynomial in q
+    with nonnegative coefficients, so none of its digits does either.
+    T(31) < 2^64, so up to total degree 31 this is `PACKED_WIDTH`.
+    """
+    prev, cur = 1, 1  # T(0), T(1)
+    for j in range(1, total):
+        prev, cur = cur, cur + j * prev
+    return max(PACKED_WIDTH, cur.bit_length())
 
 
 @lru_cache(maxsize=None)
-def _hermite_walk(degrees: tuple[int, ...]) -> HermiteExpansion:
-    """Expansion of H_{n_1} ... H_{n_l} in the Hermite basis.
+def _rogers_weight(m: int, n: int, k: int, width: int) -> int:
+    """[m k]_q [n k]_q [k]_q!, the H_{m+n-2k} coefficient of H_m H_n, packed
+    at `width` (which must be at least `_digit_width(m + n)`)."""
+    return (pack(q_binomial(m, k), width) * pack(q_binomial(n, k), width)
+            * pack(q_factorial(k), width))
+
+
+@lru_cache(maxsize=None)
+def _hermite_walk(degrees: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Expansion of H_{n_1} ... H_{n_l} in the Hermite basis, as a digit
+    width and the coefficients of H_0, H_1, ... packed at that width.
 
     A walk on the chord-number basis: step i multiplies the running
     expansion by H_{n_i} through Rogers' formula
     H_m H_n = sum_k [m k]_q [n k]_q [k]_q! H_{m+n-2k}, where k counts the
     chords closed between the prefix and the new factor (the chord-number
-    picture of Berkooz et al., arXiv:1811.02584).  Memoized on prefixes, so
-    callers that share prefixes share the work.
+    picture of Berkooz et al., arXiv:1811.02584).  Every product of two
+    polynomials in q is one integer product (`qcore.pack`).  A step works
+    at the width `_digit_width` gives its total degree, and repacks its
+    prefix when that width grows.  Memoized on prefixes, so callers that
+    share prefixes share the work.
     """
     if not degrees:
-        return HermiteExpansion([MultiPoly.one()])
-    prefix, n = _hermite_walk(degrees[:-1]), degrees[-1]
-    coeffs = [MultiPoly.zero()] * (prefix.degree + n + 1)
-    for m, c in enumerate(prefix.coeffs):
-        if c.is_zero():
-            continue
-        for k in range(min(m, n) + 1):
-            coeffs[m + n - 2 * k] = coeffs[m + n - 2 * k] + c * _rogers_weight(m, n, k)
-    return HermiteExpansion(coeffs)
+        return PACKED_WIDTH, (1,)
+    (width, prefix), n = _hermite_walk(degrees[:-1]), degrees[-1]
+    wide = _digit_width(sum(degrees))
+    if wide != width:
+        prefix = [pack(unpack(c, width), wide) for c in prefix]
+    coeffs = [0] * (len(prefix) + n)
+    for m, c in enumerate(prefix):
+        if c:
+            for k in range(min(m, n) + 1):
+                coeffs[m + n - 2 * k] += c * _rogers_weight(m, n, k, wide)
+    return wide, tuple(coeffs)
 
 
 def linearization(degrees: list[int]) -> MultiPoly:
@@ -123,7 +152,8 @@ def linearization(degrees: list[int]) -> MultiPoly:
     """
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be nonnegative")
-    return _hermite_walk(tuple(sorted(degrees))).coefficient(0)
+    width, coeffs = _hermite_walk(tuple(sorted(degrees)))
+    return unpack(coeffs[0], width)
 
 
 def rt_moment(k: int) -> MultiPoly:
@@ -291,10 +321,13 @@ def conditional_kernel(x: float, y, r: float, q: float):
     if not (abs(x) <= R * (1 + 1e-12) and np.all(np.abs(ys) <= R * (1 + 1e-12))):  # NaN fails too
         raise ValueError("kernel arguments must lie inside the support")
     x, r, q = float(x), float(r), float(q)
-    t = math.acos(min(1.0, max(-1.0, x / R)))
-    s = np.fromiter(map(math.acos, np.clip(ys.ravel() / R, -1.0, 1.0)), float, ys.size)
-    half = np.concatenate([t + s, t - s]) / 2.0  # one row for t + s, one for t - s
-    sin2 = np.fromiter(map(math.sin, half), float, half.size).reshape(2, -1) ** 2
+    cos_t = min(1.0, max(-1.0, x / R))
+    cos_s = np.clip(ys.ravel() / R, -1.0, 1.0)
+    # sin(t/2) cos(s/2) and cos(t/2) sin(s/2); negating x and y swaps them
+    # exactly, so p_r(-x, -y) = p_r(x, y) bit for bit
+    a = math.sqrt((1.0 - cos_t) / 2.0) * np.sqrt((1.0 + cos_s) / 2.0)
+    b = math.sqrt((1.0 + cos_t) / 2.0) * np.sqrt((1.0 - cos_s) / 2.0)
+    sin2 = np.stack([a + b, a - b]) ** 2  # sin^2((t + s)/2), sin^2((t - s)/2)
     log_p = (math.log((1.0 - r) * (1.0 + r)) + 0.5 * _log_q_product(r * r * q, q, 1.0, 0.0)
              - _log_q_product(r, q, 1.0 - 2.0 * sin2, sin2).sum(axis=0))
     out = np.fromiter(map(math.exp, log_p), float, ys.size).reshape(ys.shape)

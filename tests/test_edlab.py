@@ -197,6 +197,40 @@ class TestHadamardAssembly:
             assert np.abs(got - want[:, : 1 << (n - 1)]).max() < 1e-12
 
 
+def _group_loop_write(params, blocks, xs, slots, weights):
+    """`_write_groups` one x-mask group at a time, each group's row W_x
+    written down the columns, block[b XOR x, b] = W_x[b].  Oracle for the
+    one row-wise indexed assignment of `_write_groups`."""
+    half = params.dim // 2
+    spread = np.zeros(len(xs) * params.dim)
+    spread[slots] = weights.real
+    real = ed._hadamard_rows(spread, params.N // 2, half=len(blocks) == 1)
+    spread[slots] = weights.imag
+    imag = ed._hadamard_rows(spread, params.N // 2, half=len(blocks) == 1)
+    idx = np.arange(half)
+    for x, re, im in zip(xs, real, imag):
+        entries, rows = re + 1j * im, idx ^ x
+        for block, part in zip(blocks, (entries[:half], entries[half:])):
+            block[rows, idx] = part
+
+
+@pytest.mark.parametrize("N, p", [(4, 2), (4, 4), (6, 6), (10, 4), (12, 6), (16, 2),
+                                  (18, 4), (22, 4)])
+@pytest.mark.parametrize("count", [1, 2])
+def test_scatter_equals_group_loop_bit_for_bit(N, p, count, monkeypatch):
+    params = ed.ModelParams(N=N, p=p)
+    half = params.dim // 2
+
+    def assemble(seed):
+        blocks = [np.zeros((half, half), dtype=complex) for _ in range(count)]
+        ed._h_blocks(params, ed.sample_rng(seed, 0), blocks)
+        return [block.tobytes() for block in blocks]
+
+    got = [assemble(seed) for seed in (0, 1)]
+    monkeypatch.setattr(ed, "_write_groups", _group_loop_write)
+    assert got == [assemble(seed) for seed in (0, 1)]
+
+
 class TestBlockMirror:
     """At N/2 odd, S = X^x Z^z with x = sum_(j even) 2^j, z = 2^(N/2-1) - 1
     fixes every Majorana under S conj(.) S^dagger and maps block 0 onto

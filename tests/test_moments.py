@@ -168,18 +168,12 @@ class TestPairedVacuum:
         assert mo._paired_vacuum((2, 2)) == QT ** 2 * (1 + Q)
         assert mo._paired_vacuum((1, 2)).is_zero()
 
-    def test_each_degree_multiset_paired_once(self, monkeypatch):
+    def test_each_degree_multiset_paired_once(self, cold_exact_lab):
         # reduced_moment_gf(1..14) asks for 1025 pairings of 135 multisets
-        monkeypatch.setattr(mo, "_B_POWERS", [[]])
-        mo.reduced_moment_gf.cache_clear()
-        mo._paired_vacuum.cache_clear()
-        try:
-            for n in range(1, 15):
-                mo.reduced_moment_gf(n)
-            info = mo._paired_vacuum.cache_info()
-            assert (info.misses, info.hits) == (135, 1025 - 135)
-        finally:
-            mo.reduced_moment_gf.cache_clear()
+        for n in range(1, 15):
+            mo.reduced_moment_gf(n)
+        info = mo._paired_vacuum.cache_info()
+        assert (info.misses, info.hits) == (135, 1025 - 135)
 
 
 class TestCompositionOracle:
@@ -196,24 +190,39 @@ class TestGeneratingFunctionRoute:
     def test_m1_is_theta(self):
         assert mo.reduced_moment_gf(1) == THETA
 
-    def test_each_column_built_once(self, monkeypatch):
+    def test_each_column_built_once(self, cold_exact_lab, monkeypatch):
         built = []
         build = mo._b_power_column
         monkeypatch.setattr(mo, "_b_power_column", lambda p: built.append(p) or build(p))
-        monkeypatch.setattr(mo, "_B_POWERS", [[]])
+        for n in range(1, 15):
+            assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
+        assert built == list(range(1, 15))
         mo.reduced_moment_gf.cache_clear()
-        try:
-            for n in range(1, 15):
-                assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
-            assert built == list(range(1, 15))
-            mo.reduced_moment_gf.cache_clear()
-            assert mo.reduced_moment_gf(5) == mo.reduced_moment(5)
-            assert built == list(range(1, 15))
-        finally:
-            mo.reduced_moment_gf.cache_clear()
+        assert mo.reduced_moment_gf(5) == mo.reduced_moment(5)
+        assert built == list(range(1, 15))
+
+    def test_cold_oracle_equals_the_walk(self, cold_exact_lab):
+        for n in range(1, mo.ORACLE_MAX_ORDER + 1):
+            assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
+
+    def test_largest_weight_at_q_1(self, cold_exact_lab):
+        # 2^18 or so: the 64-bit digits have ample room at the oracle's cap
+        mo.reduced_moment_gf(mo.ORACLE_MAX_ORDER)
+        largest = max(ones for column in mo._B_POWERS[1:] for bucket in column[1:]
+                      for _, ones in bucket.values())
+        assert largest == 270270
+
+    def test_digit_guard_fires(self, cold_exact_lab, monkeypatch):
+        # at 10-bit digits the oracle is exact to n = 9 and the guard stops n = 10
+        monkeypatch.setattr(mo, "PACKED_WIDTH", 10)
+        for n in range(1, 10):
+            assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
+        with pytest.raises(ValueError,
+                           match=r"outgrows 10-bit digits: \[z\^10\] B\^1 sums to 1260"):
+            mo.reduced_moment_gf(10)
 
 
-def test_oracles_do_not_read_the_walk(monkeypatch):
+def test_oracles_do_not_read_the_walk(cold_exact_lab, monkeypatch):
     expected = [mo.reduced_moment(n) for n in range(1, 11)]
 
     def no_walk(n):
@@ -221,15 +230,9 @@ def test_oracles_do_not_read_the_walk(monkeypatch):
 
     monkeypatch.setattr(mo, "walk_vacua", no_walk)
     monkeypatch.setattr(mo, "_VACUA", {})
-    monkeypatch.setattr(mo, "_B_POWERS", [[]])
-    mo.reduced_moment_gf.cache_clear()
-    mo._block_vacuum.cache_clear()
-    try:
-        for n in range(1, 11):
-            assert mo.reduced_moment_gf(n) == expected[n - 1]
-            assert mo.reduced_moment_compositions(n) == expected[n - 1]
-    finally:
-        mo.reduced_moment_gf.cache_clear()
+    for n in range(1, 11):
+        assert mo.reduced_moment_gf(n) == expected[n - 1]
+        assert mo.reduced_moment_compositions(n) == expected[n - 1]
 
 
 class TestFullMoment:

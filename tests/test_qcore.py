@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dssyklab.qcore import (HermiteExpansion, MultiPoly, q_binomial, q_binomial_by_division,
-                            q_factorial, q_integer, q_multinomial)
+from dssyklab.qcore import (PACKED_WIDTH, HermiteExpansion, MultiPoly, pack, q_binomial,
+                            q_binomial_by_division, q_factorial, q_integer, q_multinomial, unpack)
 
 
 def poly_q(*coeffs):
@@ -288,3 +288,39 @@ class TestHermiteExpansion:
     def test_trailing_zeros_trimmed(self):
         e = HermiteExpansion([MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero()])
         assert e.degree == 0
+
+
+class TestPackedCodec:
+    @pytest.mark.parametrize("width", [PACKED_WIDTH, 86])
+    def test_round_trip(self, width):
+        top = (1 << width) - 1
+        for poly in (MultiPoly.zero(), MultiPoly.one(), q_factorial(6), q_binomial(9, 4),
+                     poly_q(0, 0, 3, 0, top), poly_q(top)):
+            assert unpack(pack(poly, width), width) == poly
+
+    def test_product_of_packed_is_packed_product(self):
+        a, b = q_factorial(5), q_binomial(8, 3) + MultiPoly.monomial(q_pow=20, coeff=7)
+        assert unpack(pack(a, 64) * pack(b, 64), 64) == a * b
+
+    def test_digits_are_read_in_ascending_q(self):
+        assert pack(poly_q(1, 2, 3), 64) == 1 + (2 << 64) + (3 << 128)
+        assert list(unpack(3 + (5 << 128), 64).terms) == [(0, 0, 0), (2, 0, 0)]
+
+    def test_qt_power_is_stripped_when_declared(self):
+        qt = MultiPoly.qt()
+        poly = q_integer(3) * qt ** 2
+        assert pack(poly, 64, qt_pow=2) == pack(q_integer(3), 64)
+        with pytest.raises(ValueError, match="qt"):
+            pack(poly, 64, qt_pow=1)
+
+    @pytest.mark.parametrize("poly", [
+        MultiPoly.qt(),
+        MultiPoly.theta() + 1,
+        MultiPoly.monomial(q_pow=1, qt_pow=1),
+        poly_q(1, -2),
+        MultiPoly.constant(Fraction(1, 2)),
+        poly_q(1 << 64),
+    ])
+    def test_rejects_what_does_not_pack(self, poly):
+        with pytest.raises(ValueError, match="cannot pack"):
+            pack(poly, 64)

@@ -160,6 +160,56 @@ class TestRTMoment:
             assert qh.rt_moment(k).evaluate_exact(1, 0, 0) == cc.double_factorial(2 * k - 1)
 
 
+def _matchings_at_q_1(degrees):
+    """Perfect matchings of sum(degrees) points in groups of the given sizes
+    with no chord inside a group: the Gaussian expectation of the product of
+    the Hermite polynomials He_d (x He_d = He_{d+1} + d He_{d-1}), expanded
+    in powers of x with integer coefficients."""
+    def he(d):
+        prev, cur = [1], [0, 1]
+        if d == 0:
+            return prev
+        for j in range(1, d):
+            prev, cur = cur, [a - j * b for a, b in zip([0] + cur, prev + [0, 0])]
+        return cur
+    product = [1]
+    for d in degrees:
+        factor = he(d)
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        product = out
+    return sum(c * cc.double_factorial(k - 1) for k, c in enumerate(product) if k % 2 == 0)
+
+
+class TestWideDigits:
+    """Walks past total degree 31, whose coefficients outgrow 64-bit digits."""
+
+    def test_width_follows_the_involution_numbers(self):
+        assert qh._hermite_walk((1,) * 31)[0] == 64
+        assert qh._hermite_walk((1,) * 32)[0] == 65
+        assert qh._hermite_walk((1,) * 40)[0] == 86
+
+    @pytest.mark.parametrize("k", range(16, 21))
+    def test_rt_moment(self, k):
+        rt = qh.rt_moment(k)
+        assert rt.evaluate_exact(1, 0, 0) == cc.double_factorial(2 * k - 1)
+        assert rt.evaluate_exact(Fraction(1, 3), 0, 0) == qh.c_closed_form(k, 2 * k, Fraction(1, 3))
+
+    @pytest.mark.parametrize("degrees", [[16, 16], [5, 9, 9, 11], [3] * 12, [2] * 20,
+                                         [1] * 16 + [8, 8]])
+    def test_linearization_counts_matchings_at_q_1(self, degrees):
+        assert sum(degrees) >= 32
+        assert qh.linearization(degrees).evaluate_exact(1, 0, 0) == _matchings_at_q_1(degrees)
+
+    def test_matching_count_oracle(self):
+        assert _matchings_at_q_1([1] * 6) == 15
+        assert _matchings_at_q_1([2, 2]) == 2
+        assert _matchings_at_q_1([2, 1, 1]) == 2
+        assert _matchings_at_q_1([4]) == 0
+
+
 class TestQuadratureAndDensity:
     def test_semicircle_center(self):
         assert qh.nu_q_density(0.0, 0.0) == pytest.approx(1 / math.pi, abs=1e-12)
@@ -353,6 +403,23 @@ class TestConditionalKernel:
                 qk *= D(q)
             want = float(total)
         assert qh.conditional_kernel(0.0, 0.0, r, q) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q, r", [(0.5, math.nextafter(1.0, 0.0)), (0.5, 0.6), (0.0, 0.9),
+                                      (0.9, 1.0 - 1e-15)])
+    def test_symmetric_under_negation(self, q, r):
+        # p_r(-x, -y) = p_r(x, y) bit for bit, up to the edges of the support
+        R = qh.support_radius(q)
+        ys = np.linspace(-R, R, 2001)
+        for x in (R, -R, 0.7, 0.0, ys[3]):
+            assert np.array_equal(qh.conditional_kernel(-x, -ys, r, q),
+                                  qh.conditional_kernel(x, ys, r, q))
+
+    def test_corners_agree_as_r_nears_1(self):
+        R = qh.support_radius(0.5)
+        r = math.nextafter(1.0, 0.0)
+        top = qh.conditional_kernel(R, R, r, 0.5)
+        assert qh.conditional_kernel(-R, -R, r, 0.5) == top
+        assert top == pytest.approx(6.068e49, rel=1e-3)
 
     def test_largest_value_under_the_cap_is_finite(self):
         # x = y = R, r just below 1, q = 0.99: log p is about 592.25, below
