@@ -242,6 +242,9 @@ def run_density(args) -> int:
 
 def run_freeconv(args) -> int:
     _check_grid(args)
+    if not abs(args.theta) <= freeconv.MAX_ABS_THETA:
+        raise ValueError(f"--theta must be finite and at most {freeconv.MAX_ABS_THETA:g} "
+                         f"in absolute value")
     result = freeconv.semicircle_plus_atomic(args.r, args.theta, args.grid)
     rows = [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(result.measure.grid, result.measure.density)]
     _write(args, _csv(_metadata_lines(args), "x,density", rows))
@@ -374,19 +377,26 @@ def _subcommands():
     )
 
 
+def _subparser(build: bool, **kwargs) -> argparse.ArgumentParser | None:
+    """The parser class of the subcommands: a full parser for a subcommand
+    that is built, and nothing for one that is only registered."""
+    return argparse.ArgumentParser(**kwargs) if build else None
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The command-line parser.  Every subcommand is registered with its
     name and help, but only those whose name is a token of `argv` (all of
-    them when `argv` is None) get their arguments: argparse hands the rest
-    of the command line to the subparser named by a token, so no other
-    subparser is ever parsed or printed."""
+    them when `argv` is None) get a parser and their arguments: argparse
+    hands the rest of the command line to the subparser named by a token,
+    so no other subparser is ever parsed or printed."""
     parser = argparse.ArgumentParser(prog="dssyklab",
                                      description="moment laboratory for the defect-perturbed model")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_subparser)
     tokens = None if argv is None else set(argv)
     for name, text, add_args, runner in _subcommands():
-        p = sub.add_parser(name, help=text)
-        if tokens is None or name in tokens:
+        build = tokens is None or name in tokens
+        p = sub.add_parser(name, help=text, build=build)
+        if build:
             add_args(p)
             _common_args(p)
             p.set_defaults(func=runner)

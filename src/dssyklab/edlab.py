@@ -600,7 +600,15 @@ def finite_size_weights(N: int, p: int, k: int) -> tuple[Fraction, Fraction]:
 
 def qtilde_weight_main_text(p: int, N: int, k: int) -> Fraction:
     """The alternate k = 3 value printed in the comparison section,
-    (q_0 + 2 q_1)/4; identical to qtilde_weight for k in {1, 2, 4}."""
+    (q_0 + 2 q_1)/4; identical to qtilde_weight for k in {1, 2, 4}.
+
+    Kept for the `qtilde_main_text` metadata of `qtilde` and `compare`, and
+    refuted: the exact finite-N m_4, the Wick sum over the couplings, equals
+    the qt walk at `qtilde_weight`, not at this value.  At N = 14, p = 4,
+    k = 3 and theta = 3 it is 17505/143 = 122.413, the walk at
+    qtilde_weight = 43/143; at (q_0 + 2 q_1)/4 = 113/364 the walk gives
+    22311/182 = 122.588.
+    """
     if k == 3:
         return (qj_weight(p, N, 0) + 2 * qj_weight(p, N, 1)) / 4
     return qtilde_weight(p, N, k)

@@ -20,6 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qhermite import ConvergenceError
+
+# Past |theta| = 1e6 the support edges, roots of a quartic whose
+# coefficients grow as theta^4, lose their precision: at r = 1/2 the mass
+# misses 1 by more than 1e-4 from |theta| = 1.8e6 on, and by 240 at 1e7.
+MAX_ABS_THETA = 1e6
+# The mass may miss 1 by 2e-4 where two bands touch (r = 1/2, theta = 2,
+# grid 100); a larger miss is a reconstruction that failed.
+MASS_TOLERANCE = 1e-3
+
 
 @dataclass
 class GridMeasure:
@@ -144,12 +154,17 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
 
     Returns the density resampled to uniform grids per support interval;
     the output is a density with no atoms (a detached atom shows up as a
-    second interval).
+    second interval).  |theta| is capped at `MAX_ABS_THETA`; a density that
+    is not finite, or whose mass misses 1 by more than `MASS_TOLERANCE`
+    (as it may for r near 0 or 1 well inside the cap), is a
+    ConvergenceError.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    if abs(theta) > MAX_ABS_THETA:
+        raise ValueError(f"|theta| must be at most {MAX_ABS_THETA:g}")
     if grid_n < 100:
         raise ValueError("grid_n too small")
     atoms = [(0.0, 1.0 - r), (theta, r)]
@@ -177,6 +192,10 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
         densities.append(resampled)
 
     measure = GridMeasure(grid=np.concatenate(grids), density=np.concatenate(densities))
+    mass = measure.total_mass()
+    if not (np.isfinite(measure.density).all() and abs(mass - 1.0) <= MASS_TOLERANCE):
+        raise ConvergenceError(f"free convolution lost its mass at r={r}, theta={theta}: "
+                               f"it sums to {mass!r}")
     return ConvolutionResult(measure=measure, support_intervals=intervals)
 
 

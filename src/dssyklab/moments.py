@@ -3,8 +3,9 @@
 Three independent exact routes to m_n return identical polynomials in
 (q, qt, theta):
 
-* the two-stack chord walk on dense int64 arrays (`reduced_moment`), the
-  production route, up to order `MAX_MOMENT_ORDER`;
+* the two-stack chord walk on packed integers, one per walk state and
+  theta power (`reduced_moment`), the production route, up to order
+  `MAX_MOMENT_ORDER`;
 * the direct combinatorial sum over interval compositions
   (`reduced_moment_compositions`), an oracle;
 * the extraction from the cyclic generating function log 1/(1-B)
@@ -28,12 +29,11 @@ from itertools import product
 import numpy as np
 
 from . import qhermite
-from .qcore import PACKED_WIDTH, MultiPoly, pack, unpack
+from .qcore import PACKED_WIDTH, MultiPoly, pack, q_integer, unpack, word_width
 from .qhermite import ConvergenceError, linearization, monomial_to_hermite, rt_moment
 
 MAX_MOMENT_ORDER = 30
 ORACLE_MAX_ORDER = 14  # the composition, generating-function and Boolean oracles
-WALK_TOTAL_LIMIT = 2 ** 61  # a walk state's coefficient sum; see `walk_vacua`
 
 
 def _check_order(n: int, cap: int):
@@ -52,6 +52,34 @@ def q_power_bound(n: int) -> int:
     return math.comb((n - 1) // 2, 2)
 
 
+def _letters(a: int, b: int, room: int):
+    """The letters that take state (a, b) to a state still within `room`
+    letters of the vacuum, as (next state, theta power added, k, passed):
+    the weight is theta^(power added) [k]_q, times qt q^b when a passed
+    chord closes."""
+    if a + b < room:
+        yield (a, b + 1), 0, 1, False  # x opens a chord
+    if a + b <= room:
+        yield (a + b, 0), 1, 1, False  # d, a wall
+    if b:
+        yield (a, b - 1), 0, b, False  # x closes an unpassed chord: [b]_q
+    if a:
+        yield (a - 1, b), 0, a, True  # x closes a passed chord: qt q^b [a]_q
+
+
+def _largest_state_sum(n: int) -> int:
+    """The largest value at q = qt = theta = 1 of any state of the walk to n."""
+    sums, largest = {(0, 0): 1}, 1
+    for t in range(2, n + 1):
+        new = {}
+        for (a, b), total in sums.items():
+            for key, _, k, _ in _letters(a, b, n - t):
+                new[key] = new.get(key, 0) + k * total
+        sums = new
+        largest = max(largest, *sums.values())
+    return largest
+
+
 def walk_vacua(n: int) -> list[MultiPoly]:
     """m_1 .. m_n from one two-stack chord walk to n.
 
@@ -63,92 +91,71 @@ def walk_vacua(n: int) -> list[MultiPoly]:
     (a, b) -> (a-1, b), with weight qt q^b [a]_q.  A d is a wall,
     (a, b) -> (a+b, 0), with weight theta.  After t letters the vacuum
     (0, 0) holds the words of length t that start with d, and
-    m_t = sum_j (t/j) [theta^j] <0|walk|0>.
+    m_t = sum_j (t/j) [theta^j] <0|walk|0>.  A step moves a + b by at most
+    one, so a state with a + b > n - t after t letters never returns to the
+    vacuum by letter n: it is dropped, and one walk gives the exact
+    m_1 .. m_n.
 
-    Every state holds one int64 array indexed by (theta power, qt power,
-    q power).  A step moves a + b by at most one, so a state with
-    a + b > n - t after t letters never returns to the vacuum by letter n:
-    it is dropped, and one walk gives the exact m_1 .. m_n.
+    Every state holds one packed int per theta power (`qcore.pack`): the
+    polynomial in (q, qt) read at q = 2^w and qt = 2^(w B), with B =
+    `q_power_bound(n)` + 1 digits in each qt block.  Opening a chord adds,
+    a wall moves each int to the next theta power, and closing a chord is
+    one integer product by the packed [k]_q, shifted by one qt block and b
+    q digits when the chord was passed.
 
-    The q axis stops at `q_power_bound(n)`, and nothing is cut off.  A kept
-    state after t letters closes within t + a + b <= n letters, the first of
-    them a d, so the o chords it has opened satisfy 2 o <= n - 1.  Each q
-    counts one crossing pair of these chords (a close crosses some of the
-    open chords opened after it, each pair at most once), so the q power is
-    at most C(o, 2).  Every weight is positive, so no term cancels, and a
-    shifted term past the axis would be a term of a kept state above the
-    bound.  The qt power counts closed chords, at most o; the theta power
-    counts letters d, at most t.
-
-    Overflow guard: the coefficient sum of a state is its value at
-    q = qt = theta = 1, computed exactly from the step weights.  Each step
-    checks that every new sum stays below `WALK_TOTAL_LIMIT` = 2^61; every
-    partial value of a step is at most twice such a sum, so int64 holds.
+    No digit carries.  A first walk at q = qt = theta = 1 gives each
+    state's value there, which bounds every digit of the state and of every
+    partial sum and product that formed it, since every weight is positive;
+    w is the narrowest machine word that holds the largest such value
+    (`qcore.word_width`).  Nor does any q power spill into the next qt
+    block.  A kept state after t letters closes within t + a + b <= n
+    letters, the first of them a d, so the o chords it has opened satisfy
+    2 o <= n - 1.  Each q counts one crossing pair of these chords (a close
+    crosses some of the open chords opened after it, each pair at most
+    once), so the q power is at most C(o, 2) = `q_power_bound(n)` < B; no
+    term cancels, so no partial value holds a higher one.  The qt power
+    counts closed chords, at most o; the theta power counts letters d, at
+    most t.
     """
     _check_order(n, MAX_MOMENT_ORDER)
-    chords = (n - 1) // 2
-    width = q_power_bound(n) + 1
-    start = np.zeros((2, chords + 1, width), dtype=np.int64)
-    start[1, 0, 0] = 1  # the leading d
-    states = {(0, 0): (start, 1)}
-    vacua = [_cyclic_moment(1, start)]
+    width = word_width(_largest_state_sum(n))
+    block = q_power_bound(n) + 1
+    # k is 1 or the number of open chords, at most (n - 1) / 2
+    repunits = [pack(q_integer(k), width) for k in range(max(1, (n - 1) // 2) + 1)]
+    states = {(0, 0): [0, 1]}  # the leading d
+    vacua = [_cyclic_moment(1, states[0, 0], width, block)]
     for t in range(2, n + 1):
-        room = n - t
-        arrays: dict[tuple[int, int], np.ndarray] = {}
-        sums: dict[tuple[int, int], int] = {}
-
-        def target(key, weight, total):
-            sums[key] = sums.get(key, 0) + weight * total
-            arr = arrays.get(key)
-            if arr is None:
-                arr = arrays[key] = np.zeros((t + 1, chords + 1, width), dtype=np.int64)
-            return arr
-
-        for (a, b), (v, total) in states.items():
-            if a + b + 1 <= room:  # x opens a chord
-                target((a, b + 1), 1, total)[:t] += v
-            if a + b <= room:  # d, a wall
-                target((a + b, 0), 1, total)[1:t + 1] += v
-            if a + b:
-                # [k]_q v = c - q^k c with c the running sum of v along q
-                c = np.cumsum(v, axis=2)
-            if b:  # x closes an unpassed chord: [b]_q
-                w = target((a, b - 1), b, total)[:t]
-                w += c
-                if b < width:
-                    w[:, :, b:] -= c[:, :, :width - b]
-            if a:  # x closes a passed chord: qt q^b [a]_q
-                w = target((a - 1, b), a, total)[:t]
-                if b < width:
-                    w[:, 1:, b:] += c[:, :-1, :width - b]
-                if a + b < width:
-                    w[:, 1:, a + b:] -= c[:, :-1, :width - a - b]
-        worst = max(sums.values())
-        if worst >= WALK_TOTAL_LIMIT:
-            raise ValueError(f"chord walk to order {n} outgrows int64: a state sums to {worst} "
-                             f"at letter {t}")
-        states = {key: (arr, sums[key]) for key, arr in arrays.items()}
-        vacua.append(_cyclic_moment(t, states[(0, 0)][0]))
+        new: dict[tuple[int, int], list[int]] = {}
+        for (a, b), values in states.items():
+            for key, wall, k, passed in _letters(a, b, n - t):
+                acc = new.get(key)
+                if acc is None:
+                    acc = new[key] = [0] * (t + 1)
+                factor = repunits[k] << ((block + b) * width) if passed else repunits[k]
+                for j, v in enumerate(values, start=wall):
+                    if v:
+                        acc[j] += v * factor
+        states = new
+        vacua.append(_cyclic_moment(t, states[0, 0], width, block))
     return vacua
 
 
-def _cyclic_moment(t: int, vacuum: np.ndarray) -> MultiPoly:
-    """m_t from the vacuum array after t letters: [theta^j] times t/j.
+def _cyclic_moment(t: int, vacuum: list[int], width: int, block: int) -> MultiPoly:
+    """m_t from the vacuum's packed ints after t letters: [theta^j] times t/j.
 
     A word of length t with j letters d has j rotations that start with d,
     so t/j times the d-first sum is the sum over all words, and every
-    coefficient is an integer.  Terms are inserted by descending theta
-    power, the order of the composition route, so a float evaluation sums
-    in the same order.
+    coefficient is an integer.  Terms are inserted by descending (theta,
+    qt, q) power, the order of the composition route, so a float evaluation
+    sums in the same order.
     """
-    js, qts, qs = np.nonzero(vacuum)
     terms = {}
-    for j, b, a, x in reversed(list(zip(js.tolist(), qts.tolist(), qs.tolist(),
-                                        vacuum[js, qts, qs].tolist()))):
-        m, rest = divmod(t * x, j)
-        if rest:
-            raise AssertionError(f"m_{t} has a non-integral coefficient at q^{a} qt^{b} theta^{j}")
-        terms[(a, b, j)] = m
+    for j in range(len(vacuum) - 1, 0, -1):
+        for (a, b, _), x in reversed(unpack(vacuum[j], width, block).terms.items()):
+            m, rest = divmod(t * x, j)
+            if rest:
+                raise AssertionError(f"m_{t} has a non-integral coefficient at q^{a} qt^{b} theta^{j}")
+            terms[(a, b, j)] = m
     return MultiPoly(terms)
 
 
@@ -268,7 +275,7 @@ def _check_digits(ones: int, what: str):
     at q = 1.
     """
     if ones >> PACKED_WIDTH:
-        raise ValueError(f"generating-function oracle outgrows {PACKED_WIDTH}-bit digits: "
+        raise ValueError(f"exact oracle outgrows {PACKED_WIDTH}-bit digits: "
                          f"{what} sums to {ones} at q = 1")
 
 
@@ -363,20 +370,31 @@ def _weak_compositions_weighted(j: int):
 
 
 @lru_cache(maxsize=None)
+def _packed_rt_moment(i: int) -> tuple[int, int]:
+    """`rt_moment(i)` packed at `PACKED_WIDTH` bits a digit, with its value
+    at q = 1."""
+    rt = rt_moment(i)
+    return pack(rt, PACKED_WIDTH), sum(rt.terms.values())
+
+
+@lru_cache(maxsize=None)
 def boolean_moment_c1(n: int) -> MultiPoly:
     """Single-defect moment formula: the Boolean moment-cumulant special case.
 
     Sums over multisets of even-moment blocks RT(i) with multinomial slot
-    weights and the cyclic prefactor.
+    weights and the cyclic prefactor.  Each theta power's sum runs on
+    packed polynomials in q, prod RT(i)^k_i one integer product per block
+    kind, and is unpacked once and scaled by the cyclic prefactor; its
+    value at q = 1 bounds its digits (`_check_digits`).
 
     Oracle for `reduced_moment` at qt = 0, where the defect and the random
     part are Boolean independent.
     """
     _check_order(n, ORACLE_MAX_ORDER)
-    total = MultiPoly.monomial(theta_pow=n)
+    terms = {(0, 0, n): 1}
     for j in range(1, (n - 1) // 2 + 1):
         blocks = n - 2 * j
-        cyclic = Fraction(n, blocks)
+        acc = ones = 0
         for ks in _weak_compositions_weighted(j):
             s = sum(ks)
             if s > blocks:
@@ -385,12 +403,19 @@ def boolean_moment_c1(n: int) -> MultiPoly:
             for k in ks:
                 weight //= math.factorial(k)
             weight //= math.factorial(blocks - s)
-            term = MultiPoly.monomial(theta_pow=blocks, coeff=cyclic * weight)
+            term, term_ones = weight, weight
             for i, k in enumerate(ks, start=1):
                 if k:
-                    term = term * rt_moment(i) ** k
-            total = total + term
-    return total
+                    rt, rt_ones = _packed_rt_moment(i)
+                    term *= rt ** k
+                    term_ones *= rt_ones ** k
+            acc += term
+            ones += term_ones
+        _check_digits(ones, f"the theta^{blocks} part of the Boolean m_{n}")
+        for (a, _, _), c in unpack(acc, PACKED_WIDTH).terms.items():
+            whole, rest = divmod(n * c, blocks)
+            terms[(a, 0, blocks)] = Fraction(n * c, blocks) if rest else whole
+    return MultiPoly(terms)
 
 
 def qtilde_limit_check(n: int, which: int) -> MultiPoly:

@@ -10,6 +10,7 @@ floating point except the explicit ``evaluate`` helpers.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -345,7 +346,9 @@ class HermiteExpansion:
 # packed polynomials in q (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
-PACKED_WIDTH = 64  # the narrowest digit, in bits
+PACKED_WIDTH = 64  # the digit of the oracles' packed polynomials, in bits
+# format codes of the machine words that digits of 8, 16, 32 and 64 bits fill
+_WORD_CODES = {8 * memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
 
 
 def pack(poly: MultiPoly, width: int, qt_pow: int = 0) -> int:
@@ -358,30 +361,62 @@ def pack(poly: MultiPoly, width: int, qt_pow: int = 0) -> int:
     coefficients first.  Every term must carry qt^qt_pow, which is dropped,
     and no theta; a term with another qt or theta power, a negative or
     non-integral coefficient, or one of width bits or more, is a ValueError.
+    Linear in the size of the result: digits of a machine word's width are
+    written as words into one buffer, others as one binary string.
     """
-    value = 0
-    for (a, b, c), coeff in poly._terms.items():
+    terms = poly._terms
+    top = max(terms)[0] + 1 if terms else 0
+    code = _WORD_CODES.get(width)
+    if code is not None:
+        raw = bytearray(top * (width // 8))
+        digits = memoryview(raw).cast(code)
+    else:
+        digits = [0] * top
+    for (a, b, c), coeff in terms.items():
         if b != qt_pow or c:
             raise ValueError(f"cannot pack q^{a} qt^{b} theta^{c}: only qt^{qt_pow} "
                              f"times powers of q pack")
         if type(coeff) is not int or coeff < 0 or coeff >> width:
             raise ValueError(f"cannot pack the coefficient {coeff} of q^{a} "
                              f"into a {width}-bit digit")
-        value |= coeff << (a * width)
-    return value
+        digits[a] = coeff
+    if code is not None:
+        return int.from_bytes(raw, sys.byteorder)
+    return int("".join(format(d, f"0{width}b") for d in reversed(digits)) or "0", 2)
 
 
-def unpack(value: int, width: int) -> MultiPoly:
-    """The polynomial in q whose coefficients are the width-bit digits of value."""
-    mask = (1 << width) - 1
+def unpack(value: int, width: int, block: int = 0) -> MultiPoly:
+    """The polynomial whose coefficients are the width-bit digits of value.
+
+    Digit i is the coefficient of q^i; given a block of q digits, it is
+    that of q^(i mod block) qt^(i div block), the layout of a value packed
+    at q = 2^width and qt = 2^(block width).  Terms come in ascending order
+    of their digits.  Linear in the size of value: digits of a machine
+    word's width are read as words from `int.to_bytes`, others from the
+    binary string.
+    """
+    code = _WORD_CODES.get(width)
+    if code is not None:
+        raw = value.to_bytes(-(-value.bit_length() // width) * (width // 8), sys.byteorder)
+        digits = memoryview(raw).cast(code).tolist()
+    else:
+        bits = format(value, "b")
+        digits = [int(bits[max(0, end - width):end], 2) for end in range(len(bits), 0, -width)]
     terms = {}
-    for a in range((value.bit_length() + width - 1) // width):
-        digit = (value >> (a * width)) & mask
+    for i, digit in enumerate(digits):
         if digit:
-            terms[(a, 0, 0)] = digit
+            terms[(i % block, i // block, 0) if block else (i, 0, 0)] = digit
     result = MultiPoly.__new__(MultiPoly)
     result._terms = terms
     return result
+
+
+def word_width(largest: int) -> int:
+    """The narrowest digit width that holds every int up to `largest` and
+    that the codec reads as machine words: 8, 16, 32 or 64 bits, else the
+    bit length of `largest`."""
+    bits = largest.bit_length()
+    return next((width for width in _WORD_CODES if width >= bits), bits)
 
 
 # ---------------------------------------------------------------------------

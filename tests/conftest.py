@@ -3,8 +3,9 @@ import pytest
 from dssyklab import moments as mo
 from dssyklab import qhermite as qh
 
-_EXACT_CACHES = (mo.reduced_moment_gf, mo._paired_vacuum, mo._block_vacuum, qh._hermite_walk,
-                 qh._rogers_weight, qh.monomial_to_hermite)
+_EXACT_CACHES = (mo.reduced_moment_gf, mo._paired_vacuum, mo._block_vacuum, mo.boolean_moment_c1,
+                 mo._packed_rt_moment, qh._hermite_walk, qh._rogers_weight,
+                 qh.monomial_to_hermite)
 
 
 def _clear_exact_caches():

@@ -233,6 +233,34 @@ class TestFreeconvCommand:
         code, _, _ = run_cli(["freeconv", "--r", "1.5", "--theta", "1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("theta,expected", [
+        ("1e7", 2), ("1e16", 2), ("-1e16", 2), ("1e30", 2), ("1e50", 2), ("1e154", 2),
+        ("1e155", 2), ("-1000001", 2),
+        # inside the cap, at r near 1 the support edges already lose the mass
+        ("74989", 3), ("-23714", 3),
+    ])
+    def test_large_theta_is_refused_without_output(self, theta, expected, tmp_path, capsys):
+        r = "0.5" if expected == 2 else "0.999999"
+        out, summary = tmp_path / "fc.csv", tmp_path / "fc.json"
+        code, stdout, err = run_cli(["freeconv", "--r", r, "--grid", "200", f"--theta={theta}",
+                                     "--out", str(out), "--summary", str(summary),
+                                     "--deterministic"], capsys)
+        assert code == expected
+        assert "Traceback" not in err and stdout == ""
+        assert "--theta" in err if expected == 2 else err.startswith("non-convergence:")
+        assert not out.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("theta", ["1e6", "-1e6"])
+    def test_theta_at_the_cap(self, theta, tmp_path, capsys):
+        out = tmp_path / "fc.csv"
+        code, _, _ = run_cli(["freeconv", "--r", "0.5", "--grid", "200", f"--theta={theta}",
+                              "--out", str(out), "--deterministic"], capsys)
+        assert code == 0
+        text = out.read_text() + (tmp_path / "fc.csv.json").read_text()
+        assert "nan" not in text.lower() and "inf" not in text.lower()
+        mass = json.loads((tmp_path / "fc.csv.json").read_text())["total_mass"]
+        assert mass == pytest.approx(1.0, abs=1e-4)
+
 
 class TestQtildeCommand:
     def test_k1_exact(self, capsys):
@@ -610,5 +638,56 @@ def test_parser_builds_only_the_invoked_subcommand():
     parser = cli.build_parser(VALID_ARGV["zn"])
     [subparsers] = parser._subparsers._group_actions
     assert list(subparsers.choices) == SUBCOMMANDS
-    built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
+    built = {name for name, sub in subparsers.choices.items() if sub is not None}
     assert built == {"zn"}
+    assert len(subparsers.choices["zn"]._actions) > 1
+
+
+TOP_USAGE = "usage: dssyklab [-h] {moments,mixed,ed,compare,density,freeconv,qtilde,zn} ...\n"
+TOP_HELP = TOP_USAGE + """
+moment laboratory for the defect-perturbed model
+
+positional arguments:
+  {moments,mixed,ed,compare,density,freeconv,qtilde,zn}
+    moments             exact or specialized moment table
+    mixed               mixed moment of a word over {x,d}
+    ed                  sample spectra (or a phase scan) at finite N
+    compare             analytic vs empirical reduced moments
+    density             q-Gaussian density (or conditional kernel) samples
+    freeconv            two-atom measure (+) semicircle density
+    qtilde              exact finite-size wall weight
+    zn                  n-boundary partition function
+
+options:
+  -h, --help            show this help message and exit
+"""
+ZN_HELP = """usage: dssyklab zn [-h] --n N --beta BETA --q Q --qtilde QTILDE [--out OUT]
+                   [--deterministic]
+
+options:
+  -h, --help       show this help message and exit
+  --n N
+  --beta BETA
+  --q Q
+  --qtilde QTILDE
+  --out OUT        output path ('-' or omit for stdout)
+  --deterministic  suppress the timestamp metadata line
+"""
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    pytest.param(["--help"], 0, TOP_HELP, "", id="help"),
+    pytest.param(["zn", "--help"], 0, ZN_HELP, "", id="zn-help"),
+    pytest.param(["mom", "--n", "3"], 2, "", TOP_USAGE + (
+        "dssyklab: error: argument subcommand: invalid choice: 'mom' (choose from 'moments', "
+        "'mixed', 'ed', 'compare', 'density', 'freeconv', 'qtilde', 'zn')\n"), id="invalid-choice"),
+    pytest.param([], 2, "", TOP_USAGE + (
+        "dssyklab: error: the following arguments are required: subcommand\n"),
+        id="missing-subcommand"),
+])
+def test_parser_output_pinned(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (code, out, err)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dssyklab import freeconv as fc
+from dssyklab.qhermite import ConvergenceError
 
 
 class TestResolvent:
@@ -114,6 +115,17 @@ class TestConvolution:
         for r, theta in [(0.25, 3.0), (0.25, 1.0), (0.5, 0.0), (0.1, 2.0), (0.75, 4.0)] + sweep:
             res = fc.semicircle_plus_atomic(r, theta)
             assert abs(res.measure.total_mass() - 1.0) < 1e-4, (r, theta)
+
+    def test_theta_cap(self):
+        fc.semicircle_plus_atomic(0.5, fc.MAX_ABS_THETA)
+        with pytest.raises(ValueError, match="at most 1e"):
+            fc.semicircle_plus_atomic(0.5, -2 * fc.MAX_ABS_THETA)
+
+    @pytest.mark.parametrize("r,theta", [(0.999999, 74989.0), (0.999999999, 2371.4),
+                                         (0.0001, 1e5)])
+    def test_lost_mass_is_a_convergence_error(self, r, theta):
+        with pytest.raises(ConvergenceError, match="lost its mass"):
+            fc.semicircle_plus_atomic(r, theta)
 
     def test_identity_limit(self):
         res = fc.semicircle_plus_atomic(1e-4, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from dssyklab import moments as mo
 from dssyklab import qhermite as qh
-from dssyklab.qcore import MultiPoly
+from dssyklab.qcore import MultiPoly, word_width
 from dssyklab.qhermite import ConvergenceError, rt_moment
 
 
@@ -72,8 +73,9 @@ def _object_walk(n):
     """The two-stack walk to n on object arrays that grow to fit every term.
 
     [k]_q is applied as k shifted copies and nothing is ever cut off, so
-    this checks the int64 walk's fixed axes.  Returns m_1 .. m_n and, per
-    letter t and state (a, b), the largest q power held.
+    this checks the packed walk's q blocks.  Returns m_1 .. m_n and, per
+    letter t and state (a, b), the largest q power held and the value at
+    q = qt = theta = 1.
     """
     def add(states, key, w):
         old = states.get(key)
@@ -86,7 +88,7 @@ def _object_walk(n):
 
     start = np.zeros((1, 1, 2), dtype=object)
     start[0, 0, 1] = 1  # the leading d
-    states, vacua, top_q = {(0, 0): start}, [], {}
+    states, vacua, top_q, sums = {(0, 0): start}, [], {}, {}
     for t in range(1, n + 1):
         if t > 1:
             new = {}
@@ -102,10 +104,45 @@ def _object_walk(n):
             states = new
         for key, v in states.items():
             top_q[(t,) + key] = max(np.nonzero(v)[0])
+            sums[(t,) + key] = int(v.sum())
         vac = states[(0, 0)]
         vacua.append(MultiPoly({(a, b, j): Fraction(t * vac[a, b, j], j)
                                 for a, b, j in zip(*np.nonzero(vac))}))
-    return vacua, top_q
+    return vacua, top_q, sums
+
+
+TERMS_SHA256 = {
+    1: "c46a62393b62a6a2da64cb6eb4527fb6da48a8c704464a034da812c8592be163",
+    2: "c39e9d66b7e481d85801793211875e1dcb207deb521e5acf1727395e2a4333e3",
+    3: "d1b82bcd4bef14c4fd6209f68bdd47d4272bd34d5d505ef9e2b679c25438c7ce",
+    4: "92dc8d88d888613ac89f1e80e0ea2f424f3656d930d8dc01bd6e169acb848a8b",
+    5: "a3616086a2f7697d867181fb76bdf61bbf2d408f0264c7e8a03ddd59fc731578",
+    6: "850602bcd49c05f714b521ab0ad843827b010197d98db4dddf432a9f88a65720",
+    7: "c3e446999b73b29642e29111443fc4440eac3917e3a3c6d114c8e907fb2f7d5f",
+    8: "884a926da9385fbed857a06dd5b6ff1f56a18cf5ea5ccd40ce6fd44597b3e97b",
+    9: "4ef1372c3a7da8c244316fbedde1ce85e00dc0b2c3333468c203537bb96be6fa",
+    10: "4254eddd107909e389e53ef8a97ab0061a6d74d553f09b7b9c0d2bf4ae3a995c",
+    11: "10edc3e38ac122c4c0c4e9031f8419a044ac963dfce92f3470ebc2e147b73b2e",
+    12: "693fd1678afcca5fc028d92fd223086bebf54b06935530b7ad118f0a65cacc8a",
+    13: "c1bd7353bf6d80eb19ae6416a5e940e343e538312fd7d8051b89a7215447f515",
+    14: "3113e247b952ba947f4ba5c1a845ee55b1c1734322719e268524f88fdd4215fd",
+    15: "5400c3ae952f232cc5de5fc162c04c722b057ff18e32041e8f90e736fc401747",
+    16: "3d1dd193f3087328cac58f50da8410b61c550d15cb8626954e584eca91b665a6",
+    17: "7c485dfd6b52b6d9f774e1e51571ed4d49dc56fa101317e2881caca6d2a15aa8",
+    18: "b04ba2177ae0a7fdf1364f982c85fb4b07188eafa6727025fb06bd79973055f0",
+    19: "84aa83b1b65ef3aa8804db8e6a0069028eac6866bf862a8e747755101badacf9",
+    20: "e165e92a0c2ade16aaa686f161654b90837e0144938a5d8c73650cf86659c0eb",
+    21: "e3746d65a761297fd315b03e16ee67df741841fdfdea911c301e8f87f1207e30",
+    22: "f1a11a390d708f410ba1f825b985163109df5b14279cf9318deb291aa76b1df4",
+    23: "77ba325a018d0594b71273c03b61ee9f57c1f126bf9c49c824af70690b9259b5",
+    24: "c83bf4f75d3db9ed5d92485487e44fb48a4df882b155e852fa11b95fc5bf378d",
+    25: "939a1d4427e2865df56076bb562a078df05d58f5c4760ebf7dabdfb7e05b1c67",
+    26: "d6e0775c05b1214599be10a4a0c71ba24c04189f1f53fbc1b12870dfc26753f7",
+    27: "0867cee23c35da6e53424ca07de6c338ba3fa9f270208d8dea95b382d520f0a7",
+    28: "d7643f4c98af1669b5a899b4d02c12c9c9ee9c1294c1f45d855af2ca1cdf4be8",
+    29: "92d5531c7cec36368c97b440b3994a8ac8df3ee774361be8cb60ce65185e78c9",
+    30: "9364f34ca20d4b7213c1be50f3d500d5182ed7cd84ecaeb72e46efe768387d7c",
+}
 
 
 class TestChordWalk:
@@ -119,27 +156,54 @@ class TestChordWalk:
             assert mo.walk_vacua(n) == vacua[:n], f"the walk sized for n={n} differs"
 
     def test_q_axis_bound_against_untruncated_walk(self):
-        vacua, top_q = _object_walk(20)
+        vacua, top_q, _ = _object_walk(20)
         # a state after t letters closes within t + a + b letters
         for (t, a, b), top in top_q.items():
             assert top <= mo.q_power_bound(t + a + b), f"state {(a, b)} after {t} letters"
         assert max(top_q.values()) == mo.q_power_bound(20)  # the bound is attained
         for n in range(1, 21):
-            assert mo.walk_vacua(n) == vacua[:n], f"int64 walk differs at n={n}"
+            assert mo.walk_vacua(n) == vacua[:n], f"packed walk differs at n={n}"
 
     def test_q_power_bound_values(self):
         assert [mo.q_power_bound(n) for n in (14, 20, 26, 30)] == [15, 36, 66, 91]
 
     def test_qt_one_binomial_shift_through_cap(self):
-        # also shows that the int64 guard holds at the cap
         mo.reduced_moment(mo.MAX_MOMENT_ORDER)  # one walk fills every order
         for n in range(1, mo.MAX_MOMENT_ORDER + 1):
             mo.qtilde_limit_check(n, 1)
 
-    def test_int64_guard(self, monkeypatch):
-        monkeypatch.setattr(mo, "WALK_TOTAL_LIMIT", 10 ** 6)
-        with pytest.raises(ValueError, match="chord walk to order 16 outgrows int64"):
-            mo.walk_vacua(16)
+    def test_terms_and_their_order_pinned_through_cap(self):
+        # SHA-256 of each m_n's term list, recorded from the int64 walk this
+        # walk replaced: the same terms, inserted in the same order
+        mo.reduced_moment(mo.MAX_MOMENT_ORDER)
+        for n in range(1, mo.MAX_MOMENT_ORDER + 1):
+            terms = repr(list(mo.reduced_moment(n)._terms.items())).encode()
+            assert hashlib.sha256(terms).hexdigest() == TERMS_SHA256[n], f"m_{n} differs"
+
+    @pytest.mark.parametrize("n", [2, 9, 14, 20])
+    def test_digit_width_covers_the_largest_state_sum(self, n, monkeypatch):
+        widths = []
+
+        def recorded_width(largest):
+            widths.append(word_width(largest))
+            return widths[-1]
+
+        monkeypatch.setattr(mo, "word_width", recorded_width)
+        vacua, _, sums = _object_walk(n)
+        assert mo.walk_vacua(n) == vacua
+        largest = max(sums.values())
+        assert mo._largest_state_sum(n) == largest
+        assert widths == [word_width(largest)] and largest < 2 ** widths[0]
+
+    def test_walk_runs_without_numpy(self, monkeypatch):
+        expected = mo.walk_vacua(14)
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"the walk read numpy.{name}")
+
+        monkeypatch.setattr(mo, "np", NoNumpy())
+        assert mo.walk_vacua(14) == expected
 
     def test_one_walk_fills_the_table(self, monkeypatch):
         calls = []
@@ -265,6 +329,29 @@ class TestBooleanOracle:
     def test_n5(self):
         expected = THETA ** 5 + 5 * THETA ** 3 + 5 * (2 + Q) * THETA
         assert mo.boolean_moment_c1(5) == expected
+
+    def test_cold_oracle_equals_the_walk_at_qt_0(self, cold_exact_lab, monkeypatch):
+        expected = [mo.reduced_moment(n).substitute(qt=0) for n in range(1, 15)]
+
+        def no_walk(n):
+            raise AssertionError("the Boolean oracle read the chord walk")
+
+        monkeypatch.setattr(mo, "walk_vacua", no_walk)
+        monkeypatch.setattr(mo, "_VACUA", {})
+        for n in range(1, mo.ORACLE_MAX_ORDER + 1):
+            assert mo.boolean_moment_c1(n) == expected[n - 1], f"n={n}"
+
+    def test_digit_guard_fires(self, cold_exact_lab, monkeypatch):
+        # at 10-bit digits the oracle is exact to n = 11 and the guard stops n = 12
+        expected = [mo.boolean_moment_c1(n) for n in range(1, 12)]
+        mo.boolean_moment_c1.cache_clear()
+        mo._packed_rt_moment.cache_clear()
+        monkeypatch.setattr(mo, "PACKED_WIDTH", 10)
+        for n in range(1, 12):
+            assert mo.boolean_moment_c1(n) == expected[n - 1], f"n={n}"
+        with pytest.raises(ValueError, match=r"outgrows 10-bit digits: the theta\^2 part of "
+                                             r"the Boolean m_12 sums to 2190"):
+            mo.boolean_moment_c1(12)
 
 
 class TestLimits:

@@ -1,11 +1,13 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dssyklab.qcore import (PACKED_WIDTH, HermiteExpansion, MultiPoly, pack, q_binomial,
-                            q_binomial_by_division, q_factorial, q_integer, q_multinomial, unpack)
+                            q_binomial_by_division, q_factorial, q_integer, q_multinomial, unpack,
+                            word_width)
 
 
 def poly_q(*coeffs):
@@ -324,3 +326,31 @@ class TestPackedCodec:
     def test_rejects_what_does_not_pack(self, poly):
         with pytest.raises(ValueError, match="cannot pack"):
             pack(poly, 64)
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 10, 24])
+    def test_round_trip_at_every_digit_reader(self, width):
+        # 8, 16 and 32 bits are read as machine words, 10 and 24 from the binary string
+        top = (1 << width) - 1
+        for poly in (MultiPoly.zero(), poly_q(1), poly_q(0, 0, 5, 0, top), poly_q(top, 1, top)):
+            assert unpack(pack(poly, width), width) == poly
+
+    @pytest.mark.parametrize("width,size", [(PACKED_WIDTH, 200_000), (86, 50_000)])
+    def test_round_trip_is_linear_in_size(self, width, size):
+        # one shift of the whole int per digit took minutes at these sizes
+        poly = MultiPoly({(i, 0, 0): (i * 7919) % (1 << (width - 1)) + 1 for i in range(size)})
+        start = time.perf_counter()
+        back = unpack(pack(poly, width), width)
+        assert time.perf_counter() - start < 1.0
+        assert back == poly
+
+    def test_qt_blocks(self):
+        # digit i is the coefficient of q^(i mod 3) qt^(i div 3)
+        value = 5 + (7 << 3 * 32) + (9 << 4 * 32) + (2 << 8 * 32)
+        assert list(unpack(value, 32, block=3).terms.items()) == [
+            ((0, 0, 0), 5), ((0, 1, 0), 7), ((1, 1, 0), 9), ((2, 2, 0), 2)]
+        assert list(unpack(value, 32).terms) == [(0, 0, 0), (3, 0, 0), (4, 0, 0), (8, 0, 0)]
+
+    def test_word_width(self):
+        assert [word_width(v) for v in (0, 1, 255, 256, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)] == [
+            8, 8, 8, 16, 32, 64, 64]
+        assert word_width(2 ** 64) == 65  # past a machine word: the bit length
