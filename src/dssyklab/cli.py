@@ -65,8 +65,16 @@ def _write(args, text: str, path: str | None = None):
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _csv(metadata: list[str], header: str, rows: list[str]) -> str:
-    return "\n".join(metadata + [header] + rows) + "\n"
+def _write_csv(args, header: str, rows: list[str], extra: dict | None = None,
+               path: str | None = None):
+    """The rows under the '#' metadata lines and the header."""
+    _write(args, "\n".join(_metadata_lines(args, extra) + [header] + rows) + "\n", path)
+
+
+def _write_json(args, payload: dict, extra: dict | None = None, path: str | None = None):
+    """The payload with its metadata lines under "metadata", keys sorted."""
+    payload["metadata"] = [line[2:] for line in _metadata_lines(args, extra)]
+    _write(args, json.dumps(payload, indent=2, sort_keys=True), path)
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +139,18 @@ def run_moments(args) -> int:
         raise ValueError(
             f"{_largest_rational_flag(args)} is too large for an exact table at --n {args.n}: "
             f"a value passes {sys.get_int_max_str_digits()} digits") from None
-    meta = _metadata_lines(args, note)
     if payload is None:
-        rows = [f"{n},{_fmt(v)}" for n, v in table.numeric_rows()]
-        _write(args, _csv(meta, "n,m_n", rows))
+        _write_csv(args, "n,m_n", [f"{n},{_fmt(v)}" for n, v in table.numeric_rows()], note)
     else:
-        payload["metadata"] = [line[2:] for line in meta]
-        _write(args, json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(args, payload, note)
     return EXIT_OK
 
 
 def run_mixed(args) -> int:
     word = mixed.Word.parse(args.word)
     result = mixed.mixed_moment(word)
-    payload = {
-        "word": str(word),
-        "value": result.value.to_json_obj(),
-        "matchings": result.partition_count,
-        "metadata": [line[2:] for line in _metadata_lines(args)],
-    }
-    _write(args, json.dumps(payload, indent=2, sort_keys=True))
+    _write_json(args, {"word": str(word), "value": result.value.to_json_obj(),
+                       "matchings": result.partition_count})
     return EXIT_OK
 
 
@@ -165,18 +165,16 @@ def run_ed(args) -> int:
         body = [f"{_fmt(r['theta'])},{r['k']},{r['samples']},{_fmt(r['max_gap'])},"
                 f"{_fmt(r['median_gap'])},{_fmt(r['gap_ratio'])},{int(r['bimodal'])},{_fmt(r['gap'])}"
                 for r in rows]
-        _write(args, _csv(_metadata_lines(args),
-                          "theta,k,samples,max_gap,median_gap,gap_ratio,bimodal,gap", body))
+        _write_csv(args, "theta,k,samples,max_gap,median_gap,gap_ratio,bimodal,gap", body)
         return EXIT_OK
     spectra = edlab.sample_spectra(params)
     if args.histogram:
         hist = edlab.histogram(np.concatenate([s.eigenvalues for s in spectra]), bins=args.bins)
     rows = [f"{s.sample_index},{_fmt(e)}" for s in spectra for e in s.eigenvalues]
-    _write(args, _csv(_metadata_lines(args), "sample_index,eigenvalue", rows))
+    _write_csv(args, "sample_index,eigenvalue", rows)
     if args.histogram:
         hrows = [f"{_fmt(a)},{c},{_fmt(d)}" for a, c, d in hist]
-        _write(args, _csv(_metadata_lines(args), "left_edge,count,density", hrows),
-               path=args.histogram)
+        _write_csv(args, "left_edge,count,density", hrows, path=args.histogram)
     return EXIT_OK
 
 
@@ -207,7 +205,7 @@ def run_compare(args) -> int:
         if n <= 6 and abs(z) > ZSCORE_GUARD:
             guard_trip = True
         rows.append(f"{n},{_fmt(analytic)},{_fmt(means[n - 1])},{_fmt(errs[n - 1])},{_fmt(z)}")
-    _write(args, _csv(_metadata_lines(args, note), "n,analytic,empirical,stderr,zscore", rows))
+    _write_csv(args, "n,analytic,empirical,stderr,zscore", rows, note)
     if guard_trip:
         print("regression guard: |zscore| > 5 for some n <= 6", file=sys.stderr)
         return EXIT_GUARD
@@ -231,12 +229,12 @@ def run_density(args) -> int:
         ys = np.linspace(-R, R, args.grid)
         values = qhermite.conditional_kernel(x0, ys, args.kernel_r, args.q)
         rows = [f"{_fmt(x0)},{_fmt(y)},{_fmt(v)}" for y, v in zip(ys, values)]
-        _write(args, _csv(_metadata_lines(args), "x,y,value", rows))
+        _write_csv(args, "x,y,value", rows)
         return EXIT_OK
     R = qhermite.support_radius(args.q)
     xs = np.linspace(-R, R, args.grid)
     rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, qhermite.nu_q_density(xs, args.q))]
-    _write(args, _csv(_metadata_lines(args), "x,value", rows))
+    _write_csv(args, "x,value", rows)
     return EXIT_OK
 
 
@@ -247,17 +245,15 @@ def run_freeconv(args) -> int:
                          f"in absolute value")
     result = freeconv.semicircle_plus_atomic(args.r, args.theta, args.grid)
     rows = [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(result.measure.grid, result.measure.density)]
-    _write(args, _csv(_metadata_lines(args), "x,density", rows))
-    prediction = freeconv.outlier_location(args.theta)
+    _write_csv(args, "x,density", rows)
     summary = {
         "support_intervals": [[a, b] for a, b in result.support_intervals],
         "outliers": [],
         "total_mass": result.measure.total_mass(),
-        "small_r_outlier_prediction": prediction,
-        "metadata": [line[2:] for line in _metadata_lines(args)],
+        "small_r_outlier_prediction": freeconv.outlier_location(args.theta),
     }
     summary_path = args.summary or (args.out + ".json" if args.out not in (None, "-") else None)
-    _write(args, json.dumps(summary, indent=2, sort_keys=True), path=summary_path)
+    _write_json(args, summary, path=summary_path)
     return EXIT_OK
 
 
@@ -269,18 +265,17 @@ def run_qtilde(args) -> int:
         "q_j": [str(edlab.qj_weight(args.p, args.N, j)) for j in range(args.k)],
         "qtilde": str(qt),
         "qtilde_float": float(qt),
-        "metadata": [line[2:] for line in _metadata_lines(args)],
     }
     if args.k == 3:
         payload["qtilde_main_text"] = str(edlab.qtilde_weight_main_text(args.p, args.N, args.k))
-    _write(args, json.dumps(payload, indent=2, sort_keys=True))
+    _write_json(args, payload)
     return EXIT_OK
 
 
 def run_zn(args) -> int:
     value = moments.z_n(args.n, args.beta, args.q, args.qtilde)
     row = f"{args.n},{_fmt(args.beta)},{_fmt(args.q)},{_fmt(args.qtilde)},{_fmt(value)}"
-    _write(args, _csv(_metadata_lines(args), "n,beta,q,qtilde,z_n", [row]))
+    _write_csv(args, "n,beta,q,qtilde,z_n", [row])
     return EXIT_OK
 
 

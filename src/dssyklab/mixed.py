@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .qcore import MultiPoly
 from .chordcombi import ORACLE_POINT_CAP, matching_counts
@@ -43,11 +42,6 @@ class Word:
 
     def __str__(self):
         return "".join(self.letters)
-
-    def rotated(self, shift: int) -> "Word":
-        n = len(self.letters)
-        shift %= n
-        return Word(self.letters[shift:] + self.letters[:shift])
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ def mixed_moment(w: Word) -> MixedMomentResult:
     return MixedMomentResult(value, sum(counts.values()))
 
 
-@lru_cache(maxsize=None)
 def word_sum_moment(n: int) -> MultiPoly:
     """Moment of (x + d)^n: the sum of mixed_moment over all 2^n words.
 

@@ -16,6 +16,12 @@ Both expand each interval of k letters x as x^k = sum_d c_d H_d, whose H_d
 stands for the d chords the interval leaves open, and weight qt once, where
 the open chords pair: a linearized product <H_{d_1} ... H_{d_l}> carries
 qt^(sum d / 2) (`_paired_vacuum`).
+
+Packed polynomials (`qcore.pack`) take their digit width from one rule,
+`qcore.word_width` of a bound at q = qt = theta = 1 that no digit can pass,
+since every weight has nonnegative coefficients: the walk's bound comes
+from a first walk at that point, the oracles' from the involution number
+(`PACKED_WIDTH`), so raising a cap widens the digits.
 """
 
 from __future__ import annotations
@@ -29,11 +35,13 @@ from itertools import product
 import numpy as np
 
 from . import qhermite
-from .qcore import PACKED_WIDTH, MultiPoly, pack, q_integer, unpack, word_width
+from .qcore import MultiPoly, involution_number, pack, q_integer, unpack, word_width
 from .qhermite import ConvergenceError, linearization, monomial_to_hermite, rt_moment
 
 MAX_MOMENT_ORDER = 30
 ORACLE_MAX_ORDER = 14  # the composition, generating-function and Boolean oracles
+# the oracles' digit width: 2^n T(n) bounds every digit they form (`_b_power_column`)
+PACKED_WIDTH = word_width(2 ** ORACLE_MAX_ORDER * involution_number(ORACLE_MAX_ORDER))
 
 
 def _check_order(n: int, cap: int):
@@ -261,22 +269,10 @@ def reduced_moment_compositions(n: int) -> MultiPoly:
 
 # _B_POWERS[p][m] is [z^p] B^m / theta^m for m = 1..p: a map from sorted
 # tuples of nonzero Hermite degrees (the product left unexpanded) to its
-# weight, a polynomial in q packed at `PACKED_WIDTH` bits a digit, with the
-# weight's value at q = 1.  Entry [0] of each column is unused.  Columns
-# are appended in order of p, so each is built once per process.
+# weight, a polynomial in q packed at `PACKED_WIDTH` bits a digit.  Entry
+# [0] of each column is unused.  Columns are appended in order of p, so
+# each is built once per process.
 _B_POWERS: list[list[dict]] = [[]]
-
-
-def _check_digits(ones: int, what: str):
-    """Raise unless a packed sum whose value at q = 1 is `ones` keeps its digits.
-
-    Every weight has nonnegative coefficients, so none of its digits, and
-    no digit of a partial sum or product that formed it, exceeds its value
-    at q = 1.
-    """
-    if ones >> PACKED_WIDTH:
-        raise ValueError(f"exact oracle outgrows {PACKED_WIDTH}-bit digits: "
-                         f"{what} sums to {ones} at q = 1")
 
 
 def _b_power_column(p: int) -> list[dict]:
@@ -286,26 +282,31 @@ def _b_power_column(p: int) -> list[dict]:
     out of the key, and for m >= 2 the Cauchy product
     [z^p] B^m = sum_i [z^i] B [z^(p-i)] B^(m-1), one integer product of
     packed weights per pair of entries.
+
+    No digit carries.  Every weight has nonnegative coefficients in q, so
+    no digit of it, or of a partial sum or product that formed it, exceeds
+    its value at q = 1.  There the column [z^p] B^m sums over the
+    C(p-1, m-1) compositions of p into m parts i_j of products of
+    x^(i_j - 1), whose Hermite coefficients sum to at most
+    prod T(i_j - 1) <= T(p - m), since T(a) T(b) <= T(a + b) (T is the
+    involution number, `qcore.involution_number`).  So no weight exceeds
+    2^p T(p) <= 2^n T(n), which `PACKED_WIDTH` holds for every
+    n <= `ORACLE_MAX_ORDER`.
     """
-    column = [{}, {(d,) if d else (): (pack(c, PACKED_WIDTH), sum(c.terms.values()))
+    column = [{}, {(d,) if d else (): pack(c, PACKED_WIDTH)
                    for d, c in enumerate(monomial_to_hermite(p - 1).coeffs) if not c.is_zero()}]
     for m in range(2, p + 1):
         bucket = {}
         for i in range(1, p - m + 2):
             lower = _B_POWERS[p - i][m - 1]
-            for key1, (w1, s1) in _B_POWERS[i][1].items():
-                for key2, (w2, s2) in lower.items():
+            for key1, w1 in _B_POWERS[i][1].items():
+                for key2, w2 in lower.items():
                     key = tuple(sorted(key1 + key2)) if key1 else key2
-                    acc = bucket.get(key)
-                    bucket[key] = ((w1 * w2, s1 * s2) if acc is None
-                                   else (acc[0] + w1 * w2, acc[1] + s1 * s2))
+                    bucket[key] = bucket.get(key, 0) + w1 * w2
         column.append(bucket)
-    for m, bucket in enumerate(column[1:], start=1):
-        _check_digits(max(s for _, s in bucket.values()), f"[z^{p}] B^{m}")
     return column
 
 
-@lru_cache(maxsize=None)
 def reduced_moment_gf(n: int) -> MultiPoly:
     """m_n extracted from the pointed-cycle generating function:
     m_n = n [z^n] log 1/(1-B) = sum_m (n/m) [z^n] B^m.
@@ -315,6 +316,11 @@ def reduced_moment_gf(n: int) -> MultiPoly:
     theta^m.  The pairing sum runs on packed weights, one sum for each qt
     power, unpacked once.
 
+    No digit carries.  At q = 1 the sum for qt^b theta^m is (m/n) times
+    the value of [qt^b theta^m] m_n there, which counts pairs of a word of
+    n letters and a perfect matching of its x letters, or a partial
+    matching of n points: at most T(n), within `PACKED_WIDTH`.
+
     Oracle for `reduced_moment`.
     """
     _check_order(n, ORACLE_MAX_ORDER)
@@ -322,17 +328,14 @@ def reduced_moment_gf(n: int) -> MultiPoly:
         _B_POWERS.append(_b_power_column(len(_B_POWERS)))
     terms = {}
     for m in range(1, n + 1):
-        sums = {}  # qt power -> (packed sum, its value at q = 1)
-        for key, (weight, ones) in _B_POWERS[n][m].items():
+        sums = {}  # qt power -> packed sum
+        for key, weight in _B_POWERS[n][m].items():
             paired = _paired_vacuum(key)
             if paired.is_zero():
                 continue
             half = sum(key) // 2
-            acc, acc_ones = sums.get(half, (0, 0))
-            sums[half] = (acc + weight * pack(paired, PACKED_WIDTH, qt_pow=half),
-                          acc_ones + ones * sum(paired.terms.values()))
-        for half, (acc, ones) in sums.items():
-            _check_digits(ones, f"the qt^{half} theta^{m} part of m_{n}")
+            sums[half] = sums.get(half, 0) + weight * pack(paired, PACKED_WIDTH, qt_pow=half)
+        for half, acc in sums.items():
             for (a, _, _), c in unpack(acc, PACKED_WIDTH).terms.items():
                 whole, rest = divmod(n * c, m)
                 terms[(a, half, m)] = Fraction(n * c, m) if rest else whole
@@ -370,22 +373,23 @@ def _weak_compositions_weighted(j: int):
 
 
 @lru_cache(maxsize=None)
-def _packed_rt_moment(i: int) -> tuple[int, int]:
-    """`rt_moment(i)` packed at `PACKED_WIDTH` bits a digit, with its value
-    at q = 1."""
-    rt = rt_moment(i)
-    return pack(rt, PACKED_WIDTH), sum(rt.terms.values())
+def _packed_rt_moment(i: int) -> int:
+    """`rt_moment(i)` packed at `PACKED_WIDTH` bits a digit."""
+    return pack(rt_moment(i), PACKED_WIDTH)
 
 
-@lru_cache(maxsize=None)
 def boolean_moment_c1(n: int) -> MultiPoly:
     """Single-defect moment formula: the Boolean moment-cumulant special case.
 
     Sums over multisets of even-moment blocks RT(i) with multinomial slot
     weights and the cyclic prefactor.  Each theta power's sum runs on
     packed polynomials in q, prod RT(i)^k_i one integer product per block
-    kind, and is unpacked once and scaled by the cyclic prefactor; its
-    value at q = 1 bounds its digits (`_check_digits`).
+    kind, and is unpacked once and scaled by the cyclic prefactor.
+
+    No digit carries.  Every term has nonnegative coefficients in q, so no
+    digit exceeds the sum's value at q = 1, which is (b/n) times that of
+    [qt^0 theta^b] m_n, b the number of blocks: at most T(n), as in
+    `reduced_moment_gf`, within `PACKED_WIDTH`.
 
     Oracle for `reduced_moment` at qt = 0, where the defect and the random
     part are Boolean independent.
@@ -394,7 +398,7 @@ def boolean_moment_c1(n: int) -> MultiPoly:
     terms = {(0, 0, n): 1}
     for j in range(1, (n - 1) // 2 + 1):
         blocks = n - 2 * j
-        acc = ones = 0
+        acc = 0
         for ks in _weak_compositions_weighted(j):
             s = sum(ks)
             if s > blocks:
@@ -402,16 +406,11 @@ def boolean_moment_c1(n: int) -> MultiPoly:
             weight = math.factorial(blocks)
             for k in ks:
                 weight //= math.factorial(k)
-            weight //= math.factorial(blocks - s)
-            term, term_ones = weight, weight
+            term = weight // math.factorial(blocks - s)
             for i, k in enumerate(ks, start=1):
                 if k:
-                    rt, rt_ones = _packed_rt_moment(i)
-                    term *= rt ** k
-                    term_ones *= rt_ones ** k
+                    term *= _packed_rt_moment(i) ** k
             acc += term
-            ones += term_ones
-        _check_digits(ones, f"the theta^{blocks} part of the Boolean m_{n}")
         for (a, _, _), c in unpack(acc, PACKED_WIDTH).terms.items():
             whole, rest = divmod(n * c, blocks)
             terms[(a, 0, blocks)] = Fraction(n * c, blocks) if rest else whole

@@ -346,7 +346,6 @@ class HermiteExpansion:
 # packed polynomials in q (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
-PACKED_WIDTH = 64  # the digit of the oracles' packed polynomials, in bits
 # format codes of the machine words that digits of 8, 16, 32 and 64 bits fill
 _WORD_CODES = {8 * memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
 
@@ -417,6 +416,21 @@ def word_width(largest: int) -> int:
     bit length of `largest`."""
     bits = largest.bit_length()
     return next((width for width in _WORD_CODES if width >= bits), bits)
+
+
+def involution_number(n: int) -> int:
+    """T(n), the number of partial matchings of n points:
+    T(n) = T(n-1) + (n-1) T(n-2), T(0) = T(1) = 1.
+
+    At q = qt = theta = 1 the coefficients that the exact lab packs count
+    partial matchings, or pairs of a word and a matching (Ismail, Stanton
+    and Viennot, Europ. J. Combin. 8 (1987)), so bounds built from T size
+    the digits of its packed polynomials (`word_width`).
+    """
+    prev, cur = 1, 1  # T(0), T(1)
+    for j in range(1, n):
+        prev, cur = cur, cur + j * prev
+    return cur
 
 
 # ---------------------------------------------------------------------------

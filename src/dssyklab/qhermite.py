@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import (PACKED_WIDTH, HermiteExpansion, MultiPoly, pack, q_binomial, q_factorial,
-                    q_integer, unpack)
+from .qcore import (HermiteExpansion, MultiPoly, involution_number, pack, q_binomial,
+                    q_factorial, q_integer, unpack, word_width)
 
 Q_NUMERIC_MAX = 0.99
 PRODUCT_EPS = 1e-16
@@ -90,26 +90,9 @@ def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _digit_width(total: int) -> int:
-    """The digit width of the walk's products of total degree `total`.
-
-    At q = 1 the H_j coefficient of H_{n_1} ... H_{n_l}, with sum n_i =
-    total, counts the partial matchings of the total points that leave j of
-    them unmatched, and so does not exceed the involution number T(total),
-    T(d) = T(d-1) + (d-1) T(d-2); every coefficient is a polynomial in q
-    with nonnegative coefficients, so none of its digits does either.
-    T(31) < 2^64, so up to total degree 31 this is `PACKED_WIDTH`.
-    """
-    prev, cur = 1, 1  # T(0), T(1)
-    for j in range(1, total):
-        prev, cur = cur, cur + j * prev
-    return max(PACKED_WIDTH, cur.bit_length())
-
-
-@lru_cache(maxsize=None)
 def _rogers_weight(m: int, n: int, k: int, width: int) -> int:
     """[m k]_q [n k]_q [k]_q!, the H_{m+n-2k} coefficient of H_m H_n, packed
-    at `width` (which must be at least `_digit_width(m + n)`)."""
+    at `width` (which must hold the involution number T(m + n))."""
     return (pack(q_binomial(m, k), width) * pack(q_binomial(n, k), width)
             * pack(q_factorial(k), width))
 
@@ -124,15 +107,22 @@ def _hermite_walk(degrees: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     H_m H_n = sum_k [m k]_q [n k]_q [k]_q! H_{m+n-2k}, where k counts the
     chords closed between the prefix and the new factor (the chord-number
     picture of Berkooz et al., arXiv:1811.02584).  Every product of two
-    polynomials in q is one integer product (`qcore.pack`).  A step works
-    at the width `_digit_width` gives its total degree, and repacks its
-    prefix when that width grows.  Memoized on prefixes, so callers that
-    share prefixes share the work.
+    polynomials in q is one integer product (`qcore.pack`).
+
+    No digit carries.  At q = 1 the H_j coefficient of a product of total
+    degree D counts the partial matchings of its D points that leave j of
+    them unmatched, so it does not exceed the involution number T(D)
+    (`qcore.involution_number`); every coefficient, and every partial sum
+    and product that formed it, has nonnegative coefficients in q, so none
+    of their digits does either.  A step of total degree D works at
+    `qcore.word_width`(T(D)) bits and repacks its prefix when that width
+    grows.  Memoized on prefixes, so callers that share prefixes share the
+    work.
     """
     if not degrees:
-        return PACKED_WIDTH, (1,)
+        return word_width(1), (1,)
     (width, prefix), n = _hermite_walk(degrees[:-1]), degrees[-1]
-    wide = _digit_width(sum(degrees))
+    wide = word_width(involution_number(sum(degrees)))
     if wide != width:
         prefix = [pack(unpack(c, width), wide) for c in prefix]
     coeffs = [0] * (len(prefix) + n)

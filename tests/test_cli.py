@@ -75,6 +75,15 @@ class TestMomentsCommand:
         obj = json.loads(out)  # qt stays symbolic at n = 4
         assert obj["params"]["qt"] == "symbolic"
 
+    def test_any_rational_is_evaluated(self, capsys):
+        # q = 2 and qt = 3 lie outside the model's range, but m_n is a
+        # polynomial and the table is its exact value there
+        code, out, err = run_cli(["moments", "--n", "4", "--q", "2", "--qtilde", "3",
+                                  "--theta", "1", "--deterministic"], capsys)
+        assert (code, err) == (0, "")
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert rows == ["n,m_n", "1,1", "2,1", "3,4", "4,11"]
+
 
 class TestMixedCommand:
     def test_worked_example(self, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from dssyklab import moments as mo
 from dssyklab import qhermite as qh
-from dssyklab.qcore import MultiPoly, word_width
+from dssyklab.qcore import MultiPoly, involution_number, unpack, word_width
 from dssyklab.qhermite import ConvergenceError, rt_moment
 
 
@@ -261,7 +261,6 @@ class TestGeneratingFunctionRoute:
         for n in range(1, 15):
             assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
         assert built == list(range(1, 15))
-        mo.reduced_moment_gf.cache_clear()
         assert mo.reduced_moment_gf(5) == mo.reduced_moment(5)
         assert built == list(range(1, 15))
 
@@ -269,21 +268,34 @@ class TestGeneratingFunctionRoute:
         for n in range(1, mo.ORACLE_MAX_ORDER + 1):
             assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
 
+    def test_column_weights_within_the_bound(self, cold_exact_lab):
+        # a weight's digits sum to its value at q = 1, at most 2^p T(p)
+        mo.reduced_moment_gf(mo.ORACLE_MAX_ORDER)
+        for p, column in enumerate(mo._B_POWERS[1:], start=1):
+            for m, bucket in enumerate(column[1:], start=1):
+                for key, weight in bucket.items():
+                    ones = sum(unpack(weight, mo.PACKED_WIDTH).terms.values())
+                    assert ones <= 2 ** p * involution_number(p), f"[z^{p}] B^{m} at {key}"
+
     def test_largest_weight_at_q_1(self, cold_exact_lab):
         # 2^18 or so: the 64-bit digits have ample room at the oracle's cap
         mo.reduced_moment_gf(mo.ORACLE_MAX_ORDER)
-        largest = max(ones for column in mo._B_POWERS[1:] for bucket in column[1:]
-                      for _, ones in bucket.values())
+        largest = max(sum(unpack(weight, mo.PACKED_WIDTH).terms.values())
+                      for column in mo._B_POWERS[1:] for bucket in column[1:]
+                      for weight in bucket.values())
         assert largest == 270270
 
-    def test_digit_guard_fires(self, cold_exact_lab, monkeypatch):
-        # at 10-bit digits the oracle is exact to n = 9 and the guard stops n = 10
-        monkeypatch.setattr(mo, "PACKED_WIDTH", 10)
-        for n in range(1, 10):
-            assert mo.reduced_moment_gf(n) == mo.reduced_moment(n), f"routes differ at n={n}"
-        with pytest.raises(ValueError,
-                           match=r"outgrows 10-bit digits: \[z\^10\] B\^1 sums to 1260"):
-            mo.reduced_moment_gf(10)
+
+def test_oracle_sums_within_the_bound():
+    # the packed sums of the generating-function and Boolean oracles are
+    # (m/n) [qt^b theta^m] m_n at q = 1, each at most T(n)
+    for n in range(1, mo.ORACLE_MAX_ORDER + 1):
+        at_q_1 = {}
+        for (a, b, m), c in mo.reduced_moment(n).items():
+            at_q_1[b, m] = at_q_1.get((b, m), 0) + c
+        for (b, m), value in at_q_1.items():
+            assert Fraction(m, n) * value <= involution_number(n), f"qt^{b} theta^{m} of m_{n}"
+    assert mo.PACKED_WIDTH == word_width(2 ** 14 * involution_number(14)) == 64
 
 
 def test_oracles_do_not_read_the_walk(cold_exact_lab, monkeypatch):
@@ -340,18 +352,6 @@ class TestBooleanOracle:
         monkeypatch.setattr(mo, "_VACUA", {})
         for n in range(1, mo.ORACLE_MAX_ORDER + 1):
             assert mo.boolean_moment_c1(n) == expected[n - 1], f"n={n}"
-
-    def test_digit_guard_fires(self, cold_exact_lab, monkeypatch):
-        # at 10-bit digits the oracle is exact to n = 11 and the guard stops n = 12
-        expected = [mo.boolean_moment_c1(n) for n in range(1, 12)]
-        mo.boolean_moment_c1.cache_clear()
-        mo._packed_rt_moment.cache_clear()
-        monkeypatch.setattr(mo, "PACKED_WIDTH", 10)
-        for n in range(1, 12):
-            assert mo.boolean_moment_c1(n) == expected[n - 1], f"n={n}"
-        with pytest.raises(ValueError, match=r"outgrows 10-bit digits: the theta\^2 part of "
-                                             r"the Boolean m_12 sums to 2190"):
-            mo.boolean_moment_c1(12)
 
 
 class TestLimits:

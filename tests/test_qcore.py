@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dssyklab.qcore import (PACKED_WIDTH, HermiteExpansion, MultiPoly, pack, q_binomial,
+from dssyklab.chordcombi import involution_count
+from dssyklab.qcore import (HermiteExpansion, MultiPoly, involution_number, pack, q_binomial,
                             q_binomial_by_division, q_factorial, q_integer, q_multinomial, unpack,
                             word_width)
 
@@ -293,7 +294,7 @@ class TestHermiteExpansion:
 
 
 class TestPackedCodec:
-    @pytest.mark.parametrize("width", [PACKED_WIDTH, 86])
+    @pytest.mark.parametrize("width", [64, 86])
     def test_round_trip(self, width):
         top = (1 << width) - 1
         for poly in (MultiPoly.zero(), MultiPoly.one(), q_factorial(6), q_binomial(9, 4),
@@ -334,7 +335,7 @@ class TestPackedCodec:
         for poly in (MultiPoly.zero(), poly_q(1), poly_q(0, 0, 5, 0, top), poly_q(top, 1, top)):
             assert unpack(pack(poly, width), width) == poly
 
-    @pytest.mark.parametrize("width,size", [(PACKED_WIDTH, 200_000), (86, 50_000)])
+    @pytest.mark.parametrize("width,size", [(64, 200_000), (86, 50_000)])
     def test_round_trip_is_linear_in_size(self, width, size):
         # one shift of the whole int per digit took minutes at these sizes
         poly = MultiPoly({(i, 0, 0): (i * 7919) % (1 << (width - 1)) + 1 for i in range(size)})
@@ -354,3 +355,8 @@ class TestPackedCodec:
         assert [word_width(v) for v in (0, 1, 255, 256, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)] == [
             8, 8, 8, 16, 32, 64, 64]
         assert word_width(2 ** 64) == 65  # past a machine word: the bit length
+
+    def test_involution_number(self):
+        assert [involution_number(n) for n in range(8)] == [1, 1, 2, 4, 10, 26, 76, 232]
+        for n in range(41):
+            assert involution_number(n) == involution_count(n), f"T({n})"

@@ -187,9 +187,18 @@ class TestWideDigits:
     """Walks past total degree 31, whose coefficients outgrow 64-bit digits."""
 
     def test_width_follows_the_involution_numbers(self):
-        assert qh._hermite_walk((1,) * 31)[0] == 64
+        # word_width(T(k)): the prefix is repacked at k = 8, 12, 19 and past 31
+        widths = [8] * 8 + [16] * 4 + [32] * 7 + [64] * 13
+        for k, width in enumerate(widths):
+            assert qh._hermite_walk((1,) * k)[0] == width, f"x^{k}"
         assert qh._hermite_walk((1,) * 32)[0] == 65
         assert qh._hermite_walk((1,) * 40)[0] == 86
+
+    def test_coefficients_at_q_1_sum_to_the_involution_number(self):
+        # the bound the digit width is taken from is met: x^k pairs k points
+        for k in range(41):
+            at_q_1 = sum(c.evaluate_exact(1, 0, 0) for c in qh.monomial_to_hermite(k).coeffs)
+            assert at_q_1 == cc.involution_count(k), f"x^{k}"
 
     @pytest.mark.parametrize("k", range(16, 21))
     def test_rt_moment(self, k):
