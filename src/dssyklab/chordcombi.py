@@ -36,6 +36,12 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, blocks) -> "SetPartition":
+        """The partition with `blocks` in canonical order; blocks that do not
+        partition {1..n} are a ValueError.
+
+        Oracle for the block order that `enumerate_pair_partitions` and
+        `enumerate_p12` build their partitions in.
+        """
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         seen = [i for b in canon for i in b]
         if sorted(seen) != list(range(1, len(seen) + 1)):
@@ -68,7 +74,11 @@ class MatchingStats:
 
 
 def crossing_number(pairs) -> int:
-    """Number of interleaved pairs (a,b),(c,d) with a < c < b < d."""
+    """Number of interleaved pairs (a,b),(c,d) with a < c < b < d.
+
+    Oracle for the crossing counts that `enumerate_pair_partitions` and
+    `enumerate_p12` carry through their recursion, recounted pair by pair.
+    """
     cr = 0
     plist = list(pairs)
     for i in range(len(plist)):
@@ -81,7 +91,10 @@ def crossing_number(pairs) -> int:
 
 
 def singleton_depths(pairs, singletons) -> int:
-    """Sum over singletons s of the number of pairs (a,b) with a < s < b."""
+    """Sum over singletons s of the number of pairs (a,b) with a < s < b.
+
+    Oracle for the singleton depth that `enumerate_p12` carries.
+    """
     return sum(1 for s in singletons for (a, b) in pairs if a < s < b)
 
 
@@ -280,8 +293,8 @@ def pair_partition_polynomial(n: int) -> MultiPoly:
 def p12_hermite_polynomial(k: int) -> HermiteExpansion:
     """Aggregate sum over P_{1,2}(k) of q^(cr+sd) H_(s1), grouped by singleton count.
 
-    This is the partition form of the normal-ordering identity; it must
-    agree with normal_order_power degree by degree.
+    Oracle for `normal_order_power`: this is the partition form of the
+    normal-ordering identity, so the two agree degree by degree.
     """
     counts = Counter((stats.singleton_count, stats.cr + stats.sd) for stats in enumerate_p12(k))
     max_s = max((s for s, _ in counts), default=0)

@@ -154,13 +154,21 @@ def run_mixed(args) -> int:
     return EXIT_OK
 
 
+def _phase_theta(entry: str) -> float:
+    """One entry of the --phase-thetas list as a float."""
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValueError(f"--phase-thetas entry {entry!r} is not a number") from None
+
+
 def run_ed(args) -> int:
     if not 1 <= args.bins <= MAX_GRID:
         raise ValueError(f"--bins must be positive and at most {MAX_GRID}")
     params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
                                seed=args.seed, samples=args.samples)
     if args.phase_thetas:
-        thetas = [float(t) for t in args.phase_thetas.split(",")]
+        thetas = [_phase_theta(entry) for entry in args.phase_thetas.split(",")]
         rows = edlab.phase_scan(params, thetas)
         body = [f"{_fmt(r['theta'])},{r['k']},{r['samples']},{_fmt(r['max_gap'])},"
                 f"{_fmt(r['median_gap'])},{_fmt(r['gap_ratio'])},{int(r['bimodal'])},{_fmt(r['gap'])}"

@@ -21,12 +21,15 @@ is exactly what makes the diagonal defect expressible as a Majorana sum.
 Every single Majorana carries X or Y on qubit 1, so an even-p term flips
 no top bit and commutes with the chirality.  H_random is therefore block
 diagonal in the top qubit: two chirality blocks of size 2^(N/2-1), which
-are assembled and diagonalized separately.  For k >= 1 the defect lies
-inside the top-bit-0 block, so the top-bit-1 block is the same with and
-without it and is diagonalized once per sample.  When N/2 is odd an
-antiunitary symmetry maps one block onto the other (`_mirror_sign`), and
-the top-bit-1 spectrum is read off the top-bit-0 one; the top-bit-1 block
-is then never assembled.  A sample holds one copy of each block it
+are assembled and diagonalized separately.  The defect theta D is the
+identity times theta at k = 0 and lies inside the top-bit-0 block at
+k >= 1, so (theta, k) alone fixes each block's shift: theta on the first
+levels of block 0, and a constant on block 1, theta at k = 0 and zero
+otherwise.  A block's spectrum under a shift that repeats, such as the
+defect-free top-bit-1 block, is computed once per sample.  When N/2 is odd
+an antiunitary symmetry maps one block onto the other (`_mirror_sign`), so
+the top-bit-1 spectrum is read off the top-bit-0 one and the top-bit-1
+block is never assembled.  A sample holds one copy of each block it
 diagonalizes: the last shift of a block is added to it in place.
 """
 
@@ -167,10 +170,6 @@ class ModelParams:
     @property
     def r(self) -> float:
         return 2.0 ** (-self.k)
-
-    def metadata(self) -> dict:
-        return {"N": self.N, "p": self.p, "theta": self.theta, "k": self.k,
-                "seed": self.seed, "samples": self.samples}
 
 
 @dataclass(frozen=True)
@@ -318,20 +317,15 @@ def build_h_syk(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     return H
 
 
-def _defect_diagonal(N: int, k: int) -> np.ndarray:
-    """Diagonal of the defect: first 2^(N/2-k) entries one, the rest zero."""
+def build_dc(N: int, k: int) -> np.ndarray:
+    """Diagonal defect: first 2^(N/2-k) entries one, the rest zero."""
     _check_even_dim(N)
     if not 0 <= k <= N // 2:
         raise ValueError("k must satisfy 0 <= k <= N/2")
     dim = 1 << (N // 2)
     diag = np.zeros(dim)
     diag[: dim >> k] = 1.0
-    return diag
-
-
-def build_dc(N: int, k: int) -> np.ndarray:
-    """Diagonal defect: first 2^(N/2-k) entries one, the rest zero."""
-    return np.diag(_defect_diagonal(N, k))
+    return np.diag(diag)
 
 
 def _chirality(N: int) -> np.ndarray:
@@ -435,61 +429,66 @@ def _mirror_sign(N: int, p: int) -> int:
     return (-1) ** (p * (p - 1) // 2)
 
 
-def _block_spectra(params: ModelParams, shifts: list[np.ndarray]):
-    """Eigenvalues of each chirality block plus its slice of diag(shift),
-    one sample after another: for sample s, drawn from
-    `sample_rng(params.seed, s)`, yields [block-0 spectrum, block-1
-    spectrum] for each shift.
+def _block_spectra(params: ModelParams, defects: list[tuple[float, int]]):
+    """Eigenvalues of each chirality block of H_random + theta D, one sample
+    after another: for sample s, drawn from `sample_rng(params.seed, s)`,
+    yields [block-0 spectrum, block-1 spectrum] for each (theta, k) in
+    `defects`.
 
-    A (block, slice) pair that repeats, such as a defect-free block, is
-    diagonalized once per sample and its spectrum returned as the same
-    array; the key `(part + 0.0).tobytes()` maps a -0.0 slice onto 0.0.
-    With sigma = `_mirror_sign(N, p)` nonzero and block 1's slice a
-    constant c, block 1's spectrum is sigma * spec(B0 + sigma c) taken
-    from block 0's: the same array when sigma = +1, negated (so descending)
-    when sigma = -1.  Block 1 is assembled only when some shift needs it
-    diagonalized.
+    D has ones on its first 2^(N/2-k) levels, so block 0 is shifted by
+    theta on its first half >> max(k - 1, 0) levels, and block 1 by the
+    constant theta at k = 0 and by nothing at k >= 1.  A shift is keyed
+    (theta, count), and every zero shift (0.0, 0).  A (block, key) pair
+    that repeats, such as a defect-free block, is diagonalized once per
+    sample and its spectrum returned as the same array.  With sigma =
+    `_mirror_sign(N, p)` nonzero (N/2 odd), block 1's spectrum is
+    sigma * spec(B0 + sigma c) for its constant shift c, taken from block
+    0's: the same array when sigma = +1, negated (so descending) when
+    sigma = -1.  Block 1 is then never assembled; at N/2 even both blocks
+    are.
 
     Each block is held once, in one buffer that every sample of the call
-    reuses, so a later sample writes into pages that are already mapped.  Its distinct slices are
-    diagonalized in order of first use, each on a shifted copy (a zero
-    slice on the block itself) except the last, which shifts the block in
-    place.  The copies share one more buffer across the blocks and samples
-    of the call, allocated only when some copy is needed.
+    reuses, so a later sample writes into pages that are already mapped.
+    Its distinct shifts are diagonalized in order of first use, each on a
+    shifted copy (a zero shift on the block itself) except the last, which
+    shifts the block in place.  The copies share one more buffer across the
+    blocks and samples of the call, allocated only when some copy is needed.
     """
     sigma = _mirror_sign(params.N, params.p)
-    parts: list[dict[bytes, np.ndarray]] = [{}, {}]  # per block: key -> slice
+    half = params.dim // 2
+    shifts: list[dict[tuple[float, int], None]] = [{}, {}]  # per block, in order of first use
 
-    def key(i: int, part: np.ndarray) -> tuple[int, bytes]:
-        raw = (part + 0.0).tobytes()
-        parts[i].setdefault(raw, part)
-        return i, raw
+    def key(i: int, theta: float, count: int) -> tuple[int, tuple[float, int]]:
+        shift = (theta, count) if theta else (0.0, 0)
+        shifts[i].setdefault(shift)
+        return i, shift
 
     plan = []
-    for shift in shifts:
-        low, high = np.split(shift, 2)
-        if sigma and (high == high[0]).all():
-            plan.append((key(0, low), key(0, sigma * high), sigma))
+    for theta, k in defects:
+        low = key(0, theta, half >> max(k - 1, 0))
+        c = theta if k == 0 else 0.0  # block 1's constant shift
+        if sigma:
+            plan.append((low, key(0, sigma * c, half), sigma))
         else:
-            plan.append((key(0, low), key(1, high), 1))
-    half = params.dim // 2
-    blocks = [np.zeros((half, half), dtype=complex) for _ in range(2 if parts[1] else 1)]
+            plan.append((low, key(1, c, half), 1))
+    blocks = [np.zeros((half, half), dtype=complex) for _ in range(1 if sigma else 2)]
     scratch = None  # the one buffer for shifted copies, made at first need
     for s in range(params.samples):
         _h_blocks(params, sample_rng(params.seed, s), blocks)
         eigs = {}
         for i, block in enumerate(blocks):
-            last = len(parts[i]) - 1
-            for j, (raw, part) in enumerate(parts[i].items()):
+            last = len(shifts[i]) - 1
+            for j, (theta, count) in enumerate(shifts[i]):
                 shifted = block
-                if part.any():
+                if count:
                     if j != last:
                         if scratch is None:
                             scratch = np.empty_like(block)
                         shifted = scratch
                         np.copyto(shifted, block)
-                    shifted[np.diag_indices_from(shifted)] += part
-                eigs[i, raw] = np.linalg.eigvalsh(shifted)
+                    levels = np.arange(count)
+                    shifted[levels, levels] += theta
+                eigs[i, (theta, count)] = np.linalg.eigvalsh(shifted)
         yield [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]
 
 
@@ -504,9 +503,8 @@ def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
     Deterministic given the seed: sample s always uses the same coupling
     stream regardless of how many samples are requested.
     """
-    defect = params.theta * _defect_diagonal(params.N, params.k)
     return [SpectrumSample(_spectrum(pair), params, s)
-            for s, [pair] in enumerate(_block_spectra(params, [defect]))]
+            for s, [pair] in enumerate(_block_spectra(params, [(params.theta, params.k)]))]
 
 
 def paired_reduced_moments(params: ModelParams, max_n: int):
@@ -522,11 +520,11 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
     if params.samples < 2:
         raise ValueError("paired moments need samples >= 2 for a standard error")
     r = params.r
-    defect = params.theta * _defect_diagonal(params.N, params.k)
+    defects = [(0.0, params.k), (params.theta, params.k)]
     per_sample = np.zeros((params.samples, max_n))
     # a huge theta overflows the moments to inf/nan; the caller reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, pairs in enumerate(_block_spectra(params, [np.zeros_like(defect), defect])):
+        for s, pairs in enumerate(_block_spectra(params, defects)):
             eig_syk, eig_full = map(_spectrum, pairs)
             for n in range(1, max_n + 1):
                 full = np.mean(eig_full ** n)
@@ -647,21 +645,19 @@ def spectral_gap_report(pooled: np.ndarray) -> dict:
             "bimodal": bimodal, "gap": max_gap if bimodal else 0.0}
 
 
-def phase_scan(base: ModelParams, thetas: list[float], ks: list[int] | None = None) -> list[dict]:
-    """Gap statistics over a (theta, k) grid of pooled sampled spectra.
+def phase_scan(base: ModelParams, thetas: list[float]) -> list[dict]:
+    """Gap statistics of pooled sampled spectra at each theta, at base.k.
 
-    Each sample's chirality blocks are built once and shared by every grid
-    point; a block the defect misses is diagonalized once per sample.  Where
-    block 1's spectrum is block 0's own (N/2 odd, sigma = +1, both slices
+    Each sample's chirality blocks are built once and shared by every
+    theta; a block the defect misses is diagonalized once per sample.  Where
+    block 1's spectrum is block 0's own (N/2 odd, sigma = +1, both shifts
     the same constant), each level is pooled once: its exact double would
     make the median spacing zero.
     """
-    ks = ks if ks is not None else [base.k]
-    grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=k, seed=base.seed,
-                        samples=base.samples) for k in ks for theta in thetas]
-    defects = [params.theta * _defect_diagonal(params.N, params.k) for params in grid]
+    grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=base.k, seed=base.seed,
+                        samples=base.samples) for theta in thetas]
     pooled: list[list[np.ndarray]] = [[] for _ in grid]
-    for sample in _block_spectra(base, defects):
+    for sample in _block_spectra(base, [(params.theta, params.k) for params in grid]):
         for (low, high), spectra in zip(sample, pooled):
             spectra += [low] if high is low else [low, high]
     rows = []

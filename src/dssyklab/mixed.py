@@ -167,10 +167,6 @@ def _product_partitions(regions, idx=0):
             yield head + tail
 
 
-def noncrossing_count(n: int) -> int:
-    return sum(1 for _ in noncrossing_partitions(tuple(range(1, n + 1))))
-
-
 def _noncrossing_sum(n: int, cumulants: list[MultiPoly]) -> MultiPoly:
     """Sum over NC(n) of the products of cumulants[|block|]."""
     total = MultiPoly.zero()

@@ -19,9 +19,10 @@ qt^(sum d / 2) (`_paired_vacuum`).
 
 Packed polynomials (`qcore.pack`) take their digit width from one rule,
 `qcore.word_width` of a bound at q = qt = theta = 1 that no digit can pass,
-since every weight has nonnegative coefficients: the walk's bound comes
-from a first walk at that point, the oracles' from the involution number
-(`PACKED_WIDTH`), so raising a cap widens the digits.
+since every weight has nonnegative coefficients.  Both bounds come from the
+involution number T: T(n - 1) for the walk to n (`walk_vacua`), and
+2^n T(n) at the oracles' cap for the oracles (`PACKED_WIDTH`), so raising a
+cap widens the digits.
 """
 
 from __future__ import annotations
@@ -75,19 +76,6 @@ def _letters(a: int, b: int, room: int):
         yield (a - 1, b), 0, a, True  # x closes a passed chord: qt q^b [a]_q
 
 
-def _largest_state_sum(n: int) -> int:
-    """The largest value at q = qt = theta = 1 of any state of the walk to n."""
-    sums, largest = {(0, 0): 1}, 1
-    for t in range(2, n + 1):
-        new = {}
-        for (a, b), total in sums.items():
-            for key, _, k, _ in _letters(a, b, n - t):
-                new[key] = new.get(key, 0) + k * total
-        sums = new
-        largest = max(largest, *sums.values())
-    return largest
-
-
 def walk_vacua(n: int) -> list[MultiPoly]:
     """m_1 .. m_n from one two-stack chord walk to n.
 
@@ -111,11 +99,19 @@ def walk_vacua(n: int) -> list[MultiPoly]:
     one integer product by the packed [k]_q, shifted by one qt block and b
     q digits when the chord was passed.
 
-    No digit carries.  A first walk at q = qt = theta = 1 gives each
-    state's value there, which bounds every digit of the state and of every
-    partial sum and product that formed it, since every weight is positive;
-    w is the narrowest machine word that holds the largest such value
-    (`qcore.word_width`).  Nor does any q power spill into the next qt
+    No digit carries.  Every weight has nonnegative coefficients, so a
+    state's value at q = qt = theta = 1 bounds every digit of the state and
+    of every partial sum and product that formed it.  That value counts the
+    pairs of a word and a partial matching of its x letters that leaves the
+    state's a + b chords open: a close picks one of the k chords open in its
+    stack, [k]_q at q = 1.  Drop the leading d, read the other d letters as
+    fixed points, and pair the i-th open chord with the i-th of a + b
+    appended points.  This maps the pairs injectively into the partial
+    matchings of t - 1 + a + b <= n - 1 points, as a kept state has
+    a + b <= n - t.  So no digit passes T(n - 1)
+    (`qcore.involution_number`), a value some state attains at every
+    n <= `MAX_MOMENT_ORDER`, and w is the narrowest machine word that holds
+    it (`qcore.word_width`).  Nor does any q power spill into the next qt
     block.  A kept state after t letters closes within t + a + b <= n
     letters, the first of them a d, so the o chords it has opened satisfy
     2 o <= n - 1.  Each q counts one crossing pair of these chords (a close
@@ -126,7 +122,7 @@ def walk_vacua(n: int) -> list[MultiPoly]:
     most t.
     """
     _check_order(n, MAX_MOMENT_ORDER)
-    width = word_width(_largest_state_sum(n))
+    width = word_width(involution_number(n - 1))
     block = q_power_bound(n) + 1
     # k is 1 or the number of open chords, at most (n - 1) / 2
     repunits = [pack(q_integer(k), width) for k in range(max(1, (n - 1) // 2) + 1)]

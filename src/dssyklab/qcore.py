@@ -485,9 +485,9 @@ def q_binomial(n: int, k: int) -> MultiPoly:
 def q_binomial_by_division(n: int, k: int) -> MultiPoly:
     """[n choose k]_q = [n]_q! / ([k]_q! [n-k]_q!), via exact expansion.
 
-    Test-only oracle for q_binomial: it divides q-factorials by exact
-    univariate long division and never calls q_binomial, so the two routes
-    stay independent.
+    Oracle for `q_binomial`: it divides q-factorials by exact univariate
+    long division and never calls q_binomial, so the two routes stay
+    independent.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial requires 0 <= k <= n, got n={n} k={k}")

@@ -325,6 +325,8 @@ class TestZnCommand:
                  id="compare-theta-inf"),
     pytest.param(["ed", "--N", "8", "--phase-thetas", "1,nan"], "theta must be finite",
                  id="ed-phase-thetas-nan"),
+    pytest.param(["ed", "--N", "16", "--phase-thetas", "1,,2"],
+                 "--phase-thetas entry '' is not a number", id="ed-phase-thetas-empty-entry"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--samples", "1",
                   "--n-max", "2"], "samples >= 2", id="compare-samples-1"),
     pytest.param(["ed", "--N", "8", "--bins", "0"], "--bins must be positive", id="ed-bins-0"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -301,9 +302,8 @@ def _paired_full_matrix_oracle(params, max_n):
 
 
 class TestBlockSpectraOracle:
-    @pytest.mark.parametrize("N", [8, 12, 16])
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    @pytest.mark.parametrize("theta", [0.0, 3.0])
+    @pytest.mark.parametrize("k,N", [(k, N) for N in (8, 12, 16) for k in (0, 1, 2, N // 2)])
+    @pytest.mark.parametrize("theta", [0.0, 3.0, -2.5])
     def test_sample_spectra_match_full_matrix(self, N, k, theta):
         params = ed.ModelParams(N=N, p=4, theta=theta, k=k, seed=21, samples=2)
         for sample in ed.sample_spectra(params):
@@ -312,8 +312,9 @@ class TestBlockSpectraOracle:
             assert np.abs(sample.eigenvalues - oracle).max() < 1e-12
 
     @pytest.mark.parametrize("k,p,N", [(k, p, N) for N in (2, 6, 10, 14) for p in (2, 4, 6)
-                                       for k in (0, 1, 2) if p <= N and k <= N // 2])
-    @pytest.mark.parametrize("theta", [0.0, 3.0])
+                                       for k in sorted({0, 1, 2, N // 2})
+                                       if p <= N and k <= N // 2])
+    @pytest.mark.parametrize("theta", [0.0, 3.0, -2.5])
     def test_mirrored_spectra_match_full_matrix(self, N, p, k, theta):
         # N/2 odd: block 1's spectrum comes from block 0's; N = 2 has a = 0
         # high Hadamard bits, so the top bit of the half transform is in H_b
@@ -322,27 +323,6 @@ class TestBlockSpectraOracle:
             H = ed.build_h_syk(params, ed.sample_rng(23, sample.sample_index))
             oracle = np.linalg.eigvalsh(H + theta * ed.build_dc(N, k))
             assert np.abs(sample.eigenvalues - oracle).max() < 1e-12
-
-    @pytest.mark.parametrize("N", [10, 14])
-    @pytest.mark.parametrize("p", [4, 6])
-    def test_uneven_shift_on_block1_is_diagonalized(self, N, p, monkeypatch):
-        # the mirror needs a constant shift on block 1; any other shift has
-        # block 1 assembled and diagonalized directly
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a):
-            shapes.append(a.shape)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(ed.np.linalg, "eigvalsh", counted)
-        params = ed.ModelParams(N=N, p=p, seed=41)
-        shift = np.linspace(-1.0, 2.0, params.dim)
-        [[pair]] = ed._block_spectra(params, [shift])
-        assert shapes == [(params.dim // 2, params.dim // 2)] * 2
-        H = ed.build_h_syk(params, ed.sample_rng(41, 0))
-        want = eigvalsh(H + np.diag(shift))
-        assert np.abs(ed._spectrum(pair) - want).max() < 1e-12
 
     @pytest.mark.parametrize("k,N", [(k, N) for N in (2, 6, 10, 12, 14) for k in (0, 1, 2)
                                      if k <= N // 2])
@@ -356,10 +336,9 @@ class TestBlockSpectraOracle:
     def test_phase_scan_matches_per_point_spectra(self):
         thetas = [0.0, 1.0, 5.0]
         for N in (6, 12, 14):
-            base = ed.ModelParams(N=N, p=4, seed=5, samples=4)
-            rows = ed.phase_scan(base, thetas, ks=[0, 2])
-            reference = []
             for k in (0, 2):
+                rows = ed.phase_scan(ed.ModelParams(N=N, p=4, k=k, seed=5, samples=4), thetas)
+                reference = []
                 for theta in thetas:
                     params = ed.ModelParams(N=N, p=4, theta=theta, k=k, seed=5, samples=4)
                     spectra = [s.eigenvalues for s in ed.sample_spectra(params)]
@@ -371,15 +350,18 @@ class TestBlockSpectraOracle:
                         spectra = [e[::2] for e in spectra]
                     reference.append({"theta": theta, "k": k, "samples": 4,
                                       **ed.spectral_gap_report(np.concatenate(spectra))})
-            assert rows == reference
+                assert rows == reference
 
 
-def _memo_block_spectra(params, shifts):
+def _memo_block_spectra(params, defects):
     """`_block_spectra` through a memo that, for each sample, assembles both
     blocks in new arrays and diagonalizes a shifted copy of a block for
-    every (block, slice) it has not seen.  Oracle for the one-copy,
-    in-place schedule on buffers that the samples reuse."""
+    every (block, slice of theta diag(D)) it has not seen, keyed by the
+    slice's bytes; block 1 is mirrored wherever its slice is a constant.
+    Oracle for the (theta, k) shift keys and for the one-copy, in-place
+    schedule on buffers that the samples reuse."""
     sigma = ed._mirror_sign(params.N, params.p)
+    shifts = [theta * np.diag(ed.build_dc(params.N, k)) for theta, k in defects]
     for s in range(params.samples):
         blocks = _fresh_blocks(params, ed.sample_rng(params.seed, s))
         memo = {}
@@ -415,7 +397,8 @@ class TestOneCopySchedule:
         def run():
             spectra = [s.eigenvalues for s in ed.sample_spectra(params)]
             means, errs = ed.paired_reduced_moments(params, 6)
-            rows = ed.phase_scan(params, [0.0, 2.5, 1.0, 2.5], ks=[0, k])
+            rows = [ed.phase_scan(replace(params, k=scan_k), [0.0, 2.5, 1.0, 2.5])
+                    for scan_k in (0, k)]
             return spectra, np.array(means + errs), rows
 
         got = run()
@@ -425,10 +408,29 @@ class TestOneCopySchedule:
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
 
+    def test_block1_never_assembled_at_odd_half(self, monkeypatch):
+        # sigma = +1 (p = 4) and -1 (p = 6): block 1 is always read off block 0
+        sizes = []
+        h_blocks = ed._h_blocks
+
+        def spy(params, rng, blocks):
+            sizes.append(len(blocks))
+            return h_blocks(params, rng, blocks)
+
+        monkeypatch.setattr(ed, "_h_blocks", spy)
+        for N in (10, 14):
+            for p in (4, 6):
+                for k in range(N // 2 + 1):
+                    params = ed.ModelParams(N=N, p=p, theta=-2.0, k=k, seed=7, samples=2)
+                    ed.sample_spectra(params)
+                    ed.paired_reduced_moments(params, 4)
+                    ed.phase_scan(params, [0.0, 1.5, -2.0])
+        assert sizes and set(sizes) == {1}
+
     @pytest.mark.parametrize("fn", ["sample", "paired"])
     def test_peak_memory_below_two_blocks(self, fn):
-        # N/2 odd with a constant shift on block 1: only block 0 is held,
-        # once, beside the half-size transform rows
+        # N/2 odd: only block 0 is held, once, beside the half-size
+        # transform rows
         params = ed.ModelParams(N=18, p=4, theta=3.0, k=0, seed=5, samples=2)
 
         def run():

@@ -111,6 +111,21 @@ def _object_walk(n):
     return vacua, top_q, sums
 
 
+def _largest_state_sum(n):
+    """The largest value at q = qt = theta = 1 of any state of the walk to
+    n, from a walk at that point.  Oracle for the digit bound T(n - 1) of
+    `walk_vacua`."""
+    sums, largest = {(0, 0): 1}, 1
+    for t in range(2, n + 1):
+        new = {}
+        for (a, b), total in sums.items():
+            for key, _, k, _ in mo._letters(a, b, n - t):
+                new[key] = new.get(key, 0) + k * total
+        sums = new
+        largest = max(largest, *sums.values())
+    return largest
+
+
 TERMS_SHA256 = {
     1: "c46a62393b62a6a2da64cb6eb4527fb6da48a8c704464a034da812c8592be163",
     2: "c39e9d66b7e481d85801793211875e1dcb207deb521e5acf1727395e2a4333e3",
@@ -182,18 +197,22 @@ class TestChordWalk:
 
     @pytest.mark.parametrize("n", [2, 9, 14, 20])
     def test_digit_width_covers_the_largest_state_sum(self, n, monkeypatch):
-        widths = []
+        bounds = []
 
         def recorded_width(largest):
-            widths.append(word_width(largest))
-            return widths[-1]
+            bounds.append(largest)
+            return word_width(largest)
 
         monkeypatch.setattr(mo, "word_width", recorded_width)
         vacua, _, sums = _object_walk(n)
         assert mo.walk_vacua(n) == vacua
         largest = max(sums.values())
-        assert mo._largest_state_sum(n) == largest
-        assert widths == [word_width(largest)] and largest < 2 ** widths[0]
+        assert largest == involution_number(n - 1)
+        assert bounds == [largest] and largest < 2 ** word_width(largest)
+
+    def test_largest_state_sum_is_the_involution_number_through_cap(self):
+        for n in range(1, mo.MAX_MOMENT_ORDER + 1):
+            assert _largest_state_sum(n) == involution_number(n - 1), f"n={n}"
 
     def test_walk_runs_without_numpy(self, monkeypatch):
         expected = mo.walk_vacua(14)
