@@ -155,18 +155,28 @@ def run_mixed(args) -> int:
 
 
 def _phase_theta(entry: str) -> float:
-    """One entry of the --phase-thetas list as a float."""
+    """One entry of the --phase-thetas list as a finite float."""
     try:
-        return float(entry)
+        theta = float(entry)
     except ValueError:
         raise ValueError(f"--phase-thetas entry {entry!r} is not a number") from None
+    if not math.isfinite(theta):
+        raise ValueError(f"--phase-thetas entry {entry!r} is not a finite number")
+    return theta
+
+
+def _model_params(args) -> edlab.ModelParams:
+    """The ED run parameters of `ed` and `compare`."""
+    if not math.isfinite(args.theta):
+        raise ValueError("--theta must be finite")
+    return edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
+                             seed=args.seed, samples=args.samples)
 
 
 def run_ed(args) -> int:
     if not 1 <= args.bins <= MAX_GRID:
         raise ValueError(f"--bins must be positive and at most {MAX_GRID}")
-    params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
-                               seed=args.seed, samples=args.samples)
+    params = _model_params(args)
     if args.phase_thetas:
         thetas = [_phase_theta(entry) for entry in args.phase_thetas.split(",")]
         rows = edlab.phase_scan(params, thetas)
@@ -189,8 +199,7 @@ def run_ed(args) -> int:
 def run_compare(args) -> int:
     if not 1 <= args.n_max <= moments.MAX_MOMENT_ORDER:
         raise ValueError(f"--n-max must lie in 1..{moments.MAX_MOMENT_ORDER}")
-    params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
-                               seed=args.seed, samples=args.samples)
+    params = _model_params(args)
     q, qt = edlab.finite_size_weights(args.N, args.p, args.k)
     note = {"q_finite": str(q), "qtilde": str(qt)}
     if args.k == 3:

@@ -30,7 +30,10 @@ defect-free top-bit-1 block, is computed once per sample.  When N/2 is odd
 an antiunitary symmetry maps one block onto the other (`_mirror_sign`), so
 the top-bit-1 spectrum is read off the top-bit-0 one and the top-bit-1
 block is never assembled.  A sample holds one copy of each block it
-diagonalizes: the last shift of a block is added to it in place.
+diagonalizes: every shift is added to the block in place and undone after
+its diagonalization, so ED holds the blocks, the copy that `eigvalsh`
+makes, and the few scratch arrays of one assembly chunk, each at most
+256 KiB.
 """
 
 from __future__ import annotations
@@ -249,8 +252,12 @@ def _h_blocks(params: ModelParams, rng: np.random.Generator, blocks: list[np.nda
     (b XOR x, b) with sum_t c_t phase_t (-1)^popcount(z_t & b): the
     Walsh-Hadamard transform of the group's weights spread over z-masks.
     The arrays are zeroed, then the groups are transformed and written a
-    chunk at a time (`_write_groups`), so the transform's scratch stays
-    small beside the blocks.
+    chunk at a time (`_write_groups`).  A chunk spreads over at most a
+    quarter block and at most 256 KiB (2^15 doubles).  Freeing a chunk's
+    scratch raises glibc's dynamic mmap threshold, so later chunks are
+    served from the heap, whose pages stay resident: small chunks keep
+    that residue small beside the blocks.  Each group's row is transformed
+    on its own, so the chunking leaves every bit of the blocks unchanged.
     """
     N, p = params.N, params.p
     n_terms = math.comb(N, p)
@@ -261,7 +268,7 @@ def _h_blocks(params: ModelParams, rng: np.random.Generator, blocks: list[np.nda
         if not block.flags.c_contiguous:  # the writes go through a flat view
             raise ValueError("chirality blocks must be C-contiguous")
         block.fill(0)
-    step = max(1, params.dim // 8)  # groups per chunk: a chunk's spread is a quarter block
+    step = max(1, min(params.dim // 8, (1 << 15) // params.dim))  # groups per chunk
     for lo in range(0, len(xs), step):
         inside = (slots >= lo * params.dim) & (slots < (lo + step) * params.dim)
         _write_groups(params, blocks, xs[lo:lo + step], slots[inside] - lo * params.dim,
@@ -449,10 +456,11 @@ def _block_spectra(params: ModelParams, defects: list[tuple[float, int]]):
 
     Each block is held once, in one buffer that every sample of the call
     reuses, so a later sample writes into pages that are already mapped.
-    Its distinct shifts are diagonalized in order of first use, each on a
-    shifted copy (a zero shift on the block itself) except the last, which
-    shifts the block in place.  The copies share one more buffer across the
-    blocks and samples of the call, allocated only when some copy is needed.
+    Its distinct shifts are diagonalized in order of first use on the block
+    itself: the shift is added to its first `count` diagonal entries, and
+    after `eigvalsh` those entries are written back from a saved copy, so
+    every shift sees the assembled block bit for bit and no other buffer
+    is held.
     """
     sigma = _mirror_sign(params.N, params.p)
     half = params.dim // 2
@@ -472,23 +480,16 @@ def _block_spectra(params: ModelParams, defects: list[tuple[float, int]]):
         else:
             plan.append((low, key(1, c, half), 1))
     blocks = [np.zeros((half, half), dtype=complex) for _ in range(1 if sigma else 2)]
-    scratch = None  # the one buffer for shifted copies, made at first need
     for s in range(params.samples):
         _h_blocks(params, sample_rng(params.seed, s), blocks)
         eigs = {}
         for i, block in enumerate(blocks):
-            last = len(shifts[i]) - 1
-            for j, (theta, count) in enumerate(shifts[i]):
-                shifted = block
-                if count:
-                    if j != last:
-                        if scratch is None:
-                            scratch = np.empty_like(block)
-                        shifted = scratch
-                        np.copyto(shifted, block)
-                    levels = np.arange(count)
-                    shifted[levels, levels] += theta
-                eigs[i, (theta, count)] = np.linalg.eigvalsh(shifted)
+            for theta, count in shifts[i]:
+                levels = block.reshape(-1)[: count * (half + 1): half + 1]  # a diagonal view
+                saved = levels.copy()
+                levels += theta
+                eigs[i, (theta, count)] = np.linalg.eigvalsh(block)
+                levels[...] = saved
         yield [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]
 
 

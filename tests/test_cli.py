@@ -320,11 +320,17 @@ class TestZnCommand:
     pytest.param(["freeconv", "--r", "0.25", "--theta", "nan"], "theta must be finite",
                  id="freeconv-theta-nan"),
     pytest.param(["mixed", "--word", "x" * 30], "capped", id="mixed-30-x"),
-    pytest.param(["ed", "--N", "8", "--theta", "nan"], "theta must be finite", id="ed-theta-nan"),
-    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "inf"], "theta must be finite",
+    pytest.param(["ed", "--N", "8", "--theta", "nan"], "--theta must be finite",
+                 id="ed-theta-nan"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "inf"], "--theta must be finite",
                  id="compare-theta-inf"),
-    pytest.param(["ed", "--N", "8", "--phase-thetas", "1,nan"], "theta must be finite",
-                 id="ed-phase-thetas-nan"),
+    pytest.param(["ed", "--N", "8", "--phase-thetas", "1,nan"],
+                 "--phase-thetas entry 'nan' is not a finite number", id="ed-phase-thetas-nan"),
+    pytest.param(["ed", "--N", "8", "--phase-thetas", "1,inf"],
+                 "--phase-thetas entry 'inf' is not a finite number", id="ed-phase-thetas-inf"),
+    pytest.param(["ed", "--N", "8", "--phase-thetas=-inf"],
+                 "--phase-thetas entry '-inf' is not a finite number",
+                 id="ed-phase-thetas-minus-inf"),
     pytest.param(["ed", "--N", "16", "--phase-thetas", "1,,2"],
                  "--phase-thetas entry '' is not a number", id="ed-phase-thetas-empty-entry"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--samples", "1",
