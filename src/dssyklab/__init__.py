@@ -11,8 +11,7 @@ from .moments import (reduced_moment, reduced_moment_compositions, reduced_momen
                       full_moment, boolean_moment_c1, qtilde_limit_check,
                       b_continued_fraction, z_n, MomentTable)
 from .mixed import Word, mixed_moment, word_sum_moment, free_convolution_moment
-from .edlab import (ModelParams, SpectrumSample, majorana, build_h_syk, build_dc,
-                    verify_dc_majorana_expansion, sample_spectra, paired_reduced_moments,
-                    qn_finite, qtilde_weight, phase_scan)
+from .edlab import (ModelParams, majorana, build_h_syk, build_dc, verify_dc_majorana_expansion,
+                    sample_spectra, paired_reduced_moments, qn_finite, qtilde_weight, phase_scan)
 from .freeconv import (GridMeasure, ConvolutionResult, resolvent, semicircle_plus_atomic,
                        outlier_location, semicircle_resolvent)

@@ -302,19 +302,6 @@ def p12_hermite_polynomial(k: int) -> HermiteExpansion:
                              for d in range(max_s + 1)])
 
 
-def involution_count(k: int) -> int:
-    """Number of partitions in P_{1,2}(k): the k-th involution number.
-
-    Oracle for `enumerate_p12`, by the recurrence I(m) = I(m-1) + (m-1) I(m-2).
-    """
-    a, b = 1, 1  # I(0), I(1)
-    if k == 0:
-        return 1
-    for m in range(2, k + 1):
-        a, b = b, b + (m - 1) * a
-    return b
-
-
 def double_factorial(n: int) -> int:
     """n!! = n (n-2) (n-4) ... down to 1 or 2; 1 for n <= 1.
 

@@ -187,8 +187,8 @@ def run_ed(args) -> int:
         return EXIT_OK
     spectra = edlab.sample_spectra(params)
     if args.histogram:
-        hist = edlab.histogram(np.concatenate([s.eigenvalues for s in spectra]), bins=args.bins)
-    rows = [f"{s.sample_index},{_fmt(e)}" for s in spectra for e in s.eigenvalues]
+        hist = edlab.histogram(np.concatenate(spectra), bins=args.bins)
+    rows = [f"{s},{_fmt(e)}" for s, levels in enumerate(spectra) for e in levels]
     _write_csv(args, "sample_index,eigenvalue", rows)
     if args.histogram:
         hrows = [f"{_fmt(a)},{c},{_fmt(d)}" for a, c, d in hist]
@@ -202,8 +202,6 @@ def run_compare(args) -> int:
     params = _model_params(args)
     q, qt = edlab.finite_size_weights(args.N, args.p, args.k)
     note = {"q_finite": str(q), "qtilde": str(qt)}
-    if args.k == 3:
-        note["qtilde_main_text"] = str(edlab.qtilde_weight_main_text(args.p, args.N, args.k))
     means, errs = edlab.paired_reduced_moments(params, args.n_max)
     table = moments.MomentTable.specialized(args.n_max, q=q, qt=qt)
     rows = []
@@ -283,8 +281,6 @@ def run_qtilde(args) -> int:
         "qtilde": str(qt),
         "qtilde_float": float(qt),
     }
-    if args.k == 3:
-        payload["qtilde_main_text"] = str(edlab.qtilde_weight_main_text(args.p, args.N, args.k))
     _write_json(args, payload)
     return EXIT_OK
 

@@ -26,8 +26,10 @@ identity times theta at k = 0 and lies inside the top-bit-0 block at
 k >= 1, so (theta, k) alone fixes each block's shift: theta on the first
 levels of block 0, and a constant on block 1, theta at k = 0 and zero
 otherwise.  A block's spectrum under a shift that repeats, such as the
-defect-free top-bit-1 block, is computed once per sample.  When N/2 is odd
-an antiunitary symmetry maps one block onto the other (`_mirror_sign`), so
+defect-free top-bit-1 block, is computed once per sample and handed out as
+a plain sorted array; a caller that must know whether two spectra are the
+same, like the phase scan, compares their values.  When N/2 is odd an
+antiunitary symmetry maps one block onto the other (`_mirror_sign`), so
 the top-bit-1 spectrum is read off the top-bit-0 one and the top-bit-1
 block is never assembled.  A sample holds one copy of each block it
 diagonalizes: every shift is added to the block in place and undone after
@@ -45,6 +47,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+
+from .qhermite import ConvergenceError
 
 MAX_QUBITS = 12  # dimension cap 2^12
 # gap statistics: the fraction of the pooled spectrum trimmed from each end,
@@ -173,19 +177,6 @@ class ModelParams:
     @property
     def r(self) -> float:
         return 2.0 ** (-self.k)
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Sorted eigenvalues of one Hamiltonian realization."""
-
-    eigenvalues: np.ndarray
-    params: ModelParams
-    sample_index: int
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != self.params.dim:
-            raise ValueError("eigenvalue count must equal the Hilbert dimension")
 
 
 def sample_rng(seed: int, sample_index: int) -> np.random.Generator:
@@ -444,53 +435,48 @@ def _block_spectra(params: ModelParams, defects: list[tuple[float, int]]):
 
     D has ones on its first 2^(N/2-k) levels, so block 0 is shifted by
     theta on its first half >> max(k - 1, 0) levels, and block 1 by the
-    constant theta at k = 0 and by nothing at k >= 1.  A shift is keyed
-    (theta, count), and every zero shift (0.0, 0).  A (block, key) pair
-    that repeats, such as a defect-free block, is diagonalized once per
-    sample and its spectrum returned as the same array.  With sigma =
+    constant theta at k = 0 and by nothing at k >= 1.  Each sample has one
+    memo of spectra, keyed (block, theta, count) with every zero shift
+    keyed (block, 0.0, 0), so a shift that repeats, such as a defect-free
+    block, is diagonalized once per sample.  With sigma =
     `_mirror_sign(N, p)` nonzero (N/2 odd), block 1's spectrum is
     sigma * spec(B0 + sigma c) for its constant shift c, taken from block
-    0's: the same array when sigma = +1, negated (so descending) when
-    sigma = -1.  Block 1 is then never assembled; at N/2 even both blocks
-    are.
+    0's: ascending when sigma = +1, descending when sigma = -1.  Block 1 is
+    then never assembled; at N/2 even both blocks are.  Every spectrum is
+    a plain array; whether two of them are equal is a question of value.
 
     Each block is held once, in one buffer that every sample of the call
     reuses, so a later sample writes into pages that are already mapped.
-    Its distinct shifts are diagonalized in order of first use on the block
-    itself: the shift is added to its first `count` diagonal entries, and
-    after `eigvalsh` those entries are written back from a saved copy, so
-    every shift sees the assembled block bit for bit and no other buffer
-    is held.
+    A shift is diagonalized on the block itself: it is added to the first
+    `count` diagonal entries, and after `eigvalsh` those entries are
+    written back from a saved copy, so every shift sees the assembled
+    block bit for bit and no other buffer is held.
     """
     sigma = _mirror_sign(params.N, params.p)
     half = params.dim // 2
-    shifts: list[dict[tuple[float, int], None]] = [{}, {}]  # per block, in order of first use
-
-    def key(i: int, theta: float, count: int) -> tuple[int, tuple[float, int]]:
-        shift = (theta, count) if theta else (0.0, 0)
-        shifts[i].setdefault(shift)
-        return i, shift
-
-    plan = []
-    for theta, k in defects:
-        low = key(0, theta, half >> max(k - 1, 0))
-        c = theta if k == 0 else 0.0  # block 1's constant shift
-        if sigma:
-            plan.append((low, key(0, sigma * c, half), sigma))
-        else:
-            plan.append((low, key(1, c, half), 1))
     blocks = [np.zeros((half, half), dtype=complex) for _ in range(1 if sigma else 2)]
+    eigs: dict[tuple[int, float, int], np.ndarray] = {}  # this sample's memo
+
+    def spectrum(i: int, theta: float, count: int) -> np.ndarray:
+        if not theta:
+            theta, count = 0.0, 0
+        if (i, theta, count) not in eigs:
+            levels = blocks[i].reshape(-1)[: count * (half + 1): half + 1]  # a diagonal view
+            saved = levels.copy()
+            levels += theta
+            eigs[i, theta, count] = np.linalg.eigvalsh(blocks[i])
+            levels[...] = saved
+        return eigs[i, theta, count]
+
     for s in range(params.samples):
+        eigs.clear()
         _h_blocks(params, sample_rng(params.seed, s), blocks)
-        eigs = {}
-        for i, block in enumerate(blocks):
-            for theta, count in shifts[i]:
-                levels = block.reshape(-1)[: count * (half + 1): half + 1]  # a diagonal view
-                saved = levels.copy()
-                levels += theta
-                eigs[i, (theta, count)] = np.linalg.eigvalsh(block)
-                levels[...] = saved
-        yield [[eigs[low], eigs[high] if sign > 0 else -eigs[high]] for low, high, sign in plan]
+        pairs = []
+        for theta, k in defects:
+            c = theta if k == 0 else 0.0  # block 1's constant shift
+            high = sigma * spectrum(0, sigma * c, half) if sigma else spectrum(1, c, half)
+            pairs.append([spectrum(0, theta, half >> max(k - 1, 0)), high])
+        yield pairs
 
 
 def _spectrum(pair: list[np.ndarray]) -> np.ndarray:
@@ -498,14 +484,14 @@ def _spectrum(pair: list[np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(pair))
 
 
-def sample_spectra(params: ModelParams) -> list[SpectrumSample]:
-    """Eigenvalue spectra of H = H_random + theta * D for each sample.
+def sample_spectra(params: ModelParams) -> list[np.ndarray]:
+    """Sorted eigenvalues of H = H_random + theta * D for each sample, one
+    array of length dim per sample, in sample order.
 
     Deterministic given the seed: sample s always uses the same coupling
     stream regardless of how many samples are requested.
     """
-    return [SpectrumSample(_spectrum(pair), params, s)
-            for s, [pair] in enumerate(_block_spectra(params, [(params.theta, params.k)]))]
+    return [_spectrum(pair) for [pair] in _block_spectra(params, [(params.theta, params.k)])]
 
 
 def paired_reduced_moments(params: ModelParams, max_n: int):
@@ -597,22 +583,6 @@ def finite_size_weights(N: int, p: int, k: int) -> tuple[Fraction, Fraction]:
     return qn_finite(p, N), qtilde_weight(p, N, k) if k else Fraction(1)
 
 
-def qtilde_weight_main_text(p: int, N: int, k: int) -> Fraction:
-    """The alternate k = 3 value printed in the comparison section,
-    (q_0 + 2 q_1)/4; identical to qtilde_weight for k in {1, 2, 4}.
-
-    Kept for the `qtilde_main_text` metadata of `qtilde` and `compare`, and
-    refuted: the exact finite-N m_4, the Wick sum over the couplings, equals
-    the qt walk at `qtilde_weight`, not at this value.  At N = 14, p = 4,
-    k = 3 and theta = 3 it is 17505/143 = 122.413, the walk at
-    qtilde_weight = 43/143; at (q_0 + 2 q_1)/4 = 113/364 the walk gives
-    22311/182 = 122.588.
-    """
-    if k == 3:
-        return (qj_weight(p, N, 0) + 2 * qj_weight(p, N, 1)) / 4
-    return qtilde_weight(p, N, k)
-
-
 # ---------------------------------------------------------------------------
 # phase scan
 # ---------------------------------------------------------------------------
@@ -626,7 +596,9 @@ def spectral_gap_report(pooled: np.ndarray) -> dict:
     nearest-neighbor gap exceeds GAP_SPAN_FRACTION of the interior span:
     a macroscopic void, not a sparse-sampling artifact.  `gap` is the
     detected gap size, zero for unimodal spectra; the max/median spacing
-    ratio is reported alongside for reference.
+    ratio is reported alongside for reference.  A statistic that is not a
+    finite float (a defect so large that the ratio overflows) is a
+    ConvergenceError.
     """
     pooled = np.sort(np.asarray(pooled, dtype=float))
     if len(pooled) < 10:
@@ -641,6 +613,9 @@ def spectral_gap_report(pooled: np.ndarray) -> dict:
                          "median spacing is zero")
     span = float(interior[-1] - interior[0])
     ratio = max_gap / median_gap
+    if not all(map(math.isfinite, (max_gap, median_gap, ratio, span))):
+        raise ConvergenceError("gap statistics overflow a float: "
+                               f"max gap {max_gap:g} over median spacing {median_gap:g}")
     bimodal = max_gap > GAP_SPAN_FRACTION * span
     return {"max_gap": max_gap, "median_gap": median_gap, "gap_ratio": ratio,
             "bimodal": bimodal, "gap": max_gap if bimodal else 0.0}
@@ -650,22 +625,22 @@ def phase_scan(base: ModelParams, thetas: list[float]) -> list[dict]:
     """Gap statistics of pooled sampled spectra at each theta, at base.k.
 
     Each sample's chirality blocks are built once and shared by every
-    theta; a block the defect misses is diagonalized once per sample.  Where
-    block 1's spectrum is block 0's own (N/2 odd, sigma = +1, both shifts
-    the same constant), each level is pooled once: its exact double would
-    make the median spacing zero.
+    theta; a block the defect misses is diagonalized once per sample.  A
+    sample whose two block spectra are equal in value (N/2 odd, sigma = +1,
+    both blocks under the same shift, or under shifts that round away) has
+    each level pooled once: its exact double would make the median spacing
+    zero.
     """
-    grid = [ModelParams(N=base.N, p=base.p, theta=theta, k=base.k, seed=base.seed,
-                        samples=base.samples) for theta in thetas]
-    pooled: list[list[np.ndarray]] = [[] for _ in grid]
-    for sample in _block_spectra(base, [(params.theta, params.k) for params in grid]):
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise ValueError("theta must be finite")
+    pooled: list[list[np.ndarray]] = [[] for _ in thetas]
+    for sample in _block_spectra(base, [(theta, base.k) for theta in thetas]):
         for (low, high), spectra in zip(sample, pooled):
-            spectra += [low] if high is low else [low, high]
-    rows = []
-    for params, spectra in zip(grid, pooled):
-        report = spectral_gap_report(np.concatenate(spectra))
-        rows.append({"theta": params.theta, "k": params.k, "samples": base.samples, **report})
-    return rows
+            spectra += [low] if np.array_equal(low, high) else [low, high]
+    return [{"theta": theta, "k": base.k, "samples": base.samples,
+             **spectral_gap_report(np.concatenate(spectra))}
+            for theta, spectra in zip(thetas, pooled)]
 
 
 def histogram(pooled: np.ndarray, bins: int = 80):

@@ -5,7 +5,7 @@ import pytest
 
 from dssyklab import chordcombi as cc
 from dssyklab.mixed import _arc_labels
-from dssyklab.qcore import MultiPoly
+from dssyklab.qcore import MultiPoly, involution_number
 from dssyklab.qhermite import monomial_to_hermite
 
 
@@ -113,7 +113,7 @@ class TestP12:
 
     def test_counts_are_involution_numbers(self):
         for k in range(9):
-            assert len(cc.enumerate_p12(k)) == cc.involution_count(k)
+            assert len(cc.enumerate_p12(k)) == involution_number(k)
 
     def test_carried_statistics_match_recount(self):
         for k in range(10):
@@ -127,7 +127,7 @@ class TestP12:
 
     def test_every_partition_once(self):
         parts = [s.partition for s in cc.enumerate_p12(7)]
-        assert len(set(parts)) == len(parts) == cc.involution_count(7)
+        assert len(set(parts)) == len(parts) == involution_number(7)
 
     def test_sd_zero_without_singletons(self):
         for s in cc.enumerate_p12(6):

@@ -144,6 +144,28 @@ class TestEdCommand:
         code, _, _ = run_cli(["ed", "--N", "7"], capsys)
         assert code == 2
 
+    def test_phase_scan_pools_a_doubled_level_by_value(self, capsys):
+        # N/2 = 7 odd, p = 4: block 1 mirrors block 0, and a shift of 1e-20
+        # rounds away on every level, so both thetas pool the same levels once
+        code, out, _ = run_cli(["ed", "--N", "14", "--k", "2", "--samples", "4",
+                                "--phase-thetas", "1e-20,0", "--deterministic"], capsys)
+        assert code == 0
+        tiny, zero = [row.split(",") for row in out.splitlines()[-2:]]
+        assert tiny[0] == "1e-20" and zero[0] == "0"
+        assert tiny[1:] == zero[1:]
+
+    @pytest.mark.parametrize("thetas,code", [("1e308,1e308", 3), ("1e200", 0)])
+    def test_phase_scan_gap_ratio_stays_finite(self, thetas, code, capsys):
+        # max_gap near 1e308 over a median spacing near 0.1 overflows the ratio
+        got, out, err = run_cli(["ed", "--N", "12", "--k", "2", "--samples", "2",
+                                 "--phase-thetas", thetas, "--deterministic"], capsys)
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("non-convergence:")
+        else:
+            ratio = float(out.splitlines()[-1].split(",")[5])
+            assert math.isfinite(ratio) and ratio > 1e200
+
 
 class TestCompareCommand:
     def test_small_run_passes_guard(self, capsys):
@@ -179,12 +201,14 @@ class TestCompareCommand:
                         for j in range(0, n, 2))
             assert float(analytic) == pytest.approx(shift, rel=1e-11)
 
-    def test_k3_reports_both_qtilde_conventions(self, capsys):
+    def test_k3_reports_one_qtilde(self, capsys):
+        # the paper's alternate k = 3 weight (q_0 + 2 q_1)/4 is refuted by the
+        # exact m_4, so only the domino-subset weight is printed
         code, out, _ = run_cli(["compare", "--N", "12", "--p", "4", "--k", "3", "--theta", "2",
                                 "--samples", "3", "--n-max", "2", "--deterministic"], capsys)
         assert code == 0
-        assert "# qtilde=" in out
-        assert "# qtilde_main_text=" in out
+        assert f"# qtilde={edlab.qtilde_weight(4, 12, 3)}" in out
+        assert "qtilde_main_text" not in out
 
 
 class TestDensityCommand:
@@ -280,12 +304,13 @@ class TestQtildeCommand:
         assert obj["qtilde"] == "1"
         assert obj["q_j"] == ["1"]
 
-    def test_k3_reports_variant(self, capsys):
+    def test_k3_reports_one_qtilde(self, capsys):
         code, out, _ = run_cli(["qtilde", "--N", "26", "--p", "4", "--k", "3",
                                 "--deterministic"], capsys)
         obj = json.loads(out)
         assert code == 0
-        assert "qtilde_main_text" in obj
+        assert obj["qtilde"] == str(edlab.qtilde_weight(4, 26, 3))
+        assert "qtilde_main_text" not in obj
 
 
     def test_k0_has_no_wall(self, capsys):
