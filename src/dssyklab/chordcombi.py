@@ -15,10 +15,11 @@ walk.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .qcore import HermiteExpansion, MultiPoly, q_integer
+from .qcore import HermiteExpansion, MultiPoly, q_integer, unpack, word_width
 
 PAIR_PARTITION_CAP = 16
 P12_CAP = 12
@@ -110,26 +111,48 @@ def matching_counts(labels) -> Counter:
     open chord, which crosses the len(open) - 1 - j chords opened after it
     and still open.  Partial matchings with equal label tuples merge, so
     the states stay few when labels come in contiguous runs.
+
+    Each state holds its counts as one packed int (`qcore.pack`): the count
+    for c crossings and b chords between labels is the digit
+    c (n/2 + 1) + b of w bits, n = len(labels), and b <= n/2 keeps the b
+    digits of one c apart from the next.  Closing the j-th open chord is
+    one left shift by (len(open) - 1 - j) (n/2 + 1) digits, plus one when
+    its labels differ; opening one shifts nothing.  The final state is
+    unpacked once.
+
+    No digit carries.  Every kept partial matching can be completed: the
+    fit rule keeps its open chords no more than the points after it, and
+    the two numbers have equal parity, so the open chords close on the
+    first of those points and the rest pair among themselves.  Distinct
+    partial matchings keep distinct completions, so a digit, which counts
+    the partial matchings of one state with one pair of statistics, never
+    exceeds the (n - 1)!! perfect matchings; no weight is negative, so no
+    sum that forms a digit exceeds it either.  So
+    w = `qcore.word_width`((n - 1)!!) holds every digit.
     """
     labels = tuple(labels)
-    if len(labels) > PAIR_PARTITION_CAP:
+    n = len(labels)
+    if n > PAIR_PARTITION_CAP:
         raise ValueError(f"matching_counts supports at most {PAIR_PARTITION_CAP} points")
-    if len(labels) % 2:
+    if n % 2:
         return Counter()
-    states: dict[tuple, dict] = {(): {(0, 0): 1}}
+    width = word_width(math.prod(range(n - 1, 0, -2)))
+    block = n // 2 + 1
+    states: dict[tuple, int] = {(): 1}
     for i, label in enumerate(labels):
-        step: dict[tuple, dict] = {}
-        for opened, counts in states.items():
-            moves = [(opened[:j] + opened[j + 1:], len(opened) - 1 - j, other != label)
-                     for j, other in enumerate(opened)]
-            if len(opened) < len(labels) - 1 - i:
-                moves.append((opened + (label,), 0, 0))
-            for key, cr, bc in moves:
-                target = step.setdefault(key, {})
-                for (c, b), count in counts.items():
-                    target[c + cr, b + bc] = target.get((c + cr, b + bc), 0) + count
+        step: dict[tuple, int] = {}
+        for opened, value in states.items():
+            last = len(opened) - 1
+            for j, other in enumerate(opened):
+                key = opened[:j] + opened[j + 1:]
+                shifted = value << ((last - j) * block + (other != label)) * width
+                step[key] = step.get(key, 0) + shifted
+            if last < n - 2 - i:
+                key = opened + (label,)
+                step[key] = step.get(key, 0) + value
         states = step
-    return Counter(states[()])
+    return Counter({(c, b): count for (b, c, _), count in
+                    unpack(states[()], width, block).terms.items()})
 
 
 def enumerate_pair_partitions(n: int) -> list[MatchingStats]:

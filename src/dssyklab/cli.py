@@ -18,6 +18,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,10 +72,64 @@ def _write_csv(args, header: str, rows: list[str], extra: dict | None = None,
     _write(args, "\n".join(_metadata_lines(args, extra) + [header] + rows) + "\n", path)
 
 
+# how json.dumps writes a scalar of each exact type; ints and strings are
+# formatted directly, as a call to json.dumps costs more than the formatting
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                float: json.dumps, bool: json.dumps, type(None): json.dumps}
+
+
+def _record_lines(items, indent: str) -> list[str] | None:
+    """The items of a JSON list at `indent`, each written from one template,
+    when they are flat records: dicts with one set of str keys whose values
+    are scalars of the types in `_SCALAR_TEXT`.  None for any other list."""
+    first = items[0]
+    if not isinstance(first, dict) or not first or any(type(key) is not str for key in first):
+        return None
+    keys = sorted(first)
+    fields = ",\n".join(f"{indent}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                         for key in keys)
+    template = f"{indent}{{\n{fields}\n{indent}}}"
+    lines = []
+    for record in items:
+        if not isinstance(record, dict) or len(record) != len(keys):
+            return None
+        try:
+            values = [_SCALAR_TEXT[type(value)](value) for value in map(record.__getitem__, keys)]
+        except KeyError:  # a key of another set, or a value of another type
+            return None
+        lines.append(template % tuple(values))
+    return lines
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` with every line after the
+    first indented by `indent` as well.
+
+    json.dumps runs its pure-Python encoder whenever it indents, so dicts
+    with str keys and nonempty lists are written here, a list of flat
+    records from one template (`_record_lines`), and scalars as json.dumps
+    writes them.  Anything else (an empty container, a dict with other
+    keys) is left to json.dumps: with ASCII output a JSON string holds no
+    raw newline, so its every newline is indentation.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        lines = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        lines = _record_lines(obj, inner) or [inner + _json_text(value, inner) for value in obj]
+        return "[\n" + ",\n".join(lines) + f"\n{indent}]"
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return _SCALAR_TEXT.get(type(obj), json.dumps)(obj)
+
+
 def _write_json(args, payload: dict, extra: dict | None = None, path: str | None = None):
-    """The payload with its metadata lines under "metadata", keys sorted."""
+    """The payload with its metadata lines under "metadata", keys sorted,
+    as `json.dumps(payload, indent=2, sort_keys=True)` writes it."""
     payload["metadata"] = [line[2:] for line in _metadata_lines(args, extra)]
-    _write(args, json.dumps(payload, indent=2, sort_keys=True), path)
+    _write(args, _json_text(payload), path)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +217,9 @@ def _phase_theta(entry: str) -> float:
         raise ValueError(f"--phase-thetas entry {entry!r} is not a number") from None
     if not math.isfinite(theta):
         raise ValueError(f"--phase-thetas entry {entry!r} is not a finite number")
+    if abs(theta) > edlab.MAX_ABS_THETA:
+        raise ValueError(f"--phase-thetas entry {entry!r} is larger than "
+                         f"{edlab.MAX_ABS_THETA:g} in absolute value")
     return theta
 
 
@@ -169,6 +227,8 @@ def _model_params(args) -> edlab.ModelParams:
     """The ED run parameters of `ed` and `compare`."""
     if not math.isfinite(args.theta):
         raise ValueError("--theta must be finite")
+    if abs(args.theta) > edlab.MAX_ABS_THETA:
+        raise ValueError(f"--theta must be at most {edlab.MAX_ABS_THETA:g} in absolute value")
     return edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
                              seed=args.seed, samples=args.samples)
 

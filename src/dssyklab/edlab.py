@@ -51,6 +51,12 @@ import numpy as np
 from .qhermite import ConvergenceError
 
 MAX_QUBITS = 12  # dimension cap 2^12
+# The command line's cap on |theta|.  eigvalsh returns each level with an
+# absolute error of order eps ||H|| ~ 2.2e-16 |theta|: at |theta| <= 1e6
+# that is below 3e-10, far under the mean level spacing of H_0, whose
+# spectrum is about 4 wide (1e-3 at the largest dimension, 2^12), while
+# at 1e308 the unshifted levels carry no digit at all.
+MAX_ABS_THETA = 1e6
 # gap statistics: the fraction of the pooled spectrum trimmed from each end,
 # and the share of the interior span a gap must exceed to count as a void
 GAP_TRIM = 0.005

@@ -203,6 +203,15 @@ def _paired_vacuum(degrees: tuple[int, ...]) -> MultiPoly:
     return linearization(list(degrees)) * MultiPoly.monomial(qt_pow=total // 2)
 
 
+@lru_cache(maxsize=None)
+def _packed_pairing(degrees: tuple[int, ...]) -> int:
+    """`_paired_vacuum(degrees)` packed at `PACKED_WIDTH` bits a digit, its
+    qt^(sum d / 2) dropped; 0 when sum(d) is odd.  The generating-function
+    oracle asks for each multiset once per column entry, and packs it once
+    per process."""
+    return pack(_paired_vacuum(degrees), PACKED_WIDTH, qt_pow=sum(degrees) // 2)
+
+
 # ---------------------------------------------------------------------------
 # composition route
 # ---------------------------------------------------------------------------
@@ -308,9 +317,9 @@ def reduced_moment_gf(n: int) -> MultiPoly:
     m_n = n [z^n] log 1/(1-B) = sum_m (n/m) [z^n] B^m.
 
     The columns [z^p] B^m keep every Hermite product unexpanded; each
-    deferred product is paired by `_paired_vacuum`, and [z^n] B^m carries
-    theta^m.  The pairing sum runs on packed weights, one sum for each qt
-    power, unpacked once.
+    deferred product is paired by `_paired_vacuum`, packed once
+    (`_packed_pairing`), and [z^n] B^m carries theta^m.  The pairing sum
+    runs on packed weights, one sum for each qt power, unpacked once.
 
     No digit carries.  At q = 1 the sum for qt^b theta^m is (m/n) times
     the value of [qt^b theta^m] m_n there, which counts pairs of a word of
@@ -326,11 +335,10 @@ def reduced_moment_gf(n: int) -> MultiPoly:
     for m in range(1, n + 1):
         sums = {}  # qt power -> packed sum
         for key, weight in _B_POWERS[n][m].items():
-            paired = _paired_vacuum(key)
-            if paired.is_zero():
-                continue
-            half = sum(key) // 2
-            sums[half] = sums.get(half, 0) + weight * pack(paired, PACKED_WIDTH, qt_pow=half)
+            paired = _packed_pairing(key)
+            if paired:
+                half = sum(key) // 2
+                sums[half] = sums.get(half, 0) + weight * paired
         for half, acc in sums.items():
             for (a, _, _), c in unpack(acc, PACKED_WIDTH).terms.items():
                 whole, rest = divmod(n * c, m)

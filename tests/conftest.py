@@ -3,8 +3,8 @@ import pytest
 from dssyklab import moments as mo
 from dssyklab import qhermite as qh
 
-_EXACT_CACHES = (mo._paired_vacuum, mo._block_vacuum, mo._packed_rt_moment, qh._hermite_walk,
-                 qh._rogers_weight, qh.monomial_to_hermite)
+_EXACT_CACHES = (mo._paired_vacuum, mo._packed_pairing, mo._block_vacuum, mo._packed_rt_moment,
+                 qh._hermite_walk, qh._rogers_weight, qh.monomial_to_hermite)
 
 
 def _clear_exact_caches():

@@ -6,7 +6,7 @@ import pytest
 from dssyklab import chordcombi as cc
 from dssyklab.mixed import _arc_labels
 from dssyklab.qcore import MultiPoly, involution_number
-from dssyklab.qhermite import monomial_to_hermite
+from dssyklab.qhermite import monomial_to_hermite, rt_moment
 
 
 def poly_q(*coeffs):
@@ -70,9 +70,23 @@ class TestMatchingCounts:
         for labels in cases:
             assert cc.matching_counts(labels) == recounted_matchings(labels), labels
 
+    def test_arc_rich_labels_match_enumeration_to_the_cap(self):
+        # one arc per x, and two arcs that alternate: the most label tuples
+        # per open-chord count, to the mixed-word cap.  The enumeration's
+        # carried crossing counts are checked against a recount above.
+        for n in range(0, cc.ORACLE_POINT_CAP + 1, 2):
+            matchings = [(stats.cr, stats.partition.pairs())
+                         for stats in cc.enumerate_pair_partitions(n)]
+            for labels in (list(range(n)), [i % 2 for i in range(n)]):
+                expected = Counter((cr, sum(labels[a - 1] != labels[b - 1] for a, b in pairs))
+                                   for cr, pairs in matchings)
+                assert cc.matching_counts(labels) == expected, labels
+
     def test_cap_uniform_and_distinct_labels(self):
-        # crossings do not see labels: both give the 16-point crossing polynomial
+        # crossings do not see labels: both give the 16-point crossing
+        # polynomial, the Touchard-Riordan moment of the Hermite walk
         crossings = cc.transfer_vacuum_moment(16)
+        assert crossings == rt_moment(8)
         for labels, bc in (([0] * 16, 0), (list(range(16)), 8)):
             counts = cc.matching_counts(labels)
             assert {b for _, b in counts} == {bc}

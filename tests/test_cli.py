@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -14,6 +15,35 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# JSON payloads: str keys with non-ASCII and control characters (and the
+# '%' of a template), scalars of every JSON type, flat records with equal
+# and with unequal key sets, and nesting
+JSON_KEYS = st.text(max_size=4) | st.sampled_from(
+    ["num", "den", "q", "100%", "\x00\n\t", "\u00e9\u4e2d", "\U0001f600", ""])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 60, 10 ** 60)
+                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+                | JSON_KEYS)
+SHARED_KEY_RECORDS = st.lists(JSON_KEYS, min_size=1, max_size=5, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({key: JSON_SCALARS for key in keys}),
+                          max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | SHARED_KEY_RECORDS | st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4)
+    | st.tuples(SHARED_KEY_RECORDS, inner).map(lambda pair: pair[0] + [{"nested": pair[1]}]),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=5))
+@example({"moments": {"1": [{"den": "1", "num": "2", "q": 0}] * 2, "2": []}, "x": [[1.5, {}]]})
+@example({"grown": [{"a": 1}, {"a": 2, "b": 3}], "int keys": {"k": {2: {"x": [1]}, 1: []}}})
+def test_json_writer_equals_the_indented_dump(capsys, payload):
+    args = argparse.Namespace(subcommand="mixed", deterministic=True, out=None)
+    cli._write_json(args, payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestMomentsCommand:
@@ -154,17 +184,15 @@ class TestEdCommand:
         assert tiny[0] == "1e-20" and zero[0] == "0"
         assert tiny[1:] == zero[1:]
 
-    @pytest.mark.parametrize("thetas,code", [("1e308,1e308", 3), ("1e200", 0)])
-    def test_phase_scan_gap_ratio_stays_finite(self, thetas, code, capsys):
-        # max_gap near 1e308 over a median spacing near 0.1 overflows the ratio
-        got, out, err = run_cli(["ed", "--N", "12", "--k", "2", "--samples", "2",
-                                 "--phase-thetas", thetas, "--deterministic"], capsys)
-        assert got == code
-        if code:
-            assert out == "" and err.startswith("non-convergence:")
-        else:
-            ratio = float(out.splitlines()[-1].split(",")[5])
-            assert math.isfinite(ratio) and ratio > 1e200
+    @pytest.mark.parametrize("argv", [
+        ["ed", "--N", "8", "--k", "2", "--theta", "1e6", "--samples", "2"],
+        ["ed", "--N", "12", "--k", "2", "--samples", "2", "--phase-thetas=-1e6,1e6"],
+        ["compare", "--N", "8", "--k", "1", "--theta=-1e6", "--samples", "2"],
+    ], ids=["ed", "phase-scan", "compare"])
+    def test_theta_at_the_cap(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--deterministic"], capsys)
+        assert code == 0, err
+        assert all(map(math.isfinite, _numbers(out)))
 
 
 class TestCompareCommand:
@@ -356,6 +384,18 @@ class TestZnCommand:
     pytest.param(["ed", "--N", "8", "--phase-thetas=-inf"],
                  "--phase-thetas entry '-inf' is not a finite number",
                  id="ed-phase-thetas-minus-inf"),
+    pytest.param(["ed", "--N", "12", "--k", "2", "--theta", "1e308"],
+                 "--theta must be at most 1e+06 in absolute value", id="ed-theta-1e308"),
+    pytest.param(["ed", "--N", "8", "--theta=-1000001"],
+                 "--theta must be at most 1e+06 in absolute value", id="ed-theta-past-the-cap"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e7"],
+                 "--theta must be at most 1e+06 in absolute value", id="compare-theta-1e7"),
+    pytest.param(["ed", "--N", "12", "--k", "2", "--samples", "2", "--phase-thetas", "1e200"],
+                 "--phase-thetas entry '1e200' is larger than 1e+06 in absolute value",
+                 id="ed-phase-thetas-1e200"),
+    pytest.param(["ed", "--N", "12", "--k", "2", "--samples", "2", "--phase-thetas",
+                  "1,1e308,1e308"], "--phase-thetas entry '1e308' is larger than 1e+06",
+                 id="ed-phase-thetas-1e308"),
     pytest.param(["ed", "--N", "16", "--phase-thetas", "1,,2"],
                  "--phase-thetas entry '' is not a number", id="ed-phase-thetas-empty-entry"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1", "--samples", "1",
@@ -376,7 +416,10 @@ class TestZnCommand:
                  "--n-max must lie", id="compare-n-max-above-order-cap"),
     pytest.param(["ed", "--N", "4", "--samples", "5", "--phase-thetas", "1"], "too degenerate",
                  id="ed-phase-scan-degenerate"),
-    pytest.param(["ed", "--N", "4", "--theta", "1e17", "--bins", "2", "--histogram", "h.csv"],
+    # at seed 3260 the two levels lie 1.7e-5 apart at 1e6, closer than a
+    # million bins can split in float64
+    pytest.param(["ed", "--N", "2", "--p", "2", "--theta", "1e6", "--seed", "3260",
+                  "--bins", str(10 ** 6), "--histogram", "h.csv"],
                  "bins", id="ed-histogram-fails-before-spectra"),
     pytest.param(["qtilde", "--N", "3", "--p", "4", "--k", "1"], "need 0 < p <= N",
                  id="qtilde-p-above-N"),
@@ -407,7 +450,7 @@ def test_boundary_rejects_before_output(args, reason, capsys):
     assert out == ""
 
 
-THETAS = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, 1e17, 1e60, -1e300]))
+THETAS = st.one_of(st.floats(-8, 8), st.sampled_from([0.0, 1e6, -1e6, 1e17, 1e60, -1e300]))
 VALID = {"--N": st.sampled_from([8, 10, 6, 4, 2]), "--p": st.sampled_from([4, 2, 6]),
          "--k": st.sampled_from([2, 1, 3, 0]), "--theta": THETAS,
          "--samples": st.sampled_from([3, 2, 4]), "--seed": st.sampled_from([3, 0, 2 ** 64 - 1])}
@@ -587,10 +630,10 @@ def test_oversized_rational_names_the_flag(args, flag, capsys):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["zn", "--n", "1", "--beta", "1000", "--q", "0.5", "--qtilde", "0.25"], id="zn"),
-    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e30", "--samples", "2",
-                  "--n-max", "6"], id="compare-1e30"),
-    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e60", "--samples", "2",
-                  "--n-max", "6"], id="compare-1e60"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "1e6", "--samples", "2",
+                  "--n-max", "30"], id="compare-1e6"),
+    pytest.param(["compare", "--N", "8", "--k", "1", "--theta=-1e6", "--samples", "2",
+                  "--n-max", "30"], id="compare-minus-1e6"),
 ])
 def test_overflow_emits_no_runtime_warning(argv, capsys):
     # the overflow is reported by exit 3, not by numpy on stderr
@@ -609,11 +652,11 @@ def test_zn_overflow_is_nonconvergence(capsys):
     assert "inf" not in out and "nan" not in out
 
 
-@pytest.mark.parametrize("theta", ["1e30", "1e60"])
+@pytest.mark.parametrize("theta", ["1e6", "-1e6"])
 def test_compare_overflow_is_nonconvergence(theta, capsys):
-    # 1e30 overflowed the stderr column to inf; 1e60 overflowed the analytic moment
-    code, out, err = run_cli(["compare", "--N", "8", "--k", "1", "--theta", theta,
-                              "--samples", "2", "--n-max", "6", "--deterministic"], capsys)
+    # at the |theta| cap an order near 30 overflows the stderr column to inf
+    code, out, err = run_cli(["compare", "--N", "8", "--k", "1", f"--theta={theta}",
+                              "--samples", "2", "--n-max", "30", "--deterministic"], capsys)
     assert code == 3
     assert out == "" and "overflows a float" in err
 

@@ -9,6 +9,7 @@ import pytest
 
 from dssyklab import edlab as ed
 from dssyklab import moments as mo
+from dssyklab.qhermite import ConvergenceError
 
 
 class TestMajoranaAlgebra:
@@ -622,6 +623,19 @@ class TestPhaseScan:
     def test_unimodal_uniform(self):
         report = ed.spectral_gap_report(np.linspace(0, 1, 2000))
         assert not report["bimodal"] and report["gap"] == 0.0
+
+    @pytest.mark.parametrize("offset", [1e308, 1e200], ids=["1e308", "1e200"])
+    def test_gap_ratio_stays_finite(self, offset):
+        # a unit band and a copy of it `offset` higher: the largest gap over
+        # a median spacing near 0.01 overflows a float at 1e308, not at 1e200
+        band = np.linspace(0, 1, 100)
+        pooled = np.concatenate([band, band + offset])
+        if offset == 1e308:
+            with pytest.raises(ConvergenceError, match="gap statistics overflow a float"):
+                ed.spectral_gap_report(pooled)
+        else:
+            report = ed.spectral_gap_report(pooled)
+            assert report["bimodal"] and 1e200 < report["gap_ratio"] < math.inf
 
 
 class TestModelParams:

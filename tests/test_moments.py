@@ -252,11 +252,14 @@ class TestPairedVacuum:
         assert mo._paired_vacuum((1, 2)).is_zero()
 
     def test_each_degree_multiset_paired_once(self, cold_exact_lab):
-        # reduced_moment_gf(1..14) asks for 1025 pairings of 135 multisets
+        # reduced_moment_gf(1..14) asks for 1025 packed pairings of 135
+        # multisets, and pairs and packs each multiset once
         for n in range(1, 15):
             mo.reduced_moment_gf(n)
-        info = mo._paired_vacuum.cache_info()
-        assert (info.misses, info.hits) == (135, 1025 - 135)
+        packed = mo._packed_pairing.cache_info()
+        assert (packed.misses, packed.hits) == (135, 1025 - 135)
+        paired = mo._paired_vacuum.cache_info()
+        assert (paired.misses, paired.hits) == (135, 0)
 
 
 class TestCompositionOracle:
