@@ -3,7 +3,7 @@ free-convolution baselines for the constant-perturbed double-scaled model."""
 
 __version__ = "0.1.0"
 
-from .qcore import MultiPoly, HermiteExpansion, q_integer, q_factorial, q_binomial, q_multinomial
+from .qcore import MultiPoly, q_integer, q_factorial, q_binomial, q_multinomial
 from .qhermite import (hermite_in_x, monomial_to_hermite, c_closed_form, linearization,
                        rt_moment, nu_q_density, conditional_kernel, QGaussianQuadrature,
                        ConvergenceError)

@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .qcore import HermiteExpansion, MultiPoly, q_integer, unpack, word_width
+from .qcore import MultiPoly, q_integer, unpack, word_width
 
 PAIR_PARTITION_CAP = 16
 P12_CAP = 12
@@ -218,8 +218,9 @@ def enumerate_p12(k: int) -> list[MatchingStats]:
     return out
 
 
-def normal_order_power(k: int) -> HermiteExpansion:
-    """Hermite expansion of T^k obtained by normal-ordering (x + D_q)^k.
+def normal_order_power(k: int) -> tuple[MultiPoly, ...]:
+    """Hermite expansion of T^k obtained by normal-ordering (x + D_q)^k, as
+    the tuple of the coefficients of H_0 .. H_k.
 
     Oracle for `qhermite.monomial_to_hermite`.
 
@@ -247,9 +248,7 @@ def normal_order_power(k: int) -> HermiteExpansion:
             # times D
             add((a, b + 1), coeff)
         form = {key: val for key, val in new.items() if not val.is_zero()}
-    max_a = max((a for (a, b) in form if b == 0), default=0)
-    coeffs = [form.get((a, 0), MultiPoly.zero()) for a in range(max_a + 1)]
-    return HermiteExpansion(coeffs)
+    return tuple(form.get((a, 0), MultiPoly.zero()) for a in range(k + 1))
 
 
 def inhomogeneous_matching_oracle(class_sizes: list[int]) -> MultiPoly:
@@ -313,16 +312,16 @@ def pair_partition_polynomial(n: int) -> MultiPoly:
     return MultiPoly({(cr, 0, 0): c for (cr, _), c in matching_counts([0] * n).items()})
 
 
-def p12_hermite_polynomial(k: int) -> HermiteExpansion:
-    """Aggregate sum over P_{1,2}(k) of q^(cr+sd) H_(s1), grouped by singleton count.
+def p12_hermite_polynomial(k: int) -> tuple[MultiPoly, ...]:
+    """Aggregate sum over P_{1,2}(k) of q^(cr+sd) H_(s1), grouped by singleton
+    count: the tuple of the coefficients of H_0 .. H_k.
 
     Oracle for `normal_order_power`: this is the partition form of the
     normal-ordering identity, so the two agree degree by degree.
     """
     counts = Counter((stats.singleton_count, stats.cr + stats.sd) for stats in enumerate_p12(k))
-    max_s = max((s for s, _ in counts), default=0)
-    return HermiteExpansion([MultiPoly({(a, 0, 0): c for (s, a), c in counts.items() if s == d})
-                             for d in range(max_s + 1)])
+    return tuple(MultiPoly({(a, 0, 0): c for (s, a), c in counts.items() if s == d})
+                 for d in range(k + 1))
 
 
 def double_factorial(n: int) -> int:

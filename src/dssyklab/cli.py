@@ -32,6 +32,18 @@ EXIT_GUARD = 4
 
 ZSCORE_GUARD = 5.0
 MAX_GRID = 10 ** 6  # cap on --grid and --bins: every row or bin is held in memory
+# Cap on the eigenvalues that one `ed` or `compare` run computes: --samples
+# times the dimension 2^(N/2), times the number of --phase-thetas entries
+# for a scan.  `ed` holds them all until it writes (a scan holds every
+# pooled spectrum), as floats and then as CSV rows: at the cap, 16 384
+# samples at N = 12, it peaked at 177 MiB against 38 MiB for 16 samples.
+# The cap is 256 samples at N = 24 and 4096 at N = 16, where the README's
+# runs take 50 and its scan 50 x 4 (51 200 levels).
+MAX_LEVELS = 2 ** 20
+# Cap on the --phase-thetas entries: each one diagonalizes block 0 once per
+# sample and pools a copy of every spectrum.  1000 points resolve a scanned
+# theta range to 0.1 %, where the README's scan and the benchmark's use 4.
+MAX_PHASE_THETAS = 1000
 # the message of the ValueError that str(int) raises past sys.get_int_max_str_digits()
 INT_DIGITS_ERROR = "for integer string conversion"
 
@@ -209,6 +221,19 @@ def run_mixed(args) -> int:
     return EXIT_OK
 
 
+def _phase_thetas(args) -> list[float]:
+    """The --phase-thetas list.  A scan writes no spectra, so --histogram
+    is refused with it."""
+    if args.histogram:
+        raise ValueError("--histogram cannot be combined with --phase-thetas: "
+                         "a phase scan writes no spectra")
+    entries = args.phase_thetas.split(",")
+    if len(entries) > MAX_PHASE_THETAS:
+        raise ValueError(f"--phase-thetas has {len(entries)} entries; "
+                         f"at most {MAX_PHASE_THETAS} are allowed")
+    return [_phase_theta(entry) for entry in entries]
+
+
 def _phase_theta(entry: str) -> float:
     """One entry of the --phase-thetas list as a finite float."""
     try:
@@ -223,22 +248,29 @@ def _phase_theta(entry: str) -> float:
     return theta
 
 
-def _model_params(args) -> edlab.ModelParams:
-    """The ED run parameters of `ed` and `compare`."""
+def _model_params(args, entries: int) -> edlab.ModelParams:
+    """The ED run parameters of `ed` and `compare`, for a scan over
+    `entries` thetas."""
     if not math.isfinite(args.theta):
         raise ValueError("--theta must be finite")
     if abs(args.theta) > edlab.MAX_ABS_THETA:
         raise ValueError(f"--theta must be at most {edlab.MAX_ABS_THETA:g} in absolute value")
-    return edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
-                             seed=args.seed, samples=args.samples)
+    params = edlab.ModelParams(N=args.N, p=args.p, theta=args.theta, k=args.k,
+                               seed=args.seed, samples=args.samples)
+    levels = params.samples * params.dim * entries
+    if levels > MAX_LEVELS:
+        raise ValueError(f"--samples {params.samples} asks for {levels} levels at N={params.N}"
+                         + (f" over {entries} --phase-thetas entries" if entries > 1 else "")
+                         + f"; at most {MAX_LEVELS} are allowed")
+    return params
 
 
 def run_ed(args) -> int:
     if not 1 <= args.bins <= MAX_GRID:
         raise ValueError(f"--bins must be positive and at most {MAX_GRID}")
-    params = _model_params(args)
-    if args.phase_thetas:
-        thetas = [_phase_theta(entry) for entry in args.phase_thetas.split(",")]
+    thetas = _phase_thetas(args) if args.phase_thetas else None
+    params = _model_params(args, len(thetas) if thetas else 1)
+    if thetas:
         rows = edlab.phase_scan(params, thetas)
         body = [f"{_fmt(r['theta'])},{r['k']},{r['samples']},{_fmt(r['max_gap'])},"
                 f"{_fmt(r['median_gap'])},{_fmt(r['gap_ratio'])},{int(r['bimodal'])},{_fmt(r['gap'])}"
@@ -247,7 +279,13 @@ def run_ed(args) -> int:
         return EXIT_OK
     spectra = edlab.sample_spectra(params)
     if args.histogram:
-        hist = edlab.histogram(np.concatenate(spectra), bins=args.bins)
+        pooled = np.concatenate(spectra)
+        try:
+            hist = edlab.histogram(pooled, bins=args.bins)
+        except ValueError:  # numpy's edges repeat: the width is too narrow for the bins
+            raise ValueError(f"--bins {args.bins} is too many for the spectrum's width "
+                             f"{_fmt(pooled.max() - pooled.min())}: the bin edges "
+                             f"would not be distinct floats") from None
     rows = [f"{s},{_fmt(e)}" for s, levels in enumerate(spectra) for e in levels]
     _write_csv(args, "sample_index,eigenvalue", rows)
     if args.histogram:
@@ -259,7 +297,7 @@ def run_ed(args) -> int:
 def run_compare(args) -> int:
     if not 1 <= args.n_max <= moments.MAX_MOMENT_ORDER:
         raise ValueError(f"--n-max must lie in 1..{moments.MAX_MOMENT_ORDER}")
-    params = _model_params(args)
+    params = _model_params(args, 1)
     q, qt = edlab.finite_size_weights(args.N, args.p, args.k)
     note = {"q_finite": str(q), "qtilde": str(qt)}
     means, errs = edlab.paired_reduced_moments(params, args.n_max)
@@ -292,9 +330,13 @@ def _check_grid(args):
         raise ValueError(f"--grid must lie in 2..{MAX_GRID}")
 
 
-def run_density(args) -> int:
+def _check_q(args):
     if not 0.0 <= args.q <= qhermite.Q_NUMERIC_MAX:
         raise ValueError(f"--q must lie in [0, {qhermite.Q_NUMERIC_MAX}]")
+
+
+def run_density(args) -> int:
+    _check_q(args)
     _check_grid(args)
     if args.kernel_r is None and args.kernel_x is not None:
         raise ValueError("--kernel-x needs --kernel-r")
@@ -346,6 +388,9 @@ def run_qtilde(args) -> int:
 
 
 def run_zn(args) -> int:
+    _check_q(args)
+    if not 0.0 <= args.qtilde < 1.0:
+        raise ValueError("--qtilde must lie in [0, 1)")
     value = moments.z_n(args.n, args.beta, args.q, args.qtilde)
     row = f"{args.n},{_fmt(args.beta)},{_fmt(args.q)},{_fmt(args.qtilde)},{_fmt(value)}"
     _write_csv(args, "n,beta,q,qtilde,z_n", [row])
@@ -451,18 +496,18 @@ def _subparser(build: bool, **kwargs) -> argparse.ArgumentParser | None:
     return argparse.ArgumentParser(**kwargs) if build else None
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The command-line parser.  Every subcommand is registered with its
-    name and help, but only those whose name is a token of `argv` (all of
-    them when `argv` is None) get a parser and their arguments: argparse
-    hands the rest of the command line to the subparser named by a token,
-    so no other subparser is ever parsed or printed."""
+    name and help, but only those whose name is a token of `argv` get a
+    parser and their arguments: argparse hands the rest of the command line
+    to the subparser named by a token, so no other subparser is ever parsed
+    or printed."""
     parser = argparse.ArgumentParser(prog="dssyklab",
                                      description="moment laboratory for the defect-perturbed model")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_subparser)
-    tokens = None if argv is None else set(argv)
+    tokens = set(argv)
     for name, text, add_args, runner in _subcommands():
-        build = tokens is None or name in tokens
+        build = name in tokens
         p = sub.add_parser(name, help=text, build=build)
         if build:
             add_args(p)

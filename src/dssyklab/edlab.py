@@ -67,28 +67,6 @@ GAP_SPAN_FRACTION = 0.05
 # Pauli-string machinery
 # ---------------------------------------------------------------------------
 
-def _pauli_string(labels: list[str]) -> tuple[int, int, complex]:
-    """(x-mask, z-mask, phase) of a Pauli tensor product, read as
-    phase * X^x Z^z with Y = i X Z.
-
-    Qubit 1 is the leftmost factor / most significant bit.
-    """
-    n = len(labels)
-    x = z = 0
-    phase = 1 + 0j
-    for m, label in enumerate(labels, start=1):
-        if label not in ("i", "x", "y", "z"):
-            raise ValueError(f"unknown Pauli label {label!r}")
-        bit = 1 << (n - m)
-        if label in ("x", "y"):
-            x |= bit
-        if label in ("y", "z"):
-            z |= bit
-        if label == "y":
-            phase *= 1j
-    return x, z, phase
-
-
 def _pauli_product(strings) -> tuple[int, int, complex]:
     """Product of Pauli strings, left to right, by the symplectic rule
     (x1, z1, s1)(x2, z2, s2) = (x1^x2, z1^z2, s1 s2 (-1)^|z1 & x2|)."""
@@ -118,21 +96,25 @@ def _pauli_matrix(string: tuple[int, int, complex], n: int) -> np.ndarray:
     return out
 
 
-def _majorana_labels(l: int, N: int) -> list[str]:
-    n = N // 2
-    if l == 1:
-        return ["x"] * n
-    j, odd = divmod(l, 2)
-    # psi_{2j} carries Y, psi_{2j+1} carries Z, both at position n-j+1
-    pos = n - j + 1
-    labels = ["x"] * (pos - 1) + ["z" if odd else "y"] + ["i"] * (n - pos)
-    return labels
-
-
 @lru_cache(maxsize=8)
 def _majorana_strings(N: int) -> list[tuple[int, int, complex]]:
+    """(x-mask, z-mask, phase) of psi_1 .. psi_N in the layout above, with
+    qubit 1 as the top bit of n = N/2: psi_1 = X^n, and for j = 1 .. n the
+    Y or Z of psi_2j or psi_2j+1 sits on bit j - 1 below a run of X.  As
+    phase * X^x Z^z with Y = i X Z:
+
+        psi_1    = (2^n - 1,       0,       1)
+        psi_2j   = (2^n - 2^(j-1), 2^(j-1), i)
+        psi_2j+1 = (2^n - 2^j,     2^(j-1), 1)
+    """
     _check_even_dim(N)
-    return [_pauli_string(_majorana_labels(l, N)) for l in range(1, N + 1)]
+    top = 1 << (N // 2)
+    strings = [(top - 1, 0, 1 + 0j)]
+    for l in range(2, N + 1):
+        j, odd = divmod(l, 2)
+        low = 1 << (j - 1)
+        strings.append((top - 2 * low, low, 1 + 0j) if odd else (top - low, low, 1j))
+    return strings
 
 
 def _check_even_dim(N: int):
@@ -532,28 +514,32 @@ def paired_reduced_moments(params: ModelParams, max_n: int):
 # finite-size weights
 # ---------------------------------------------------------------------------
 
+def _sign_mean(a: int, p: int, N: int) -> Fraction:
+    """E (-1)^|A & I| over a uniform p-subset I of N Majoranas, for a fixed
+    a-subset A: the sign an even-p term picks up when it moves past the
+    product of A's Majoranas."""
+    if not 0 < p <= N:
+        raise ValueError("need 0 < p <= N")
+    total = sum((-1) ** c * math.comb(a, c) * math.comb(N - a, p - c)
+                for c in range(min(a, p) + 1))
+    return Fraction(total, math.comb(N, p))
+
+
 def qn_finite(p: int, N: int) -> Fraction:
-    """Finite-size crossing weight: the normalized alternating overlap sum.
+    """Finite-size crossing weight: the sign mean of two p-body terms.
 
     Tends to exp(-2 p^2 / N) in the double-scaling regime; equals (-1)^p
     at p = N.
     """
-    if not 0 < p <= N:
-        raise ValueError("need 0 < p <= N")
-    total = sum((-1) ** c * math.comb(p, c) * math.comb(N - p, p - c)
-                for c in range(p + 1))
-    return Fraction(total, math.comb(N, p))
+    return _sign_mean(p, p, N)
 
 
 def qj_weight(p: int, N: int, j: int) -> Fraction:
-    """Average exchange factor q_j between a p-body term and a 2j-Majorana block."""
-    if not 0 < p <= N:
-        raise ValueError("need 0 < p <= N")
+    """Average exchange factor q_j between a p-body term and a 2j-Majorana
+    block: the sign mean at |A| = 2j, so q_{p/2} = `qn_finite`."""
     if j < 0 or 2 * j > N:
         raise ValueError("need 0 <= 2j <= N")
-    total = sum((-1) ** l * math.comb(2 * j, l) * math.comb(N - 2 * j, p - l)
-                for l in range(min(2 * j, p) + 1))
-    return Fraction(total, math.comb(N, p))
+    return _sign_mean(2 * j, p, N)
 
 
 def qtilde_weight(p: int, N: int, k: int) -> Fraction:

@@ -15,7 +15,7 @@ The oracles stop at `ORACLE_MAX_ORDER`, and neither is built on the walk.
 Both expand each interval of k letters x as x^k = sum_d c_d H_d, whose H_d
 stands for the d chords the interval leaves open, and weight qt once, where
 the open chords pair: a linearized product <H_{d_1} ... H_{d_l}> carries
-qt^(sum d / 2) (`_paired_vacuum`).
+qt^(sum d / 2) (`_paired_vacuum`, and `_packed_pairing` on packed ints).
 
 Packed polynomials (`qcore.pack`) take their digit width from one rule,
 `qcore.word_width` of a bound at q = qt = theta = 1 that no digit can pass,
@@ -192,10 +192,10 @@ def _paired_vacuum(degrees: tuple[int, ...]) -> MultiPoly:
     H_{d_j} stands for the d_j chords that interval j leaves open.  They
     pair with the open chords of other intervals, so each of the sum(d)/2
     chords passes a wall and carries one qt (the chord picture of Berkooz
-    et al., arXiv:1811.02584).  Zero when sum(d) is odd.  Both oracles
-    weight qt here and nowhere else.  The product commutes, so callers pass
-    the degrees as a sorted tuple and each multiset is paired once per
-    process.
+    et al., arXiv:1811.02584).  Zero when sum(d) is odd.  The composition
+    oracle weights qt here and nowhere else.  The product commutes, so
+    callers pass the degrees as a sorted tuple and each multiset is paired
+    once per process.
     """
     total = sum(degrees)
     if total % 2:
@@ -205,11 +205,14 @@ def _paired_vacuum(degrees: tuple[int, ...]) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _packed_pairing(degrees: tuple[int, ...]) -> int:
-    """`_paired_vacuum(degrees)` packed at `PACKED_WIDTH` bits a digit, its
-    qt^(sum d / 2) dropped; 0 when sum(d) is odd.  The generating-function
-    oracle asks for each multiset once per column entry, and packs it once
-    per process."""
-    return pack(_paired_vacuum(degrees), PACKED_WIDTH, qt_pow=sum(degrees) // 2)
+    """The generating-function oracle's pairing rule: the vacuum expectation
+    of prod_j H_{d_j} packed at `PACKED_WIDTH` bits a digit, 0 when sum(d)
+    is odd.  The caller weights it by qt^(sum d / 2), as `_paired_vacuum`
+    does.  The oracle asks for each multiset once per column entry, and
+    packs it once per process."""
+    if sum(degrees) % 2:
+        return 0
+    return pack(linearization(list(degrees)), PACKED_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +235,7 @@ def _block_vacuum(comp: tuple[int, ...]) -> MultiPoly:
     x^{k_i} = sum_d c_d H_d, and the open chords pair by `_paired_vacuum`.
     Zero Hermite coefficients and zero pairings are skipped.  It serves the
     composition oracle only."""
-    options = [[(d, c) for d, c in enumerate(monomial_to_hermite(k).coeffs) if not c.is_zero()]
+    options = [[(d, c) for d, c in enumerate(monomial_to_hermite(k)) if not c.is_zero()]
                for k in comp]
     total = MultiPoly.zero()
     for choice in product(*options):
@@ -299,7 +302,7 @@ def _b_power_column(p: int) -> list[dict]:
     n <= `ORACLE_MAX_ORDER`.
     """
     column = [{}, {(d,) if d else (): pack(c, PACKED_WIDTH)
-                   for d, c in enumerate(monomial_to_hermite(p - 1).coeffs) if not c.is_zero()}]
+                   for d, c in enumerate(monomial_to_hermite(p - 1)) if not c.is_zero()}]
     for m in range(2, p + 1):
         bucket = {}
         for i in range(1, p - m + 2):
@@ -317,8 +320,8 @@ def reduced_moment_gf(n: int) -> MultiPoly:
     m_n = n [z^n] log 1/(1-B) = sum_m (n/m) [z^n] B^m.
 
     The columns [z^p] B^m keep every Hermite product unexpanded; each
-    deferred product is paired by `_paired_vacuum`, packed once
-    (`_packed_pairing`), and [z^n] B^m carries theta^m.  The pairing sum
+    deferred product is paired by `_packed_pairing`, weighted by
+    qt^(sum d / 2), and [z^n] B^m carries theta^m.  The pairing sum
     runs on packed weights, one sum for each qt power, unpacked once.
 
     No digit carries.  At q = 1 the sum for qt^b theta^m is (m/n) times
@@ -466,7 +469,7 @@ def _b_levels(q: float, qt: float, depth: int) -> tuple[tuple[int, float, float]
                  for j in range(depth, -1, -1))
 
 
-def _b_fractions(z: float, x0: float, levels, theta: float) -> tuple[float, float]:
+def _b_fractions(z: float, x0: float, levels) -> tuple[float, float]:
     """B from the full level table and from the table cut five levels
     shorter, in one pass: the five deepest levels run alone, then both
     fractions step through the levels they share.  Each step evaluates
@@ -493,18 +496,18 @@ def _b_fractions(z: float, x0: float, levels, theta: float) -> tuple[float, floa
             pole = j
     if pole is not None:
         raise ConvergenceError(f"continued fraction hit a pole at level {pole}")
-    return theta * z * deep, theta * z * shallow
+    return z * deep, z * shallow
 
 
-def b_continued_fraction(z: float, x0: float, q: float, qt: float,
-                         depth: int = 60, theta: float = 1.0) -> float:
-    """Continued-fraction evaluation of the interval generating function B.
+def b_continued_fraction(z: float, x0: float, q: float, qt: float, depth: int = 60) -> float:
+    """Continued-fraction evaluation of the interval generating function B
+    at theta = 1 (theta enters B as an overall linear factor).
 
     Level j has diagonal sqrt(qt) q^j x0 and off-diagonal weight
     (1 - qt q^j)[j+1]_q; the level table is cached per (q, qt, depth).
     Convergence is checked by comparing the full depth with the same table
     cut five levels shorter; one pass over the levels evaluates both
-    (`_b_fractions`).  theta enters as an overall linear factor.
+    (`_b_fractions`).
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("need 0 <= q < 1")
@@ -512,28 +515,26 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float,
         raise ValueError("need 0 <= qt <= 1")
     if depth < 20:
         raise ValueError("depth must be at least 20")
-    deep, shallow = _b_fractions(z, x0, _b_levels(float(q), float(qt), depth), theta)
+    deep, shallow = _b_fractions(z, x0, _b_levels(float(q), float(qt), depth))
     if abs(deep - shallow) > 1e-12 * max(1.0, abs(deep)):
         raise ConvergenceError(
             f"continued fraction not settled at depth {depth}: |delta|={abs(deep - shallow):.3e}")
     return deep
 
 
-def b_series(z: float, x0: float, q: float, qt: float, order: int = 12,
-             theta: float = 1.0) -> float:
-    """Partial sum of B to z^order, with [z^p] B = theta x^(p-1) expanded as
-    theta sum_d c_d sqrt(qt)^d H_d(x0).
+def b_series(z: float, x0: float, q: float, qt: float) -> float:
+    """Partial sum of B to z^12 at theta = 1, with [z^p] B = x^(p-1)
+    expanded as sum_d c_d sqrt(qt)^d H_d(x0).
 
     Oracle for `b_continued_fraction`.
     """
     sq = math.sqrt(qt)
-    hvals = qhermite.hermite_values(order - 1, np.array(x0), q)
+    hvals = qhermite.hermite_values(11, np.array(x0), q)
     total = 0.0
-    for p in range(1, order + 1):
-        coeffs = monomial_to_hermite(p - 1).coeffs
+    for p in range(1, 13):
         total += z ** p * sum(c.evaluate(q=q) * sq ** d * float(hvals[d])
-                              for d, c in enumerate(coeffs))
-    return theta * total
+                              for d, c in enumerate(monomial_to_hermite(p - 1)))
+    return total
 
 
 def coherent_state_factor(x, q: float, z: float):
@@ -613,12 +614,6 @@ class MomentTable:
             "params": self.params_note,
             "moments": {str(n): self.values[n - 1].to_json_obj() for n in range(1, self.max_n + 1)},
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MomentTable":
-        max_n = int(obj["max_n"])
-        vals = [MultiPoly.from_json_obj(obj["moments"][str(n)]) for n in range(1, max_n + 1)]
-        return cls(max_n, vals, dict(obj["params"]))
 
     def numeric_rows(self) -> list[tuple[int, float]]:
         """(n, m_n) pairs; only valid once fully specialized."""

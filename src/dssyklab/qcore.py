@@ -113,9 +113,6 @@ class MultiPoly:
         """The coefficient of the constant term (polynomial need not be constant)."""
         return self._terms.get((0, 0, 0), 0)
 
-    def coefficient(self, q_pow=0, qt_pow=0, theta_pow=0) -> Coefficient:
-        return self._terms.get((q_pow, qt_pow, theta_pow), 0)
-
     def degree(self, variable: str) -> int:
         """Largest exponent of ``variable`` ('q', 'qt' or 'theta'); -1 if zero poly."""
         idx = {"q": 0, "qt": 1, "theta": 2}[variable]
@@ -308,40 +305,6 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-class HermiteExpansion:
-    """A finite expansion in the monic q-Hermite basis H_0, H_1, ...
-
-    coeffs[d] is the MultiPoly coefficient of H_d; trailing zero
-    coefficients are trimmed on construction.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[MultiPoly]):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, d: int) -> MultiPoly:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return MultiPoly.zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HermiteExpansion):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = " + ".join(f"({c})*H{d}" for d, c in enumerate(self.coeffs) if not c.is_zero())
-        return f"HermiteExpansion[{body or '0'}]"
-
-
 # ---------------------------------------------------------------------------
 # packed polynomials in q (Kronecker substitution)
 # ---------------------------------------------------------------------------
@@ -350,15 +313,14 @@ class HermiteExpansion:
 _WORD_CODES = {8 * memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
 
 
-def pack(poly: MultiPoly, width: int, qt_pow: int = 0) -> int:
+def pack(poly: MultiPoly, width: int) -> int:
     """A polynomial in q with nonnegative int coefficients, read at q = 2^width.
 
     Each coefficient becomes one width-bit digit, so one integer product of
     two packed polynomials is their polynomial product (Kronecker
     substitution; Harvey, J. Symbolic Comput. 44 (2009)), exact as long
     as no coefficient of the product reaches 2^width: callers bound the
-    coefficients first.  Every term must carry qt^qt_pow, which is dropped,
-    and no theta; a term with another qt or theta power, a negative or
+    coefficients first.  A term with a power of qt or theta, a negative or
     non-integral coefficient, or one of width bits or more, is a ValueError.
     Linear in the size of the result: digits of a machine word's width are
     written as words into one buffer, others as one binary string.
@@ -372,9 +334,8 @@ def pack(poly: MultiPoly, width: int, qt_pow: int = 0) -> int:
     else:
         digits = [0] * top
     for (a, b, c), coeff in terms.items():
-        if b != qt_pow or c:
-            raise ValueError(f"cannot pack q^{a} qt^{b} theta^{c}: only qt^{qt_pow} "
-                             f"times powers of q pack")
+        if b or c:
+            raise ValueError(f"cannot pack q^{a} qt^{b} theta^{c}: only powers of q pack")
         if type(coeff) is not int or coeff < 0 or coeff >> width:
             raise ValueError(f"cannot pack the coefficient {coeff} of q^{a} "
                              f"into a {width}-bit digit")

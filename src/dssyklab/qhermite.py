@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import (HermiteExpansion, MultiPoly, involution_number, pack, q_binomial,
-                    q_factorial, q_integer, unpack, word_width)
+from .qcore import (MultiPoly, involution_number, pack, q_binomial, q_factorial, q_integer,
+                    unpack, word_width)
 
 Q_NUMERIC_MAX = 0.99
 PRODUCT_EPS = 1e-16
@@ -54,17 +54,19 @@ def hermite_in_x(n: int) -> list[MultiPoly]:
 
 
 @lru_cache(maxsize=None)
-def monomial_to_hermite(k: int) -> HermiteExpansion:
+def monomial_to_hermite(k: int) -> tuple[MultiPoly, ...]:
     """Expansion x^k = sum_m c_{m,k} H_{k-2m}: the walk over k factors H_1 = x.
 
-    Each step is x H_j = H_{j+1} + [j]_q H_{j-1}, so all coefficients come
-    out as exact polynomials in q with no division.  Memoized, so each
-    power is unpacked from the walk once per process.
+    Entry d of the tuple is the coefficient of H_d, for d = 0 .. k; the
+    last is 1.  Each step is x H_j = H_{j+1} + [j]_q H_{j-1}, so all
+    coefficients come out as exact polynomials in q with no division.
+    Memoized, so each power is unpacked from the walk once per process; the
+    tuple and its polynomials are immutable, so callers share them.
     """
     if k < 0:
         raise ValueError("power must be nonnegative")
     width, coeffs = _hermite_walk((1,) * k)
-    return HermiteExpansion(unpack(c, width) for c in coeffs)
+    return tuple(unpack(c, width) for c in coeffs)
 
 
 def c_closed_form(m: int, n: int, q_value: Fraction) -> Fraction:
@@ -154,7 +156,7 @@ def rt_moment(k: int) -> MultiPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return monomial_to_hermite(2 * k).coefficient(0)
+    return monomial_to_hermite(2 * k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +205,16 @@ def _log_q_product(a: float, q: float, cos_phi, sin2_half_phi):
     return total
 
 
+def _log_density_product(sin2, q: float):
+    """log of (q; q)_inf prod_{k>=1} |1 - q^k e^{2it}|^2, given sin2 = sin^2 t:
+    the infinite product of the q-Gaussian density."""
+    return 0.5 * _log_q_product(q, q, 1.0, 0.0) + _log_q_product(q, q, 1.0 - 2.0 * sin2, sin2)
+
+
 def _theta_weight(theta: np.ndarray, q: float) -> np.ndarray:
     """Quadrature weight in theta: (2/pi) sin^2(t) (q; q)_inf prod_{k>=1} |1 - q^k e^{2it}|^2."""
     sin2 = np.sin(theta) ** 2
-    log_prod = 0.5 * _log_q_product(q, q, 1.0, 0.0) + _log_q_product(q, q, 1.0 - 2.0 * sin2, sin2)
-    return (2.0 / math.pi) * sin2 * np.exp(log_prod)
+    return (2.0 / math.pi) * sin2 * np.exp(_log_density_product(sin2, q))
 
 
 # The 8-point Gauss-Legendre rule on [-1, 1], equal bit for bit to
@@ -264,8 +271,7 @@ def nu_q_density(x, q: float):
     # math, not numpy: numpy's acos/sin differ from libm in the last bit
     theta = np.fromiter(map(math.acos, arg), float, arg.size)
     sin_t = np.fromiter(map(math.sin, theta), float, arg.size)
-    sin2 = sin_t ** 2
-    log_prod = 0.5 * _log_q_product(q, q, 1.0, 0.0) + _log_q_product(q, q, 1.0 - 2.0 * sin2, sin2)
+    log_prod = _log_density_product(sin_t ** 2, q)
     dens = ((math.sqrt(1.0 - q) / math.pi) * sin_t * np.exp(log_prod)).reshape(xs.shape)
     return float(dens) if dens.ndim == 0 else dens
 

@@ -80,9 +80,9 @@ def test_criterion_4_oracle_suite():
         assert rt == cc.transfer_vacuum_moment(2 * k, k), f"k={k}"
     # printed normal orderings
     t2, t3, t4 = cc.normal_order_power(2), cc.normal_order_power(3), cc.normal_order_power(4)
-    assert t2.coefficient(0) == MultiPoly.one()
-    assert t3.coefficient(1) == 2 + Q
-    assert t4.coefficient(2) == 3 + 2 * Q + Q ** 2 and t4.coefficient(0) == 2 + Q
+    assert t2[0] == MultiPoly.one()
+    assert t3[1] == 2 + Q
+    assert t4[2] == 3 + 2 * Q + Q ** 2 and t4[0] == 2 + Q
     # partition-resolved normal ordering identity, k <= 10
     for k in range(11):
         assert cc.p12_hermite_polynomial(k) == cc.normal_order_power(k), f"k={k}"
@@ -97,7 +97,7 @@ def test_criterion_5_closed_form_coefficients():
             walk = qh.monomial_to_hermite(k)
             for m in range(k // 2 + 1):
                 assert qh.c_closed_form(m, k, q) == \
-                    walk.coefficient(k - 2 * m).evaluate_exact(q, 0, 0), (m, k, q)
+                    walk[k - 2 * m].evaluate_exact(q, 0, 0), (m, k, q)
     _report(5, "closed-form c_{m,k} equals recurrence route at q in {0,1/3,1/2}, k <= 12")
 
 

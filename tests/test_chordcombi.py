@@ -151,19 +151,17 @@ class TestP12:
 
 class TestNormalOrdering:
     def test_printed_t2(self):
-        e = cc.normal_order_power(2)
-        assert e.coefficient(2) == MultiPoly.one()
-        assert e.coefficient(0) == MultiPoly.one()
+        assert cc.normal_order_power(2) == (MultiPoly.one(), MultiPoly.zero(), MultiPoly.one())
 
     def test_printed_t3(self):
         e = cc.normal_order_power(3)
-        assert e.coefficient(1) == poly_q(2, 1)
-        assert e.coefficient(3) == MultiPoly.one()
+        assert e[1] == poly_q(2, 1)
+        assert e[3] == MultiPoly.one()
 
     def test_printed_t4(self):
         e = cc.normal_order_power(4)
-        assert e.coefficient(0) == poly_q(2, 1)
-        assert e.coefficient(2) == poly_q(3, 2, 1)
+        assert e[0] == poly_q(2, 1)
+        assert e[2] == poly_q(3, 2, 1)
 
     def test_matches_basis_change(self):
         for k in range(11):
@@ -173,6 +171,14 @@ class TestNormalOrdering:
         # singleton-resolved partition sum, degree by degree
         for k in range(11):
             assert cc.p12_hermite_polynomial(k) == cc.normal_order_power(k)
+
+    def test_expansions_are_tuples_up_to_h_k(self):
+        # both oracles end in the coefficient 1 of H_k, so a tuple of k + 1
+        # entries holds no trailing zero
+        for k in range(cc.P12_CAP + 1):
+            for expansion in (cc.normal_order_power(k), cc.p12_hermite_polynomial(k)):
+                assert type(expansion) is tuple and len(expansion) == k + 1
+                assert expansion[-1] == MultiPoly.one()
 
 
 class TestInhomogeneousOracle:

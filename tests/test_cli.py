@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dssyklab import cli, edlab
 from dssyklab.moments import MomentTable, reduced_moment
+from dssyklab.qcore import MultiPoly
 from dssyklab.qhermite import rt_moment
 
 
@@ -50,8 +51,9 @@ class TestMomentsCommand:
     def test_symbolic_json(self, capsys):
         code, out, _ = run_cli(["moments", "--n", "4", "--symbolic", "--deterministic"], capsys)
         assert code == 0
-        table = MomentTable.from_json_obj(json.loads(out))
-        assert table.moment(4) == reduced_moment(4)
+        moments = json.loads(out)["moments"]
+        assert [MultiPoly.from_json_obj(moments[str(n)]) for n in range(1, 5)] == [
+            reduced_moment(n) for n in range(1, 5)]
 
     def test_trivial_numeric(self, capsys):
         code, out, _ = run_cli(["moments", "--n", "1", "--theta", "2", "--deterministic"], capsys)
@@ -193,6 +195,60 @@ class TestEdCommand:
         code, out, err = run_cli(argv + ["--deterministic"], capsys)
         assert code == 0, err
         assert all(map(math.isfinite, _numbers(out)))
+
+    @pytest.mark.parametrize("argv,allowed", [
+        (["ed", "--N", "8", "--samples", "4"], True),  # 4 x 16 levels
+        (["ed", "--N", "8", "--samples", "5"], False),
+        (["ed", "--N", "8", "--samples", "2", "--phase-thetas", "1,2"], True),
+        (["ed", "--N", "8", "--samples", "2", "--phase-thetas", "1,2,3"], False),
+        (["compare", "--N", "8", "--k", "1", "--theta", "1", "--samples", "4"], True),
+        (["compare", "--N", "8", "--k", "1", "--theta", "1", "--samples", "5"], False),
+    ], ids=["ed-at", "ed-past", "scan-at", "scan-past", "compare-at", "compare-past"])
+    def test_level_cap_counts_samples_dim_and_entries(self, argv, allowed, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LEVELS", 64)
+        monkeypatch.setattr(edlab, "sample_rng", _first_sample)
+        if allowed:
+            with pytest.raises(Sampled):
+                cli.main(argv + ["--deterministic"])
+            return
+        code, out, err = run_cli(argv + ["--deterministic"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --samples ") and err.endswith("; at most 64 are allowed\n")
+
+    def test_phase_thetas_entries_are_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PHASE_THETAS", 3)
+        monkeypatch.setattr(edlab, "sample_rng", _first_sample)
+        argv = ["ed", "--N", "8", "--samples", "2", "--deterministic", "--phase-thetas"]
+        with pytest.raises(Sampled):
+            cli.main(argv + ["1,2,3"])
+        code, out, err = run_cli(argv + ["1,2,3,4"], capsys)
+        assert (code, out, err) == (2, "", "error: --phase-thetas has 4 entries; "
+                                           "at most 3 are allowed\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["ed", "--N", "8", "--k", "1", "--samples", "2", "--phase-thetas", "1,2",
+         "--histogram", "HIST"],
+        ["ed", "--N", "12", "--samples", "100000"],
+        ["ed", "--N", "16", "--k", "2", "--samples", "10", "--phase-thetas",
+         ",".join(["1"] * 410)],
+        ["ed", "--N", "8", "--phase-thetas", ",".join(["1"] * 1001)],
+        ["compare", "--N", "16", "--k", "2", "--theta", "5", "--samples", "4097"],
+    ], ids=["histogram-with-scan", "samples", "scan-levels", "scan-entries", "compare-samples"])
+    def test_caps_reject_before_any_sample(self, argv, tmp_path, capsys, monkeypatch):
+        hist = tmp_path / "h.csv"
+        monkeypatch.setattr(edlab, "sample_rng", _first_sample)
+        code, out, err = run_cli([str(hist) if a == "HIST" else a for a in argv]
+                                 + ["--deterministic"], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: --")
+        assert not hist.exists()
+
+
+class Sampled(Exception):
+    """Raised where an ED run would draw its first sample."""
+
+
+def _first_sample(*args):
+    raise Sampled
 
 
 class TestCompareCommand:
@@ -358,9 +414,10 @@ class TestZnCommand:
         assert float(body[1].split(",")[-1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_validation(self, capsys):
-        code, _, _ = run_cli(["zn", "--n", "1", "--beta", "1", "--q", "0.5",
-                              "--qtilde", "1.0"], capsys)
+        code, _, err = run_cli(["zn", "--n", "1", "--beta", "1", "--q", "0.5",
+                                "--qtilde", "1.0"], capsys)
         assert code == 2
+        assert err == "error: --qtilde must lie in [0, 1)\n"
 
 
 @pytest.mark.parametrize("args,reason", [
@@ -420,7 +477,27 @@ class TestZnCommand:
     # million bins can split in float64
     pytest.param(["ed", "--N", "2", "--p", "2", "--theta", "1e6", "--seed", "3260",
                   "--bins", str(10 ** 6), "--histogram", "h.csv"],
-                 "bins", id="ed-histogram-fails-before-spectra"),
+                 "--bins 1000000 is too many for the spectrum's width 1.67479738593e-05",
+                 id="ed-histogram-fails-before-spectra"),
+    pytest.param(["ed", "--N", "8", "--k", "1", "--samples", "2", "--phase-thetas", "1,2",
+                  "--histogram", "h.csv"],
+                 "--histogram cannot be combined with --phase-thetas",
+                 id="ed-histogram-with-phase-thetas"),
+    pytest.param(["ed", "--N", "12", "--samples", "100000"],
+                 "--samples 100000 asks for 6400000 levels at N=12; at most 1048576 are allowed",
+                 id="ed-samples-past-the-level-cap"),
+    pytest.param(["ed", "--N", "16", "--samples", "10", "--phase-thetas", ",".join(["1"] * 410)],
+                 "--samples 10 asks for 1049600 levels at N=16 over 410 --phase-thetas entries",
+                 id="ed-phase-scan-past-the-level-cap"),
+    pytest.param(["ed", "--N", "4", "--phase-thetas", ",".join(["1"] * 1001)],
+                 "--phase-thetas has 1001 entries; at most 1000 are allowed",
+                 id="ed-phase-thetas-past-the-entry-cap"),
+    pytest.param(["compare", "--N", "24", "--k", "1", "--theta", "1", "--samples", "257"],
+                 "--samples 257 asks for 1052672 levels at N=24", id="compare-samples-past-the-cap"),
+    pytest.param(["zn", "--n", "1", "--beta", "1", "--q", "0.995", "--qtilde", "0.25"],
+                 "--q must lie in [0, 0.99]", id="zn-q-0.995"),
+    pytest.param(["zn", "--n", "1", "--beta", "1", "--q", "0.5", "--qtilde=-0.1"],
+                 "--qtilde must lie in [0, 1)", id="zn-qtilde-negative"),
     pytest.param(["qtilde", "--N", "3", "--p", "4", "--k", "1"], "need 0 < p <= N",
                  id="qtilde-p-above-N"),
     pytest.param(["qtilde", "--N", "3", "--p", "2", "--k", "1"], "N must be a positive even",
@@ -456,7 +533,10 @@ VALID = {"--N": st.sampled_from([8, 10, 6, 4, 2]), "--p": st.sampled_from([4, 2,
          "--samples": st.sampled_from([3, 2, 4]), "--seed": st.sampled_from([3, 0, 2 ** 64 - 1])}
 INVALID = {"--N": st.sampled_from([0, 7, 26]), "--p": st.sampled_from([0, 3, 12]),
            "--k": st.sampled_from([-1, 6]), "--theta": st.sampled_from([math.nan, math.inf]),
-           "--samples": st.sampled_from([0, 1]), "--seed": st.sampled_from([-1, 2 ** 64])}
+           "--samples": st.sampled_from([0, 1, cli.MAX_LEVELS // 2 + 1, 10 ** 9]),
+           "--seed": st.sampled_from([-1, 2 ** 64])}
+# a phase scan one entry past its cap
+TOO_MANY_THETAS = st.just([1.0] * (cli.MAX_PHASE_THETAS + 1))
 
 
 @st.composite
@@ -471,8 +551,10 @@ def ed_or_compare_argv(draw):
     if sub == "compare":
         return argv + ["--n-max", str(draw(st.integers(0, 6)))]
     if draw(st.booleans()):
-        thetas = draw(st.lists(THETAS, min_size=1, max_size=3))
+        thetas = draw(st.lists(THETAS, min_size=1, max_size=3) | TOO_MANY_THETAS)
         argv += ["--phase-thetas=" + ",".join(map(repr, thetas))]
+        if draw(st.integers(0, 3)) == 0:  # a scan writes no histogram
+            argv += ["--histogram", "HIST"]
     elif draw(st.booleans()):
         argv += ["--bins", str(draw(st.integers(0, 5))), "--histogram", "HIST"]
     return argv

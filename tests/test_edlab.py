@@ -50,6 +50,39 @@ class TestMajoranaAlgebra:
         with pytest.raises(ValueError):
             ed.majorana(1, 26)
 
+    @pytest.mark.parametrize("N", range(2, 2 * ed.MAX_QUBITS + 1, 2))
+    def test_strings_equal_the_label_construction(self, N):
+        # the closed-form masks against the layout written out as Pauli
+        # labels, qubit 1 leftmost, and read factor by factor
+        assert ed._majorana_strings(N) == [_label_string(_majorana_labels(l, N))
+                                           for l in range(1, N + 1)]
+
+
+def _majorana_labels(l, N):
+    """psi_1 = X ... X; psi_2j and psi_2j+1 carry Y and Z at qubit n - j + 1
+    behind a run of X, with identities after it (n = N/2)."""
+    n = N // 2
+    if l == 1:
+        return ["x"] * n
+    j, odd = divmod(l, 2)
+    pos = n - j + 1
+    return ["x"] * (pos - 1) + ["z" if odd else "y"] + ["i"] * (n - pos)
+
+
+def _label_string(labels):
+    """(x-mask, z-mask, phase) of a Pauli tensor product with Y = i X Z,
+    the leftmost factor on the top bit."""
+    n, x, z, phase = len(labels), 0, 0, 1 + 0j
+    for m, label in enumerate(labels, start=1):
+        bit = 1 << (n - m)
+        if label in ("x", "y"):
+            x |= bit
+        if label in ("y", "z"):
+            z |= bit
+        if label == "y":
+            phase *= 1j
+    return x, z, phase
+
 
 class TestDefectMatrix:
     def test_k0_identity(self):
@@ -603,6 +636,16 @@ class TestFiniteSizeWeights:
             ed.qn_finite(6, 4)
         with pytest.raises(ValueError):
             ed.qtilde_weight(3, 26, 2)
+
+    def test_qn_finite_is_the_qj_weight_at_half_p(self):
+        # both are E (-1)^|A & I| for a uniform p-subset I: |A| = p for
+        # qn_finite, |A| = 2j for q_j; here also against the overlap sum
+        for N in range(2, 41, 2):
+            for p in range(2, N + 1, 2):
+                overlap = sum((-1) ** c * math.comb(p, c) * math.comb(N - p, p - c)
+                              for c in range(p + 1))
+                assert ed.qn_finite(p, N) == ed.qj_weight(p, N, p // 2) == Fraction(
+                    overlap, math.comb(N, p)), (p, N)
 
 
 class TestPhaseScan:

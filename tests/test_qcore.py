@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dssyklab.chordcombi import double_factorial
-from dssyklab.qcore import (HermiteExpansion, MultiPoly, involution_number, pack, q_binomial,
-                            q_binomial_by_division, q_factorial, q_integer, q_multinomial, unpack,
-                            word_width)
+from dssyklab.qcore import (MultiPoly, involution_number, pack, q_binomial, q_binomial_by_division,
+                            q_factorial, q_integer, q_multinomial, unpack, word_width)
 
 
 def poly_q(*coeffs):
@@ -288,12 +287,6 @@ def test_power_rejects_negative():
         MultiPoly.q() ** -1
 
 
-class TestHermiteExpansion:
-    def test_trailing_zeros_trimmed(self):
-        e = HermiteExpansion([MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero()])
-        assert e.degree == 0
-
-
 class TestPackedCodec:
     @pytest.mark.parametrize("width", [64, 86])
     def test_round_trip(self, width):
@@ -309,13 +302,6 @@ class TestPackedCodec:
     def test_digits_are_read_in_ascending_q(self):
         assert pack(poly_q(1, 2, 3), 64) == 1 + (2 << 64) + (3 << 128)
         assert list(unpack(3 + (5 << 128), 64).terms) == [(0, 0, 0), (2, 0, 0)]
-
-    def test_qt_power_is_stripped_when_declared(self):
-        qt = MultiPoly.qt()
-        poly = q_integer(3) * qt ** 2
-        assert pack(poly, 64, qt_pow=2) == pack(q_integer(3), 64)
-        with pytest.raises(ValueError, match="qt"):
-            pack(poly, 64, qt_pow=1)
 
     @pytest.mark.parametrize("poly", [
         MultiPoly.qt(),

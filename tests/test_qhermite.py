@@ -49,33 +49,42 @@ class TestHermiteInX:
 
 class TestMonomialToHermite:
     def test_k2(self):
-        e = qh.monomial_to_hermite(2)
-        assert e.coefficient(0) == MultiPoly.one()
+        assert qh.monomial_to_hermite(2) == (MultiPoly.one(), MultiPoly.zero(), MultiPoly.one())
 
     def test_k3(self):
-        assert qh.monomial_to_hermite(3).coefficient(1) == poly_q(2, 1)
+        assert qh.monomial_to_hermite(3)[1] == poly_q(2, 1)
 
     def test_k4(self):
         e = qh.monomial_to_hermite(4)
-        assert e.coefficient(2) == poly_q(3, 2, 1)
-        assert e.coefficient(0) == poly_q(2, 1)
+        assert e[2] == poly_q(3, 2, 1)
+        assert e[0] == poly_q(2, 1)
 
     def test_parity_structure(self):
         for k in range(11):
-            e = qh.monomial_to_hermite(k)
-            for d in range(e.degree + 1):
+            for d, c in enumerate(qh.monomial_to_hermite(k)):
                 if (k - d) % 2 == 1:
-                    assert e.coefficient(d).is_zero()
+                    assert c.is_zero()
+
+    def test_expansion_is_a_tuple_up_to_h_k(self):
+        # entry d is the coefficient of H_d, and the last, H_k's, is 1
+        for k in range(41):
+            e = qh.monomial_to_hermite(k)
+            assert type(e) is tuple and len(e) == k + 1 and e[-1] == MultiPoly.one(), f"x^{k}"
+
+    def test_memoized_expansion_cannot_be_overwritten(self):
+        # the memo hands out one shared expansion, so writing into it raises
+        with pytest.raises(TypeError):
+            qh.monomial_to_hermite(4)[0] = MultiPoly.zero()
+        assert qh.rt_moment(2) == poly_q(2, 1)
 
     def test_inverts_hermite_in_x(self):
         # substituting the monomial expansions back into H_n(x) recovers x^k
         for k in range(8):
             acc = {}
-            e = qh.monomial_to_hermite(k)
-            for d in range(e.degree + 1):
+            for d, coeff in enumerate(qh.monomial_to_hermite(k)):
                 hx = qh.hermite_in_x(d)
                 for power, c in enumerate(hx):
-                    acc[power] = acc.get(power, MultiPoly.zero()) + c * e.coefficient(d)
+                    acc[power] = acc.get(power, MultiPoly.zero()) + c * coeff
             for power, c in acc.items():
                 assert c == (MultiPoly.one() if power == k else MultiPoly.zero())
 
@@ -99,7 +108,7 @@ class TestClosedForm:
         for q in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
             for k in range(13):
                 for m in range(k // 2 + 1):
-                    recur = qh.monomial_to_hermite(k).coefficient(k - 2 * m).evaluate_exact(q, 0, 0)
+                    recur = qh.monomial_to_hermite(k)[k - 2 * m].evaluate_exact(q, 0, 0)
                     assert qh.c_closed_form(m, k, q) == recur
 
 
@@ -197,7 +206,7 @@ class TestWideDigits:
     def test_coefficients_at_q_1_sum_to_the_involution_number(self):
         # the bound the digit width is taken from is met: x^k pairs k points
         for k in range(41):
-            at_q_1 = sum(c.evaluate_exact(1, 0, 0) for c in qh.monomial_to_hermite(k).coeffs)
+            at_q_1 = sum(c.evaluate_exact(1, 0, 0) for c in qh.monomial_to_hermite(k))
             assert at_q_1 == involution_number(k), f"x^{k}"
 
     @pytest.mark.parametrize("k", range(16, 21))
