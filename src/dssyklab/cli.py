@@ -66,22 +66,35 @@ def _metadata_lines(args, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write(args, text: str, path: str | None = None):
+def _write(args, pieces, path: str | None = None):
+    """Write the text pieces in order to path (default --out; none or '-' is
+    stdout, whose output always ends in a newline)."""
     path = path if path is not None else args.out
     if path in (None, "-"):
-        sys.stdout.write(text)
+        text = ""
+        for text in pieces:
+            sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         print(f"wrote {path}", file=sys.stderr)
+
+
+def _csv_pieces(args, header: str, blocks, extra: dict | None = None):
+    """The '#' metadata lines and the header, then each block of rows, as
+    text made only when it is written."""
+    yield "\n".join(_metadata_lines(args, extra) + [header]) + "\n"
+    for rows in blocks:
+        if rows:
+            yield "\n".join(rows) + "\n"
 
 
 def _write_csv(args, header: str, rows: list[str], extra: dict | None = None,
                path: str | None = None):
     """The rows under the '#' metadata lines and the header."""
-    _write(args, "\n".join(_metadata_lines(args, extra) + [header] + rows) + "\n", path)
+    _write(args, _csv_pieces(args, header, [rows], extra), path)
 
 
 # how json.dumps writes a scalar of each exact type; ints and strings are
@@ -141,7 +154,7 @@ def _write_json(args, payload: dict, extra: dict | None = None, path: str | None
     """The payload with its metadata lines under "metadata", keys sorted,
     as `json.dumps(payload, indent=2, sort_keys=True)` writes it."""
     payload["metadata"] = [line[2:] for line in _metadata_lines(args, extra)]
-    _write(args, _json_text(payload), path)
+    _write(args, [_json_text(payload)], path)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +299,9 @@ def run_ed(args) -> int:
             raise ValueError(f"--bins {args.bins} is too many for the spectrum's width "
                              f"{_fmt(pooled.max() - pooled.min())}: the bin edges "
                              f"would not be distinct floats") from None
-    rows = [f"{s},{_fmt(e)}" for s, levels in enumerate(spectra) for e in levels]
-    _write_csv(args, "sample_index,eigenvalue", rows)
+    # one sample's rows at a time: the text of all of them outweighs the spectra
+    blocks = ([f"{s},{_fmt(e)}" for e in levels] for s, levels in enumerate(spectra))
+    _write(args, _csv_pieces(args, "sample_index,eigenvalue", blocks))
     if args.histogram:
         hrows = [f"{_fmt(a)},{c},{_fmt(d)}" for a, c, d in hist]
         _write_csv(args, "left_edge,count,density", hrows, path=args.histogram)

@@ -463,10 +463,24 @@ def _b_levels(q: float, qt: float, depth: int) -> tuple[tuple[int, float, float]
     """The levels (j, sqrt(qt) q^j, (1 - qt q^j)[j+1]_q) for j = depth .. 0.
 
     They depend on neither z nor x0, so a sweep over a grid builds them once.
+    As rounded, every diagonal factor lies in [0, sqrt(qt)] and every weight
+    in [0, 1/(1 - q)]: each factor of a weight is a float in [0, 1], and
+    rounding is monotone.
     """
     sq = math.sqrt(qt)
     return tuple((j, sq * q ** j, (1.0 - qt * q ** j) * (1.0 - q ** (j + 1)) / (1.0 - q))
                  for j in range(depth, -1, -1))
+
+
+def _b_descend(g: float, levels, z: float, x0: float) -> float:
+    """Step g through `levels` in order: g <- 1 / (1 - s x0 z - w z z g),
+    evaluated left to right; a zero denominator is a pole."""
+    for j, sq_qj, off in levels:
+        denom = 1.0 - sq_qj * x0 * z - off * z * z * g
+        if denom == 0.0:
+            raise ConvergenceError(f"continued fraction hit a pole at level {j}")
+        g = 1.0 / denom
+    return g
 
 
 def _b_fractions(z: float, x0: float, levels) -> tuple[float, float]:
@@ -476,12 +490,7 @@ def _b_fractions(z: float, x0: float, levels) -> tuple[float, float]:
     `1.0 - sq_qj * x0 * z - off * z * z * g` left to right, as a pass of
     its own would.  A pole of the full table is raised as it is met; one of
     the cut table only after the full table has passed all its levels."""
-    deep = 0.0
-    for j, sq_qj, off in levels[:5]:
-        denom = 1.0 - sq_qj * x0 * z - off * z * z * deep
-        if denom == 0.0:
-            raise ConvergenceError(f"continued fraction hit a pole at level {j}")
-        deep = 1.0 / denom
+    deep = _b_descend(0.0, levels[:5], z, x0)
     shallow, pole = 0.0, None
     for j, sq_qj, off in levels[5:]:
         diag, weight = 1.0 - sq_qj * x0 * z, off * z * z
@@ -499,6 +508,60 @@ def _b_fractions(z: float, x0: float, levels) -> tuple[float, float]:
     return z * deep, z * shallow
 
 
+def _b_bracket(z: float, x0: float, q: float, qt: float, levels) -> float | None:
+    """The value both truncations of `_b_fractions` reach, from a bracket
+    certified below level min(depth - 5, L), or None if there is none.
+
+    Every step g -> 1 / (diag_j - weight_j g), with weight_j = (w_j z) z >= 0,
+    is non-decreasing in g wherever its denominator stays positive, because
+    correctly rounded operations are monotone.  `_b_levels` bounds every
+    level by A = (sqrt(qt) |x0|) |z| >= |(s_j x0) z|, so diag_j >= a = 1 - A,
+    and by C = (|z| / (1 - q)) |z| >= weight_j.  By Worpitzky's parabola
+    4C <= a^2, the interval [0, top] with top just above the attracting
+    fixed point 2 / (a + sqrt(a^2 - 4C)) of g -> 1 / (a - C g) is mapped into
+    itself by every level; that is checked in the same rounded arithmetic,
+    a - C top > 0 and 1 / (a - C top) <= top, so every denominator on it
+    is positive.  (A few ulps from 4C = a^2, top's margin can pass the
+    repelling fixed point and the second check fails.)  Both truncations start at 0, so above level L they stay in
+    [0, top]; from level L down they lie between the sequences started at 0
+    and at top, and once those two are equal, both truncations equal them
+    down to level 0: no pole, and a convergence delta of exactly 0.
+
+    L only sets the speed; any L returns the same bits.  Each step
+    contracts the bracket by at most k = C top^2, the slope of
+    1 / (a - C g) at g = top, so L is the number of levels that shrink a
+    width of top to 2^-60 at rate k, rounded up and capped at depth - 5.
+    Every g here exceeds 1/2 (each denominator is below 1 + A < 2), so that
+    width is under a hundredth of an ulp of g.  At k = 0 every weight is 0
+    and level 0 alone sets the value.
+    """
+    depth = len(levels) - 1
+    az = abs(z)
+    a = 1.0 - math.sqrt(qt) * abs(x0) * az
+    c = 1.0 / (1.0 - q) * az * az
+    disc = a * a - 4.0 * c
+    if not (a > 0.0 and disc >= 0.0):
+        return None
+    top = 2.0 / (a + math.sqrt(disc)) * (1.0 + 1e-9)
+    low = a - c * top
+    if not (low > 0.0 and 1.0 / low <= top):
+        return None
+    k = c * top * top
+    start = depth - 5
+    if k == 0.0:
+        start = 0
+    elif k < 1.0:
+        start = min(start, int(math.log(2.0 ** -60 / top) / math.log(k)) + 1)
+    steps = iter(levels[depth - start:])
+    lo, hi = 0.0, top
+    for _, sq_qj, off in steps:
+        diag, weight = 1.0 - sq_qj * x0 * z, off * z * z
+        lo, hi = 1.0 / (diag - weight * lo), 1.0 / (diag - weight * hi)
+        if lo == hi:
+            return z * _b_descend(lo, steps, z, x0)
+    return None
+
+
 def b_continued_fraction(z: float, x0: float, q: float, qt: float, depth: int = 60) -> float:
     """Continued-fraction evaluation of the interval generating function B
     at theta = 1 (theta enters B as an overall linear factor).
@@ -506,8 +569,11 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float, depth: int = 
     Level j has diagonal sqrt(qt) q^j x0 and off-diagonal weight
     (1 - qt q^j)[j+1]_q; the level table is cached per (q, qt, depth).
     Convergence is checked by comparing the full depth with the same table
-    cut five levels shorter; one pass over the levels evaluates both
-    (`_b_fractions`).
+    cut five levels shorter.  Where Worpitzky's bound certifies a bracket
+    (`_b_bracket`), both are read from a few low levels, bit for bit as a
+    full pass gives them; elsewhere one pass over the levels evaluates both
+    (`_b_fractions`).  A non-finite z or x0 is a ValueError, and a value
+    that is not a finite float a ConvergenceError.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("need 0 <= q < 1")
@@ -515,10 +581,19 @@ def b_continued_fraction(z: float, x0: float, q: float, qt: float, depth: int = 
         raise ValueError("need 0 <= qt <= 1")
     if depth < 20:
         raise ValueError("depth must be at least 20")
-    deep, shallow = _b_fractions(z, x0, _b_levels(float(q), float(qt), depth))
+    if not (math.isfinite(z) and math.isfinite(x0)):
+        raise ValueError(f"need finite z and x0, got z={z}, x0={x0}")
+    q, qt = float(q), float(qt)
+    levels = _b_levels(q, qt, depth)
+    value = _b_bracket(z, x0, q, qt, levels)
+    if value is not None:
+        return value
+    deep, shallow = _b_fractions(z, x0, levels)
     if abs(deep - shallow) > 1e-12 * max(1.0, abs(deep)):
         raise ConvergenceError(
             f"continued fraction not settled at depth {depth}: |delta|={abs(deep - shallow):.3e}")
+    if not math.isfinite(deep):
+        raise ConvergenceError(f"continued fraction is not a finite float at z={z}, x0={x0}")
     return deep
 
 

@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -175,6 +179,47 @@ class TestEdCommand:
     def test_invalid_params(self, capsys):
         code, _, _ = run_cli(["ed", "--N", "7"], capsys)
         assert code == 2
+
+    def test_spectra_stream_equals_the_joined_rows(self, tmp_path, capsys):
+        argv = ["ed", "--N", "8", "--k", "1", "--theta", "2", "--samples", "3", "--seed", "4",
+                "--deterministic"]
+        out = tmp_path / "spec.csv"
+        code, text, _ = run_cli(argv, capsys)
+        run_cli(argv + ["--out", str(out)], capsys)
+        params = edlab.ModelParams(N=8, p=4, theta=2.0, k=1, seed=4, samples=3)
+        rows = [f"{s},{cli._fmt(e)}" for s, levels in enumerate(edlab.sample_spectra(params))
+                for e in levels]
+        head = [line for line in text.splitlines() if line.startswith("#")]
+        assert code == 0 and len(rows) == 3 * 16
+        assert text == out.read_text() == "\n".join(head + ["sample_index,eigenvalue"] + rows) + "\n"
+
+    def test_spectra_writer_holds_one_sample_of_text(self, tmp_path):
+        # the traced peak grows by the spectra's floats per level, not by the
+        # text of every row (about 120 bytes a level when all rows were joined)
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                cli.main(["ed", "--N", "12", "--samples", str(samples), "--deterministic",
+                          "--out", str(tmp_path / "spec.csv")])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # warm-up: term structure and Sylvester matrices are cached
+        small, large = peak(32), peak(288)
+        assert (large - small) / (256 * 64) < 16
+
+    def test_phase_scan_leaves_numpy_ma_unimported(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = ("import contextlib, io, sys\n"
+                  "from dssyklab import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(['ed', '--N', '10', '--k', '2', '--samples', '3',\n"
+                  "                     '--phase-thetas', '1,4', '--deterministic'])\n"
+                  "print(code, 'numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
 
     def test_phase_scan_pools_a_doubled_level_by_value(self, capsys):
         # N/2 = 7 odd, p = 4: block 1 mirrors block 0, and a shift of 1e-20

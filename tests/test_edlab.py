@@ -680,6 +680,16 @@ class TestPhaseScan:
             report = ed.spectral_gap_report(pooled)
             assert report["bimodal"] and 1e200 < report["gap_ratio"] < math.inf
 
+    def test_median_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        cases = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300) for n in range(1, 40)]
+        cases += [np.array([1.7e308, 1.7e308]), np.array([0.0, -0.0]), np.array([5e-324, 5e-324]),
+                  np.array([1.0, math.inf]), np.array([2.0, math.nan, 1.0])]
+        for values in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = ed._median(values), float(np.median(values))
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
 
 class TestModelParams:
     def test_validation(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dssyklab import moments as mo
 from dssyklab import qhermite as qh
@@ -497,6 +498,101 @@ class TestContinuedFraction:
             for x0 in (-1.0, 0.0, 1.0):
                 assert (_outcome(mo.b_continued_fraction, z, x0, q, qt)
                         == _outcome(_b_continued_fraction_per_level, z, x0, q, qt))
+
+    @pytest.mark.parametrize("z,x0", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0),
+                                      (0.1, math.inf), (0.1, math.nan)])
+    def test_non_finite_arguments_are_rejected(self, z, x0):
+        with pytest.raises(ValueError, match="need finite z and x0"):
+            mo.b_continued_fraction(z, x0, 0.5, 0.25)
+
+    @pytest.mark.parametrize("z", [1e200, -1e200, 1e155])
+    def test_overflow_is_nonconvergence(self, z):
+        # the weights overflow and the steps make NaN, which abs(delta) > tol
+        # let through as a value
+        with pytest.raises(ConvergenceError, match="not a finite float"):
+            mo.b_continued_fraction(z, 1.0, 0.5, 0.25)
+
+    @pytest.mark.parametrize("q,qt", [(0.0, 0.0), (0.0, 1.0), (0.5, 0.25), (0.9, 0.7),
+                                      (0.999, 1.0), (0.3, 0.999), (1 / 3, 2 / 3)])
+    def test_level_bounds(self, q, qt):
+        # the bracket's bounds: 0 <= sqrt(qt) q^j <= sqrt(qt), 0 <= w_j <= 1/(1 - q)
+        for j, sq_qj, off in mo._b_levels(q, qt, 200):
+            assert 0.0 <= sq_qj <= math.sqrt(qt)
+            assert 0.0 <= off <= 1.0 / (1.0 - q)
+
+    @pytest.mark.parametrize("depth", [60, 90])
+    def test_sweep_grid_takes_the_bracket(self, depth, monkeypatch):
+        # the benchmark's cf_sweep grid and its depth-90 check
+        def full_pass(*args):
+            raise AssertionError("a point of the sweep left the bracket")
+        monkeypatch.setattr(mo, "_b_fractions", full_pass)
+        zs = [-0.25 + 0.5 * i / 2000 for i in range(2001)]
+        values = [mo.b_continued_fraction(z, x0, 0.5, 0.25, depth)
+                  for z in zs for x0 in (-1.0, 0.0, 1.0)]
+        assert len(values) == 6003 and all(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("q,qt,x0", [(0.5, 0.25, 1.0), (0.9, 0.7, -3.0), (0.0, 1.0, 0.0),
+                                         (0.99, 0.5, 2.0)])
+    def test_grid_straddling_the_parabola(self, q, qt, x0):
+        # 4C = a^2 at (1 - s |x0| z)^2 = 4 z^2 / (1 - q), s = sqrt(qt)
+        edge = 1.0 / (math.sqrt(qt) * abs(x0) + 2.0 / math.sqrt(1.0 - q))
+        certified = 0
+        for t in np.concatenate([np.linspace(-1e-3, 1e-3, 41), [-1e-9, -1e-12, 0.0, 1e-12, 1e-9]]):
+            for z in (edge * (1.0 + t), -edge * (1.0 + t)):
+                args = (float(z), x0 if z > 0 else -x0, q, qt)
+                outcome = _outcome(mo.b_continued_fraction, *args)
+                assert outcome == _full_pass_outcome(*args)
+                assert outcome == _outcome(_b_continued_fraction_per_level, *args)
+                certified += _certified(*args)
+        assert 0 < certified < 2 * 46
+
+    @pytest.mark.parametrize("z,x0,q", [(0.25729431304954187, 1.058172575603388, 0.5),
+                                        (0.26056986636801166, -1.8377423066551606, 0.0)])
+    def test_bracket_refuses_a_top_it_cannot_keep(self, z, x0, q):
+        # 4C <= a^2 holds, a few ulps from equality, but the rounded step maps
+        # top above itself; at qt = 1 level 0 has weight 0, so a bracket that
+        # skipped the check would close there
+        a, c = 1.0 - abs(x0) * abs(z), 1.0 / (1.0 - q) * abs(z) * abs(z)
+        assert a * a - 4.0 * c >= 0.0
+        assert mo._b_bracket(z, x0, q, 1.0, mo._b_levels(q, 1.0, 60)) is None
+        assert mo.b_continued_fraction(z, x0, q, 1.0) == _full_pass_outcome(z, x0, q, 1.0)
+
+
+ZS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.0 ** -1070]) | st.floats(-2.0, 2.0)
+X0S = (st.sampled_from([2.0 ** 55, -2.0 ** 55, 2.0 ** 60, -2.0 ** 60, 0.0, -0.0])
+       | st.floats(-3.0, 3.0) | st.floats(-1e300, 1e300))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(z=ZS | st.floats(-0.3, 0.3), x0=X0S, q=st.floats(0.0, 0.999), qt=st.floats(0.0, 1.0),
+       depth=st.sampled_from([20, 21, 25, 60, 90, 200]))
+def test_bracket_matches_the_full_pass(z, x0, q, qt, depth):
+    outcome = _outcome(mo.b_continued_fraction, z, x0, q, qt, depth)
+    assert _bits(outcome) == _bits(_full_pass_outcome(z, x0, q, qt, depth))
+    oracle = _outcome(_b_continued_fraction_per_level, z, x0, q, qt, depth)
+    if isinstance(oracle, float) and not math.isfinite(oracle):
+        assert outcome == f"continued fraction is not a finite float at z={z}, x0={x0}"
+    else:
+        assert _bits(outcome) == _bits(oracle)
+
+
+def _bits(outcome):
+    """A float by its bits (the sign of zero included), an error by its text."""
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
+def _certified(z, x0, q, qt, depth=60):
+    return mo._b_bracket(z, x0, q, qt, mo._b_levels(q, qt, depth)) is not None
+
+
+def _full_pass_outcome(*args):
+    """`b_continued_fraction` with the bracket turned off."""
+    bracket = mo._b_bracket
+    mo._b_bracket = lambda *_: None
+    try:
+        return _outcome(mo.b_continued_fraction, *args)
+    finally:
+        mo._b_bracket = bracket
 
 
 def _b_fraction_per_level(z, x0, q, qt, depth, theta):
