@@ -8,8 +8,8 @@ the subordination picture (Biane 1997): for each real u, v(u) >= 0 solves
 (v = 0 where F(u, 0) <= 1), the support is mapped through
 psi(u) = u + integral (u-x) d mu_a / ((u-x)^2 + v^2), and the density is
 v(u)/pi at psi(u).  For two atoms F = 1 is a quadratic in s = v^2, so v(u)
-is a closed form, and the support edges in u are the real roots of the
-quartic F(u, 0) = 1 cleared of denominators.  The spectral outlier for a
+is a closed form, and each support edge in u is bisected to adjacent floats
+on a branch where F(u, 0) is monotone.  The spectral outlier for a
 vanishing atom fraction has the closed form theta + 1/theta.
 """
 
@@ -22,9 +22,11 @@ import numpy as np
 
 from .qhermite import ConvergenceError
 
-# Past |theta| = 1e6 the support edges, roots of a quartic whose
-# coefficients grow as theta^4, lose their precision: at r = 1/2 the mass
-# misses 1 by more than 1e-4 from |theta| = 1.8e6 on, and by 240 at 1e7.
+# Near theta a float resolves u, and so the edges and the grid of the far
+# band, only to eps |theta| (2.2e-10 at 1e6), against a band about 1 wide.
+# The bisected edges keep the mass at r = 1/2 within 1e-4 of 1 to
+# |theta| = 1e10; the cap is the one `ed` and `compare` keep
+# (`edlab.MAX_ABS_THETA`), so every theta flag has the same bound.
 MAX_ABS_THETA = 1e6
 # The mass may miss 1 by 2e-4 where two bands touch (r = 1/2, theta = 2,
 # grid 100); a larger miss is a reconstruction that failed.
@@ -118,11 +120,19 @@ def _solve_v(u, atoms):
     With s = v^2, A = (u-x0)^2 and B = (u-x1)^2, clearing the denominators of
     F = m0/(A+s) + m1/(B+s) = 1 gives s^2 + (A+B-1)s + AB - m0 B - m1 A = 0.
     F decreases in s on s > -min(A, B), so the wanted root is the larger one;
-    with m0 + m1 = 1 its discriminant is (A-B-m0+m1)^2 + 4 m0 m1 >= 0.
+    with m0 + m1 = 1 its discriminant is D = (A-B-m0+m1)^2 + 4 m0 m1 > 0.
+    Where P = A+B-1 > 0 the root (-P + sqrt D)/2 cancels (A is about theta^2
+    near the far atom), so it is taken as -2Q/(P + sqrt D) with the constant
+    term Q = AB - (m0 B + m1 A).  In that order Q is 0 at r = 0.1, theta = 2,
+    u = 1, where F(u, 0) rounds to 1; (A-m0)(B-m1) - m0 m1 leaves -3e-17
+    there, which v = sqrt(s) turns into 5e-9.
     """
     (x0, m0), (x1, m1) = atoms
     a, b = (u - x0) ** 2, (u - x1) ** 2
-    s = (1.0 - a - b + np.sqrt((a - b - m0 + m1) ** 2 + 4.0 * m0 * m1)) / 2.0
+    p = a + b - 1.0
+    root = np.sqrt((a - b - m0 + m1) ** 2 + 4.0 * m0 * m1)
+    q = a * b - (m0 * b + m1 * a)
+    s = np.where(p > 0, -2.0 * q / (np.abs(p) + root), (1.0 - a - b + root) / 2.0)
     return np.sqrt(np.maximum(s, 0.0))
 
 
@@ -130,27 +140,52 @@ def _psi(u, v, atoms):
     return u + sum(m * (u - x) / ((u - x) ** 2 + v * v) for x, m in atoms)
 
 
-def _edges(atoms) -> list[tuple[float, float]]:
-    """Support intervals in u, where F(u, 0) > 1: consecutive pairs of the
-    real roots of (u-x0)^2 (u-x1)^2 - m0 (u-x1)^2 - m1 (u-x0)^2.
+def _f0(u: float, atoms) -> float:
+    """F(u, 0) = sum m/(u-x)^2, divided as m/(u-x)/(u-x) so that a subnormal
+    gap overflows to inf instead of squaring to 0; inf at an atom."""
+    total = 0.0
+    for x, m in atoms:
+        d = u - x
+        total += m / d / d if d else math.inf
+    return total
 
-    Roots at an atom (coincident atoms) are spurious.  A double root, split
-    by rounding into a close pair, is a point where two intervals touch, so
-    both copies are dropped and the intervals are reported as one.
-    """
-    (x0, m0), (x1, m1) = atoms
-    a, b = np.poly([x0, x0]), np.poly([x1, x1])
-    roots = np.roots(np.polysub(np.polymul(a, b), m0 * b + m1 * a))
-    # rounding splits a double root by about sqrt(machine epsilon)
-    tol = 1e-6
-    real = np.sort(roots.real[abs(roots.imag) < tol])
-    edges = []
-    for e in real[(abs(real - x0) > tol) & (abs(real - x1) > tol)]:
-        if edges and e - edges[-1] < tol:
-            edges.pop()
+
+def _bisect(atoms, inside: float, outside: float) -> float:
+    """Bisect F(u, 0) >= 1 from F(inside) >= 1 > F(outside) until the two
+    ends are adjacent floats, and return the inside one."""
+    while True:
+        mid = (inside + outside) / 2.0
+        if mid == inside or mid == outside:
+            return inside
+        if _f0(mid, atoms) >= 1.0:
+            inside = mid
         else:
-            edges.append(float(e))
-    return list(zip(edges[::2], edges[1::2]))
+            outside = mid
+
+
+def _edges(atoms) -> list[tuple[float, float]]:
+    """Support intervals in u, where F(u, 0) = m_a/(u-a)^2 + m_b/(u-b)^2 >= 1
+    for the atoms sorted a <= b.
+
+    F is infinite at the atoms.  Outside [a, b] it decreases away from them,
+    and F(a - t) <= 1/t^2, so F < 1 at a - 2 and at b + 2.  Between them F is
+    convex with its minimum at u*, where (u* - a)/(b - u*) = (m_a/m_b)^(1/3).
+    F(u*) is taken from these two offsets, as u* may round onto an atom:
+    one band if F(u*) >= 1 (also where two bands touch, as at r = 1/2,
+    theta = 2), else two, whose inner edges lie on [a, u*] and [u*, b].  Each
+    edge is the float with F >= 1 next to one with F < 1.  A band whose edge
+    is its atom is narrower than the float spacing there (its mass is below
+    about 1e-19) and is dropped.
+    """
+    (a, m_a), (b, m_b) = sorted(atoms)
+    left, right = _bisect(atoms, a, a - 2.0), _bisect(atoms, b, b + 2.0)
+    ca, cb = m_a ** (1.0 / 3.0), m_b ** (1.0 / 3.0)
+    to_a, to_b = (b - a) * ca / (ca + cb), (b - a) * cb / (ca + cb)
+    if _f0(0.0, [(-to_a, m_a), (to_b, m_b)]) >= 1.0:
+        return [(left, right)]
+    u_star = a + to_a
+    bands = [(left, _bisect(atoms, a, u_star)), (_bisect(atoms, b, u_star), right)]
+    return [(lo, hi) for lo, hi in bands if lo not in (a, b) and hi not in (a, b)]
 
 
 def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> ConvolutionResult:
@@ -160,9 +195,8 @@ def semicircle_plus_atomic(r: float, theta: float, grid_n: int = 2000) -> Convol
     Returns the density resampled to uniform grids per support interval;
     the output is a density with no atoms (a detached atom shows up as a
     second interval).  |theta| is capped at `MAX_ABS_THETA`; a density that
-    is not finite, or whose mass misses 1 by more than `MASS_TOLERANCE`
-    (as it may for r near 0 or 1 well inside the cap), is a
-    ConvergenceError.
+    is not finite, or whose mass misses 1 by more than `MASS_TOLERANCE`, is
+    a ConvergenceError.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -398,18 +399,15 @@ class TestFreeconvCommand:
     @pytest.mark.parametrize("theta,expected", [
         ("1e7", 2), ("1e16", 2), ("-1e16", 2), ("1e30", 2), ("1e50", 2), ("1e154", 2),
         ("1e155", 2), ("-1000001", 2),
-        # inside the cap, at r near 1 the support edges already lose the mass
-        ("74989", 3), ("-23714", 3),
     ])
     def test_large_theta_is_refused_without_output(self, theta, expected, tmp_path, capsys):
-        r = "0.5" if expected == 2 else "0.999999"
         out, summary = tmp_path / "fc.csv", tmp_path / "fc.json"
-        code, stdout, err = run_cli(["freeconv", "--r", r, "--grid", "200", f"--theta={theta}",
-                                     "--out", str(out), "--summary", str(summary),
-                                     "--deterministic"], capsys)
+        code, stdout, err = run_cli(["freeconv", "--r", "0.5", "--grid", "200",
+                                     f"--theta={theta}", "--out", str(out), "--summary",
+                                     str(summary), "--deterministic"], capsys)
         assert code == expected
         assert "Traceback" not in err and stdout == ""
-        assert "--theta" in err if expected == 2 else err.startswith("non-convergence:")
+        assert "--theta" in err
         assert not out.exists() and not summary.exists()
 
     @pytest.mark.parametrize("theta", ["1e6", "-1e6"])
@@ -422,6 +420,32 @@ class TestFreeconvCommand:
         assert "nan" not in text.lower() and "inf" not in text.lower()
         mass = json.loads((tmp_path / "fc.csv.json").read_text())["total_mass"]
         assert mass == pytest.approx(1.0, abs=1e-4)
+
+    # a band of mass 1e-6 at 0 and the bulk near theta: each edge must keep its
+    # digits relative to its own atom, though theta^4 is about 3e19
+    @pytest.mark.parametrize("theta", ["74989", "-23714"])
+    def test_far_atom_near_r_one_keeps_its_mass(self, theta, tmp_path, capsys):
+        summary = tmp_path / "fc.json"
+        code, _, err = run_cli(["freeconv", "--r", "0.999999", "--grid", "200",
+                                f"--theta={theta}", "--out", str(tmp_path / "fc.csv"),
+                                "--summary", str(summary), "--deterministic"], capsys)
+        assert code == 0, err
+        result = json.loads(summary.read_text())
+        assert len(result["support_intervals"]) == 2
+        assert result["total_mass"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_no_lapack_call(self, tmp_path, capsys, monkeypatch):
+        # the support edges are bisected, not eigenvalues of a companion matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("freeconv called LAPACK")
+
+        monkeypatch.setattr(np, "roots", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        # the four points of the benchmark's numeric workload
+        for r, theta in (("0.25", "1.0"), ("0.1", "2.0"), ("0.25", "3.0"), ("0.75", "4.0")):
+            code, _, err = run_cli(["freeconv", "--r", r, "--theta", theta, "--out",
+                                    str(tmp_path / "fc.csv"), "--deterministic"], capsys)
+            assert code == 0, err
 
 
 class TestQtildeCommand:
@@ -692,6 +716,7 @@ def test_moments_mixed_and_qtilde_keep_the_exit_code_contract(capsys, argv):
 
 KERNEL_OVERFLOW = ["density", "--q=0.99", "--kernel-r=0.9", "--grid=3"]
 GRIDS = st.one_of(st.integers(2, 40), st.sampled_from([0, 1, -5, 10 ** 12]))
+FREECONV_EXTREME_R = [5e-324, 1e-12, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
 
 
 @st.composite
@@ -706,8 +731,9 @@ def density_freeconv_or_zn_argv(draw):
                      f"--kernel-x={draw(st.floats(-25, 25))!r}"]
         return argv
     if sub == "freeconv":
-        return ["freeconv", f"--r={draw(st.floats(0.01, 0.99))!r}",
-                f"--theta={draw(st.floats(-8, 8))!r}",
+        r = st.floats(0.01, 0.99) | st.sampled_from(FREECONV_EXTREME_R)
+        theta = st.floats(-8, 8) | st.sampled_from([5e-324, -5e-324, 1e6, -1e6])
+        return ["freeconv", f"--r={draw(r)!r}", f"--theta={draw(theta)!r}",
                 f"--grid={draw(st.one_of(st.integers(100, 300), GRIDS))}", "--summary", "SUMMARY"]
     return ["zn", f"--n={draw(st.integers(1, 4))}", f"--beta={draw(st.floats(-50, 50))!r}",
             f"--q={q!r}", f"--qtilde={draw(st.floats(0, 0.99))!r}"]
@@ -718,6 +744,9 @@ def density_freeconv_or_zn_argv(draw):
 @given(density_freeconv_or_zn_argv())
 @example(KERNEL_OVERFLOW)
 @example(["freeconv", "--r=0.25", "--theta=3.0", f"--grid={10 ** 12}", "--summary", "SUMMARY"])
+# a subnormal gap between the atoms squared to 0 in F(u, 0) = sum m/(u-x)^2
+@example(["freeconv", "--r=0.5", "--theta=7.801668184748125e-180", "--grid=200", "--summary",
+          "SUMMARY"])
 def test_density_freeconv_and_zn_keep_the_exit_code_contract(tmp_path, capsys, argv):
     summary = tmp_path / "summary.json"
     summary.unlink(missing_ok=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dssyklab import freeconv as fc
 from dssyklab.qhermite import ConvergenceError
@@ -81,8 +82,21 @@ def _bisect_edges(atoms):
     return edges
 
 
+def _f_float(u, atoms):
+    """F(u, 0) on a float u, divided as m/(u-x)/(u-x) (a subnormal gap gives inf)."""
+    return sum(m / (u - x) / (u - x) if u != x else math.inf for x, m in atoms)
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda t: t[0] * t[1])
+
+
+THETAS = st.one_of(st.sampled_from([0.0, -0.0]),
+                   _signed(st.floats(5e-324, 2.2250738585072009e-308)),
+                   _signed(st.floats(1e-300, 1e6)))
 CASES = ((0.25, 3.0), (0.25, 1.0), (0.5, 0.0), (0.1, 2.0), (0.75, 4.0), (0.1, -2.0),
          (0.5, 2.0), (1e-3, 8.0))
+FAR_ATOMS = ((0.999999, 74989.0), (0.999999999, 2371.4), (0.0001, 1e5))
 
 
 class TestClosedForm:
@@ -103,6 +117,25 @@ class TestClosedForm:
         assert len(got) == len(want)
         assert np.abs(np.array(got) - np.array(want)).max() < 1e-9
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(1e-12, 1.0 - 1e-12), THETAS)
+    @example(0.5, 2.0)
+    @example(0.5, 2.1)
+    @example(0.5, 7.801668184748125e-180)
+    @example(1e-12, -1e6)
+    def test_edges_are_float_transitions_of_F(self, r, theta):
+        atoms = [(0.0, 1.0 - r), (theta, r)]
+        bands = fc._edges(atoms)
+        edges = [u for band in bands for u in band]
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))  # sorted and disjoint
+        for lo, hi in bands:
+            assert _f_float(lo, atoms) >= 1.0 > _f_float(math.nextafter(lo, -math.inf), atoms)
+            assert _f_float(hi, atoms) >= 1.0 > _f_float(math.nextafter(hi, math.inf), atoms)
+        # F is convex between the atoms, smallest where (u - a)/(b - u) = (m_a/m_b)^(1/3)
+        (a, m_a), (b, m_b) = sorted(atoms)
+        u_star = a + (b - a) / (1.0 + (m_b / m_a) ** (1.0 / 3.0))
+        assert (len(bands) == 1) == (_f_float(u_star, atoms) >= 1.0)
+
     def test_tangent_bands_are_one_interval(self):
         # at r = 1/2, theta = 2 the two bands touch at u = 1 (a double root)
         assert len(fc.semicircle_plus_atomic(0.5, 2.0).support_intervals) == 1
@@ -121,9 +154,18 @@ class TestConvolution:
         with pytest.raises(ValueError, match="at most 1e"):
             fc.semicircle_plus_atomic(0.5, -2 * fc.MAX_ABS_THETA)
 
-    @pytest.mark.parametrize("r,theta", [(0.999999, 74989.0), (0.999999999, 2371.4),
-                                         (0.0001, 1e5)])
-    def test_lost_mass_is_a_convergence_error(self, r, theta):
+    @pytest.mark.parametrize("r,theta", FAR_ATOMS)
+    def test_far_atom_keeps_its_mass(self, r, theta):
+        # one light atom far from a heavy one: the edges of both bands must keep
+        # their digits relative to their own atom, though theta^4 reaches 1e20
+        res = fc.semicircle_plus_atomic(r, theta)
+        assert len(res.support_intervals) == 2
+        assert abs(res.measure.total_mass() - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("r,theta", FAR_ATOMS)
+    def test_lost_mass_is_a_convergence_error(self, r, theta, monkeypatch):
+        solve_v = fc._solve_v
+        monkeypatch.setattr(fc, "_solve_v", lambda u, atoms: 0.9 * solve_v(u, atoms))
         with pytest.raises(ConvergenceError, match="lost its mass"):
             fc.semicircle_plus_atomic(r, theta)
 
