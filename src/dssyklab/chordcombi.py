@@ -1,16 +1,17 @@
-"""Chord diagrams: the matching kernel and the brute-force oracles.
+"""Chord diagrams: oracles, from the matching scan to brute force.
 
-`matching_counts` is the one kernel that counts perfect matchings of
+No command-line path reaches this module; everything here exists for
+correctness, not speed.  `matching_counts` counts perfect matchings of
 labelled points on a line by their crossings and their chords between
-different labels; `mixed.mixed_moment`, the pair-partition polynomial and
-the inhomogeneous-matching oracle read it.  It scans the points once, left
-to right, over the labels of the open chords, and enumerates no matching.
-Everything else here exists for correctness, not speed: partitions and
-matchings are enumerated explicitly (with deliberate scale caps) so the
-kernel and the closed-form machinery elsewhere can be checked against
-direct counting.  The chord transfer matrix lives here too, as an oracle
-for `qhermite.rt_moment`, which reads the same moments off the Hermite
-walk.
+different labels, the oracle for the production word walk
+`moments.word_vacuum`; `mixed.word_sum_moment`, the pair-partition
+polynomial and the inhomogeneous-matching oracle read it.  It scans the
+points once, left to right, over the labels of the open chords, and
+enumerates no matching.  Partitions and matchings are enumerated
+explicitly (with deliberate scale caps) so that scan and the closed-form
+machinery elsewhere can be checked against direct counting.  The chord
+transfer matrix lives here too, as an oracle for `qhermite.rt_moment`,
+which reads the same moments off the Hermite walk.
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def matching_counts(labels) -> Counter:
     exceeds the (n - 1)!! perfect matchings; no weight is negative, so no
     sum that forms a digit exceeds it either.  So
     w = `qcore.word_width`((n - 1)!!) holds every digit.
+
+    Oracle for `moments.word_vacuum`, with each x letter labelled by its
+    cyclic arc (`mixed._arc_labels`).
     """
     labels = tuple(labels)
     n = len(labels)

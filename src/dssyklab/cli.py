@@ -2,11 +2,18 @@
 
 Each subcommand wires one computation to CSV/JSON output for plotting and
 comparison.  All file outputs carry '#'-prefixed metadata lines with the
-full parameter set; runs are byte-reproducible given the same flags and
-seed (pass --deterministic to suppress the timestamp line).
+full parameter set; pass --deterministic to suppress the timestamp line.
+
+Reproducibility: given the same flags and seed, the exact subcommands
+(`moments`, `mixed`, `qtilde`) write the same bytes everywhere.  The float
+subcommands write the same bytes on one machine, BLAS build and BLAS thread
+count; across thread counts their exit codes and non-numeric lines agree,
+and a number may move in its last printed digit.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
-4 regression-guard trip.
+4 regression-guard trip.  An exit other than 0 or 4 writes nothing to
+stdout: a side file (`--summary`, `--histogram`) is written before the
+main output.
 """
 
 from __future__ import annotations
@@ -227,8 +234,11 @@ def run_moments(args) -> int:
 
 
 def run_mixed(args) -> int:
-    word = mixed.Word.parse(args.word)
-    result = mixed.mixed_moment(word)
+    try:
+        word = mixed.Word.parse(args.word)
+        result = mixed.mixed_moment(word)
+    except ValueError as exc:  # an empty word, a bad letter or too many x letters
+        raise ValueError(f"--word: {exc}") from None
     _write_json(args, {"word": str(word), "value": result.value.to_json_obj(),
                        "matchings": result.partition_count})
     return EXIT_OK
@@ -299,12 +309,12 @@ def run_ed(args) -> int:
             raise ValueError(f"--bins {args.bins} is too many for the spectrum's width "
                              f"{_fmt(pooled.max() - pooled.min())}: the bin edges "
                              f"would not be distinct floats") from None
+        # the side file first, so a path that cannot be written leaves stdout empty
+        hrows = [f"{_fmt(a)},{c},{_fmt(d)}" for a, c, d in hist]
+        _write_csv(args, "left_edge,count,density", hrows, path=args.histogram)
     # one sample's rows at a time: the text of all of them outweighs the spectra
     blocks = ([f"{s},{_fmt(e)}" for e in levels] for s, levels in enumerate(spectra))
     _write(args, _csv_pieces(args, "sample_index,eigenvalue", blocks))
-    if args.histogram:
-        hrows = [f"{_fmt(a)},{c},{_fmt(d)}" for a, c, d in hist]
-        _write_csv(args, "left_edge,count,density", hrows, path=args.histogram)
     return EXIT_OK
 
 
@@ -376,7 +386,6 @@ def run_freeconv(args) -> int:
                          f"in absolute value")
     result = freeconv.semicircle_plus_atomic(args.r, args.theta, args.grid)
     rows = [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(result.measure.grid, result.measure.density)]
-    _write_csv(args, "x,density", rows)
     summary = {
         "support_intervals": [[a, b] for a, b in result.support_intervals],
         "outliers": [],
@@ -384,7 +393,12 @@ def run_freeconv(args) -> int:
         "small_r_outlier_prediction": freeconv.outlier_location(args.theta),
     }
     summary_path = args.summary or (args.out + ".json" if args.out not in (None, "-") else None)
-    _write_json(args, summary, path=summary_path)
+    if summary_path is None:  # both go to stdout, the density first
+        _write_csv(args, "x,density", rows)
+        _write_json(args, summary)
+    else:  # the side file first, so a path that cannot be written leaves stdout empty
+        _write_json(args, summary, path=summary_path)
+        _write_csv(args, "x,density", rows)
     return EXIT_OK
 
 

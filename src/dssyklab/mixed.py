@@ -4,12 +4,14 @@ The functional is tracial, so a word is really a necklace: removing the d
 positions splits the x positions into cyclic arcs.  Every perfect matching
 of the x positions is weighted by q per chord crossing and by qt per chord
 whose endpoints lie in different arcs (a chord passing any number of walls
-picks up the weight exactly once).  The matchings are counted by the chord
-kernel `chordcombi.matching_counts`, with each x labelled by its arc; it
-scans the open chords and visits no matching.
-Summed over all words of fixed length, this reconstructs the reduced
-moments and serves as their independent oracle; the sum reads one word of
-each rotation class and weights it by the size of the class.
+picks up the weight exactly once).  `mixed_moment` walks the word with
+the production chord walk of `moments` (`moments.word_vacuum`), up to
+`MAX_MOMENT_ORDER` x letters and any number of d letters.
+Summed over all words of fixed length, the moments reconstruct the reduced
+moments, and `word_sum_moment` is their independent oracle: it reads one
+word of each rotation class, counts its matchings with the oracle kernel
+`chordcombi.matching_counts`, with each x labelled by its arc, and weights
+it by the size of the class.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import chordcombi
+from .moments import MAX_MOMENT_ORDER, word_vacuum
 from .qcore import MultiPoly
-from .chordcombi import ORACLE_POINT_CAP, matching_counts
 
 WORD_SUM_CAP = 10
 FREE_MOMENT_CAP = 12
@@ -72,29 +75,25 @@ def mixed_moment(w: Word) -> MixedMomentResult:
 
     Sum over perfect matchings of the x positions of
     q^(chord crossings) * qt^(chords joining different arcs) * theta^(#d),
-    counted by `chordcombi.matching_counts` on the arc labels.  Zero (as a
-    polynomial) when the number of x letters is odd.  Words with more than
-    ORACLE_POINT_CAP x letters are rejected.  The kernel visits no
-    matching, but its states grow with the number of arcs, to one per set
-    of open x letters when each x has its own arc, and the cap keeps
-    every word small enough for `enumerate_pair_partitions` to recount its
-    (n_x - 1)!! matchings one by one.
+    walked by `moments.word_vacuum`, and the number of those matchings.
+    Zero (as a polynomial) when the number of x letters is odd.  Words
+    with more than `MAX_MOMENT_ORDER` x letters are rejected.
     """
-    arcs = _arc_labels(w.letters)
-    if len(arcs) > ORACLE_POINT_CAP:
-        raise ValueError(f"mixed moment capped at {ORACLE_POINT_CAP} x letters")
-    d_count = len(w.letters) - len(arcs)
-    counts = matching_counts(arcs)
-    value = MultiPoly({(cr, bc, d_count): c for (cr, bc), c in counts.items()})
-    return MixedMomentResult(value, sum(counts.values()))
+    if w.letters.count("x") > MAX_MOMENT_ORDER:
+        raise ValueError(f"mixed moment capped at {MAX_MOMENT_ORDER} x letters")
+    value = word_vacuum(w.letters)
+    return MixedMomentResult(value, sum(value.terms.values()))
 
 
 def word_sum_moment(n: int) -> MultiPoly:
-    """Moment of (x + d)^n: the sum of mixed_moment over all 2^n words.
+    """Moment of (x + d)^n: the sum of the mixed moments of all 2^n words.
 
     The functional is tracial, so rotated words have equal moments: each
     rotation class (`_necklaces`) is summed as one representative, its
-    least rotation, times the number of its distinct rotations.
+    least rotation, times the number of its distinct rotations.  Each
+    representative's matchings are counted by `chordcombi.matching_counts`
+    on its arc labels, not by the walk, which this sum checks through
+    `reduced_moment`.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -102,8 +101,10 @@ def word_sum_moment(n: int) -> MultiPoly:
         raise ValueError(f"word sum capped at n <= {WORD_SUM_CAP}")
     total = MultiPoly.zero()
     for necklace, period in _necklaces(n):
-        word = Word(tuple("dx"[bit] for bit in necklace))
-        total = total + period * mixed_moment(word).value
+        d_count = n - sum(necklace)
+        counts = chordcombi.matching_counts(_arc_labels(tuple("dx"[bit] for bit in necklace)))
+        total = total + period * MultiPoly({(cr, bc, d_count): c
+                                            for (cr, bc), c in counts.items()})
     return total
 
 

@@ -17,12 +17,16 @@ stands for the d chords the interval leaves open, and weight qt once, where
 the open chords pair: a linearized product <H_{d_1} ... H_{d_l}> carries
 qt^(sum d / 2) (`_paired_vacuum`, and `_packed_pairing` on packed ints).
 
+The same walk on one fixed word (`word_vacuum`) gives `mixed` its mixed
+moments.
+
 Packed polynomials (`qcore.pack`) take their digit width from one rule,
 `qcore.word_width` of a bound at q = qt = theta = 1 that no digit can pass,
 since every weight has nonnegative coefficients.  Both bounds come from the
 involution number T: T(n - 1) for the walk to n (`walk_vacua`), and
 2^n T(n) at the oracles' cap for the oracles (`PACKED_WIDTH`), so raising a
-cap widens the digits.
+cap widens the digits.  A fixed word with n_x letters x bounds its digits
+by its (n_x - 1)!! perfect matchings.
 """
 
 from __future__ import annotations
@@ -161,6 +165,62 @@ def _cyclic_moment(t: int, vacuum: list[int], width: int, block: int) -> MultiPo
                 raise AssertionError(f"m_{t} has a non-integral coefficient at q^{a} qt^{b} theta^{j}")
             terms[(a, b, j)] = m
     return MultiPoly(terms)
+
+
+def word_vacuum(letters) -> MultiPoly:
+    """The mixed moment of one word over {x, d}: `walk_vacua`'s chord walk
+    on that word alone, summed over the perfect matchings of its x letters
+    with weight q per crossing, qt per chord that passes a wall and theta
+    per d.
+
+    The word is rotated to start with a run of d letters, as the trace
+    allows; a word without d has no wall to pass.  Each letter keeps only
+    its own moves of `_letters`, where a d is the move that adds a theta
+    power, and the theta powers are all the d letters, added at the end.
+    A d after a d is the identity on (a, 0), so a run of d letters is one
+    step.  A state is kept while its a + b open chords fit into the x
+    letters still to come.
+
+    Every state holds one packed int (`qcore.pack`), the polynomial in
+    (q, qt) read at q = 2^w and qt = 2^(w B), with B = C(n_x/2, 2) + 1
+    digits in each qt block.  No digit carries.  As in `walk_vacua`, no
+    digit passes the state's value at q = qt = 1, which counts the partial
+    matchings of the x letters read so far that leave its chords open.
+    These chords close on the next a + b x letters and the rest pair among
+    themselves, so the partial matchings complete injectively into the
+    (n_x - 1)!! perfect matchings, and w = `qcore.word_width`((n_x - 1)!!).
+    A kept state has opened o chords with 2 o <= n_x, so its q power, one
+    per crossing pair of them, is at most C(n_x/2, 2) < B.  Zero when n_x
+    is odd.
+    """
+    word = "".join(letters)
+    n_x = word.count("x")
+    if n_x % 2:
+        return MultiPoly.zero()
+    # start at a d after an x: the first one inside the word, else at 0,
+    # which is one or where the word lacks x or d
+    start = word.find("xd") + 1
+    word = word[start:] + word[:start]
+    width = word_width(math.prod(range(n_x - 1, 0, -2)))
+    block = math.comb(n_x // 2, 2) + 1
+    # [k]_q packed: k unit digits, for k up to the n_x / 2 chords open at most
+    repunits = [((1 << width * k) - 1) // ((1 << width) - 1) for k in range(n_x // 2 + 2)]
+    states = {(0, 0): 1}
+    room, previous = n_x, None  # room: the x letters after this one
+    for letter in word:
+        if letter == previous == "d":
+            continue
+        previous = letter
+        wall = letter == "d"
+        room -= not wall
+        new: dict[tuple[int, int], int] = {}
+        for (a, b), value in states.items():
+            for key, power, k, passed in _letters(a, b, room):
+                if power == wall:
+                    factor = repunits[k] << ((block + b) * width) if passed else repunits[k]
+                    new[key] = new.get(key, 0) + value * factor
+        states = new
+    return unpack(states[0, 0], width, block) * MultiPoly.monomial(theta_pow=len(word) - n_x)
 
 
 _VACUA: dict[int, MultiPoly] = {}  # m_n from every walk so far

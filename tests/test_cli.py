@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dssyklab import cli, edlab
+from dssyklab import chordcombi, cli, edlab
 from dssyklab.moments import MomentTable, reduced_moment
 from dssyklab.qcore import MultiPoly
 from dssyklab.qhermite import rt_moment
@@ -132,6 +132,95 @@ class TestMixedCommand:
     def test_bad_word(self, capsys):
         code, _, _ = run_cli(["mixed", "--word", "xyz"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("word,reason", [
+        pytest.param("", "word must be nonempty", id="empty"),
+        pytest.param("xdy", "letters must be 'x' or 'd'", id="bad-letter"),
+        pytest.param("x" * 32, "mixed moment capped at 30 x letters", id="32-x"),
+    ])
+    def test_errors_name_the_flag(self, word, reason, capsys):
+        code, out, err = run_cli(["mixed", f"--word={word}"], capsys)
+        assert (code, out, err) == (2, "", f"error: --word: {reason}\n")
+
+    def test_production_never_reaches_chordcombi(self, capsys, monkeypatch):
+        def broken(*args):
+            raise AssertionError("the mixed moment reached the oracle")
+
+        monkeypatch.setattr(chordcombi, "matching_counts", broken)
+        # up to 30 x letters, with any number of d letters
+        for word, matchings in (("xdxd", 1), ("xdxxdxddxx", 15), ("xxxd" * 10, 6190283353629375),
+                                ("xd" * 4 + "d" * 100_000, 3)):
+            code, out, err = run_cli(["mixed", "--word", word, "--deterministic"], capsys)
+            assert (code, err) == (0, "") and json.loads(out)["matchings"] == matchings, word
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--n", "8", "--symbolic"],
+    ["moments", "--n", "6", "--N", "26", "--p", "4", "--k", "2", "--theta", "5"],
+    ["mixed", "--word", "xxdxdxxd"],
+    ["ed", "--N", "8", "--k", "1", "--samples", "2", "--histogram", "HIST"],
+    ["ed", "--N", "8", "--k", "1", "--samples", "2", "--phase-thetas", "1,3"],
+    ["compare", "--N", "8", "--k", "1", "--theta", "2", "--samples", "4", "--n-max", "4"],
+    ["density", "--q", "0.5", "--grid", "20", "--kernel-r", "0.5"],
+    ["freeconv", "--r", "0.25", "--theta", "3"],
+    ["qtilde", "--N", "26", "--p", "4", "--k", "2"],
+    ["zn", "--n", "2", "--beta", "1", "--q", "0.5", "--qtilde", "0.25"],
+], ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
+def test_no_subcommand_reaches_chordcombi(argv, tmp_path, capsys):
+    # the chord-diagram module holds oracles only
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == chordcombi.__file__:
+            reached.add(frame.f_code.co_name)
+
+    argv = [str(tmp_path / "h.csv") if a == "HIST" else a for a in argv]
+    sys.setprofile(profile)
+    try:
+        code = cli.main(argv + ["--deterministic"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert (code, reached) == (0, set())
+
+
+def _fields(line):
+    """The fields of an output line, split at '=' and ','."""
+    return line.replace("=", ",").split(",")
+
+
+def _close(a, b):
+    """Two fields are equal, or both numbers within 1e-9 max(1, |x|)."""
+    if a == b:
+        return True
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return False
+    return abs(x - y) <= 1e-9 * max(1.0, abs(x))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["ed", "--N", "20", "--k", "2", "--theta", "5", "--samples", "2", "--seed", "7"],
+                 id="ed-N20"),
+    pytest.param(["compare", "--N", "16", "--k", "2", "--theta", "5", "--samples", "20"],
+                 id="compare-N16"),
+])
+def test_blas_thread_count_moves_only_last_digits(argv):
+    # the float subcommands are byte-identical for one BLAS thread count; across
+    # counts the exit code and every non-numeric field agree, and numbers nearly do
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = [subprocess.run([sys.executable, "-m", "dssyklab.cli", *argv, "--deterministic"],
+                           capture_output=True, text=True, timeout=300,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+            for threads in ("1", "2")]
+    one, two = runs
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    lines_one, lines_two = one.stdout.splitlines(), two.stdout.splitlines()
+    assert len(lines_one) == len(lines_two)
+    for a, b in zip(lines_one, lines_two):
+        fa, fb = _fields(a), _fields(b)
+        assert len(fa) == len(fb) and all(map(_close, fa, fb)), (a, b)
 
 
 class TestEdCommand:
@@ -498,7 +587,7 @@ class TestZnCommand:
                  "beta must be finite", id="zn-beta-nan"),
     pytest.param(["freeconv", "--r", "0.25", "--theta", "nan"], "theta must be finite",
                  id="freeconv-theta-nan"),
-    pytest.param(["mixed", "--word", "x" * 30], "capped", id="mixed-30-x"),
+    pytest.param(["mixed", "--word", "x" * 32], "capped", id="mixed-32-x"),
     pytest.param(["ed", "--N", "8", "--theta", "nan"], "--theta must be finite",
                  id="ed-theta-nan"),
     pytest.param(["compare", "--N", "8", "--k", "1", "--theta", "inf"], "--theta must be finite",
@@ -648,6 +737,8 @@ def _numbers(text, echoed=()):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ed_or_compare_argv())
+# the histogram is written before the spectra, so its bad path leaves stdout empty
+@example(["ed", "--N", "8", "--samples", "2", "--histogram", "/nonexistent/d/h.csv"])
 def test_ed_and_compare_keep_the_exit_code_contract(tmp_path, capsys, argv):
     hist = tmp_path / "hist.csv"
     hist.unlink(missing_ok=True)
@@ -656,6 +747,7 @@ def test_ed_and_compare_keep_the_exit_code_contract(tmp_path, capsys, argv):
     written = out + (hist.read_text() if hist.exists() else "")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+    assert code in (0, 4) or out == ""
     assert all(math.isfinite(x) for x in _numbers(written))
 
 
@@ -677,7 +769,7 @@ def moments_mixed_or_qtilde_argv(draw):
     sub = draw(st.sampled_from(["moments", "mixed", "qtilde"]))
     if sub == "mixed":
         word = draw(st.one_of(st.text("xd", min_size=1, max_size=12),
-                              st.sampled_from(["", "xdy", "x" * 16, "XXdD"])))
+                              st.sampled_from(["", "xdy", "x" * 16, "XXdD", "x" * 32])))
         return ["mixed", f"--word={word}"]
     valid, invalid, extra = dict(FINITE_SIZE), FINITE_SIZE_INVALID, []
     if sub == "moments":
@@ -707,6 +799,7 @@ def test_moments_mixed_and_qtilde_keep_the_exit_code_contract(capsys, argv):
     code, out, err = run_cli(argv + ["--deterministic"], capsys)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+    assert code in (0, 4) or out == ""
     if out.startswith("{"):
         json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in the output"))
     else:
@@ -747,6 +840,9 @@ def density_freeconv_or_zn_argv(draw):
 # a subnormal gap between the atoms squared to 0 in F(u, 0) = sum m/(u-x)^2
 @example(["freeconv", "--r=0.5", "--theta=7.801668184748125e-180", "--grid=200", "--summary",
           "SUMMARY"])
+# the summary is written before the density, so its bad path leaves stdout empty
+@example(["freeconv", "--r", "0.25", "--theta", "1", "--grid", "200", "--summary",
+          "/nonexistent/d/x.json"])
 def test_density_freeconv_and_zn_keep_the_exit_code_contract(tmp_path, capsys, argv):
     summary = tmp_path / "summary.json"
     summary.unlink(missing_ok=True)
@@ -754,6 +850,7 @@ def test_density_freeconv_and_zn_keep_the_exit_code_contract(tmp_path, capsys, a
     code, out, err = run_cli(argv, capsys)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+    assert code in (0, 4) or out == ""
     assert all(math.isfinite(x) for x in _numbers(out))
     if summary.exists():
         json.loads(summary.read_text(),

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from dssyklab import chordcombi as cc
 from dssyklab import freeconv as fc
 from dssyklab import mixed as mx
 from dssyklab import moments as mo
@@ -141,11 +144,12 @@ class TestResultInvariants:
                     assert a >= 0 and b >= 0
 
     def test_partition_count_is_double_factorial(self):
-        from dssyklab.chordcombi import double_factorial
-        for text in ("xx", "xxxx", "xdxdxx", "xxxxxx"):
-            res = mx.mixed_moment(mx.Word.parse(text))
-            n_x = text.count("x")
-            assert res.partition_count == double_factorial(n_x - 1)
+        # (n_x - 1)!! matchings, and none for odd n_x, on every word to length 10
+        for n in range(1, 11):
+            for letters in product("xd", repeat=n):
+                n_x = letters.count("x")
+                expected = 0 if n_x % 2 else cc.double_factorial(n_x - 1)
+                assert mx.mixed_moment(mx.Word(letters)).partition_count == expected
 
 
 class TestWordSumOracle:
@@ -168,12 +172,75 @@ class TestWordSumOracle:
 
     def test_one_mixed_moment_per_rotation_class(self, monkeypatch):
         # 108 binary necklaces of length 10, where there are 2^10 words
-        calls = []
-        mixed_moment = mx.mixed_moment
-        monkeypatch.setattr(mx, "mixed_moment", lambda w: calls.append(w) or mixed_moment(w))
+        calls, words = [], []
+        matching_counts, arc_labels = cc.matching_counts, mx._arc_labels
+        monkeypatch.setattr(cc, "matching_counts",
+                            lambda labels: calls.append(labels) or matching_counts(labels))
+        monkeypatch.setattr(mx, "_arc_labels",
+                            lambda letters: words.append(letters) or arc_labels(letters))
         mx.word_sum_moment(10)
-        assert len(calls) == 108
-        assert len({min(w.letters[s:] + w.letters[:s] for s in range(10)) for w in calls}) == 108
+        assert len(calls) == len(words) == 108
+        assert len({min(w[s:] + w[:s] for s in range(10)) for w in words}) == 108
+
+    def test_independent_of_the_word_walk(self, monkeypatch):
+        expected = mx.word_sum_moment(10)
+
+        def broken(*args):
+            raise AssertionError("the word sum reached the chord walk")
+
+        monkeypatch.setattr(mx, "word_vacuum", broken)
+        monkeypatch.setattr(mo, "word_vacuum", broken)
+        monkeypatch.setattr(mo, "_letters", broken)
+        assert mx.word_sum_moment(10) == expected
+
+
+def oracle_moment(letters):
+    """The mixed moment counted by `chordcombi.matching_counts` on the arc labels."""
+    arcs = mx._arc_labels(letters)
+    d_count = len(letters) - len(arcs)
+    return MultiPoly({(cr, bc, d_count): c for (cr, bc), c in cc.matching_counts(arcs).items()})
+
+
+class TestWordWalk:
+    def test_equals_the_matching_oracle_on_every_short_word(self):
+        for n in range(1, 13):
+            for letters in product("xd", repeat=n):
+                assert mo.word_vacuum(letters) == oracle_moment(letters), "".join(letters)
+
+    def test_equals_the_matching_oracle_on_words_with_14_x(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            letters = ["x"] * 14 + ["d"] * rng.randint(0, 14)
+            rng.shuffle(letters)
+            assert mo.word_vacuum(tuple(letters)) == oracle_moment(tuple(letters)), letters
+
+    def test_at_the_cap(self):
+        # 15 chords: at most C(15, 2) = 105 crossings and 15 chords passing a wall
+        for text in ("x" * 30, "xxxd" * 10, "xd" * 30):
+            result = mx.mixed_moment(mx.Word.parse(text))
+            assert result.partition_count == cc.double_factorial(29)
+            assert result.value.substitute(q=1, qt=1, theta=1) == cc.double_factorial(29)
+            assert result.value.degree("q") <= 105 and result.value.degree("qt") <= 15
+        assert mx.mixed_moment(mx.Word.parse("x" * 30)).value.degree("q") == 105
+        with pytest.raises(ValueError, match="capped at 30 x letters"):
+            mx.mixed_moment(mx.Word.parse("x" * 32))
+
+    def test_a_run_of_d_letters_is_one_step(self, monkeypatch):
+        calls = []
+        letters = mo._letters
+        monkeypatch.setattr(mo, "_letters", lambda *state: calls.append(state) or letters(*state))
+
+        def steps(text):
+            calls.clear()
+            value = mo.word_vacuum(tuple(text))
+            return len(calls), value
+
+        one, short = steps("x" * 7 + "d" + "x" * 7)
+        many, long = steps("x" * 7 + "d" * 1000 + "x" * 7)
+        assert one == many
+        assert long == short * THETA ** 999
+        # a run that wraps around the end of the word is one run
+        assert steps("d" * 500 + "x" * 14 + "d" * 500)[0] == steps("d" + "x" * 14)[0]
 
 
 class TestFreeSide:
